@@ -215,7 +215,7 @@ def check_numeric_cross_check(
         bundle = _solved(m, n, n_terms)
         for tau in NUMERIC_TAUS:
             try:
-                report = numeric.cross_check(m, n, tau, n_terms)
+                report = numeric._cross_check_bundle(bundle, tau, n_terms)
                 ok = report.rel_error < tolerance
                 lines.append(
                     f"({m},{n}) tau={tau}: rel_error={report.rel_error:.3e}"

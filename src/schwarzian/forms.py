@@ -56,7 +56,7 @@ def eta_power(exponent: int, order: int) -> PuiseuxSeries:
         raise OddExponent(f"eta power needs a positive even exponent, got {exponent}")
     if order < 1:
         raise ValueError("order must be >= 1")
-    base = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    base = [1] + [0] * (order - 1)
     for n in range(1, order):
         # multiply by (1 - q^n), working downward in place
         for i in range(order - 1, n - 1, -1):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import copysign, floor, gcd
 from typing import Any, Callable, Sequence
 
@@ -52,6 +53,22 @@ _MAX_TERMS = 200
 _MAX_STEPS = 2000  # a walk to |z| = 1e18, or to 1e-15 from 1, takes about 100
 
 
+@lru_cache(maxsize=32)
+def _context(precision: int) -> Any:
+    """The one mpmath context for ``precision`` bits, shared by every call.
+
+    Each ``mpmath.mp.clone()`` makes new number classes, and every value
+    keeps its context alive, so cloning per evaluation costs about 44 KB of
+    memory per 200-bit result that is kept.  Callers must not change the
+    shared context's precision.
+    """
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.prec = precision
+    return mp
+
+
 class _Backend:
     """Uniform complex arithmetic over cmath doubles or mpmath bits."""
 
@@ -61,12 +78,9 @@ class _Backend:
             self.log: Callable[[Any], Any] = cmath.log
             self._mp = None
         else:
-            import mpmath
-
             if precision < 8:
                 raise InvalidParameters("precision must be at least 8 bits")
-            mp = mpmath.mp.clone()
-            mp.prec = precision
+            mp = _context(precision)
             self._mp = mp
             self.exp = mp.exp
             self.log = mp.log
@@ -199,12 +213,22 @@ def eval_qseries(
     return value
 
 
+@lru_cache(maxsize=16)
+def _z_coeffs(m_terms: int) -> tuple[Fraction, ...]:
+    """The integer q-expansion of 1728/j, built once per length.
+
+    The cache lives here rather than in ``forms``: the seeded-bug check
+    corrupts ``forms.eisenstein`` and ``forms.eta_power`` and needs every
+    ``solve`` to rebuild the base forms from them.
+    """
+    return j_inverse(m_terms).coeffs
+
+
 def _eval_z(m_terms: int, tau: complex, backend: _Backend) -> Any:
     """z = 1728/j(tau) by summing its integer q-expansion."""
-    series = j_inverse(m_terms)
     two_pi_i = backend.number(2j) * backend.pi()
     q = backend.exp(two_pi_i * backend.number(tau))
-    return _horner(series.coeffs, q, backend)
+    return _horner(_z_coeffs(m_terms), q, backend)
 
 
 def eval_h_hypergeometric(
@@ -334,8 +358,21 @@ def cross_check(
     """
     tau = _check_tau(tau)
     bundle = solver.solve(m, n, n_terms)
+    return _cross_check_bundle(bundle, tau, n_terms, precision)
+
+
+def _cross_check_bundle(
+    bundle: solver.SolutionBundle,
+    tau: complex,
+    n_terms: int,
+    precision: int | None = None,
+) -> EvalReport:
+    """``cross_check`` on an already solved bundle of order ``n_terms``."""
+    tau = _check_tau(tau)
     via_series = eval_qseries(bundle.h, tau, precision=precision)
-    via_hyper = eval_h_hypergeometric(m, n, tau, n_terms, precision=precision)
+    via_hyper = eval_h_hypergeometric(
+        bundle.m, bundle.n, tau, n_terms, precision=precision
+    )
     # difference in the working precision, so high-precision runs can
     # report discrepancies far below double rounding
     scale = max(abs(via_series), abs(via_hyper))

@@ -21,11 +21,24 @@ which with q = exp(2 pi i tau) is the classical (2 pi i)^-1 d/dtau.
 Equality on both types compares coefficients up to the common truncation
 order only; two series that agree on their shared prefix compare equal even
 if their orders differ.
+
+The API is on ``Fraction`` throughout, but the product kernels (series
+multiplication, and with it integer powers, and composition) compute on
+integer numerators over one common denominator and build a single
+``Fraction`` per output coefficient.  The classical forms all have integer
+coefficients, so their products pay for no gcd at all.  Composition
+writes the inner series as q**v (g/d) w with w an integer series of
+content 1, builds the powers of w by integer convolution, and applies the
+rational scalar f_k (g/d)**k once per power (Brent and Kung, J. ACM 1978,
+cover fast composition; this is the plain power-sum form).  Division,
+exp and log still run over ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Union
 
 from .errors import (
@@ -47,16 +60,38 @@ def _as_fraction(x) -> Fraction | None:
     return None
 
 
+def _common(cs) -> tuple[list[int], int]:
+    """Integer numerators of the rationals ``cs`` over their least common
+    denominator; an integer series gets denominator 1."""
+    den = lcm(*(c.denominator for c in cs))
+    if den == 1:
+        return [c.numerator for c in cs], 1
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _iconv(a: list[int], b: list[int], target: int) -> list[int]:
+    """First ``target`` coefficients of the Cauchy product of integer lists."""
+    rb = b[::-1]
+    nb = len(b)
+    out = []
+    for k in range(min(target, len(a) + nb - 1)):
+        lo = max(0, k - nb + 1)
+        hi = min(k + 1, len(a))
+        out.append(sum(map(mul, a[lo:hi], rb[nb - 1 - k + lo : nb - 1 - k + hi])))
+    return out + [0] * (target - len(out))
+
+
+def _fractions(nums: list[int], den: int) -> list[Fraction]:
+    if den == 1:
+        return [Fraction(x) for x in nums]
+    return [Fraction(x, den) for x in nums]
+
+
 def _conv(a, b, target: int) -> list[Fraction]:
     """First ``target`` coefficients of the Cauchy product of a and b."""
-    out = [Fraction(0)] * target
-    for i in range(min(target, len(a))):
-        ai = a[i]
-        if ai:
-            for j in range(min(target - i, len(b))):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
+    na, da = _common(a[:target])
+    nb, db = _common(b[:target])
+    return _fractions(_iconv(na, nb, target), da * db)
 
 
 def _divide_unit(num, den, order: int) -> list[Fraction]:
@@ -268,12 +303,24 @@ class QSeries:
             # inner is zero to its order: the composition is the constant term
             return QSeries((self._coeffs[0],) + (Fraction(0),) * (inner.order - 1))
         target = min(inner.order, len(self._coeffs) * v)
-        acc = [Fraction(0)] * target
-        acc[0] = self._coeffs[-1]
-        for k in range(len(self._coeffs) - 2, -1, -1):
-            acc = _conv(acc, inner._coeffs, target)
-            acc[0] += self._coeffs[k]
-        return QSeries(acc)
+        # inner = q**v * (g/d) * w with w an integer series of content 1, so
+        # inner**k = q**(k v) (g/d)**k w**k and only w**k needs convolving
+        nums, d = _common(inner._coeffs[v:target])
+        g = gcd(*nums)
+        w = [x // g for x in nums]
+        ratio = Fraction(g, d)
+        scalars = [self._coeffs[k] * ratio**k for k in range((target - 1) // v + 1)]
+        den = lcm(*(s.denominator for s in scalars))
+        acc = [0] * target
+        power = [1]
+        for k, s in enumerate(scalars):
+            if k:
+                power = _iconv(power, w, target - k * v)
+            if s:
+                scale = s.numerator * (den // s.denominator)
+                for i, p in enumerate(power, k * v):
+                    acc[i] += scale * p
+        return QSeries(_fractions(acc, den))
 
     def derive(self) -> QSeries:
         """Apply D = q d/dq: multiply each coefficient by its exponent."""

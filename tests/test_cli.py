@@ -1,14 +1,17 @@
 """CLI contract tests: JSON schema, exit codes, text output, selftest.
 
 Most invocations go through ``main(argv)`` in-process so stdout/stderr and
-exit codes can be asserted cheaply; one subprocess test exercises the
-installed console script end to end.
+exit codes can be asserted cheaply; two subprocess tests run the CLI end to
+end, one through ``python -m schwarzian`` on the source tree and one
+through the installed console script.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +164,31 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["offset"] == "1/7"
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schwarzian", "solve", "--m", "7", "--n", "1",
+         "--terms", "6", "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["offset"] == "1/7"
+    bad = subprocess.run(
+        [sys.executable, "-m", "schwarzian", "solve", "--m", "7", "--n", "7"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error:")
 
 
 @pytest.mark.slow

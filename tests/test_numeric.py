@@ -216,3 +216,13 @@ def test_eval_qseries_term_limit():
     assert abs(full - short) < 1e-5
     with pytest.raises(InvalidParameters):
         eval_qseries(s, 0.5j, n_terms=0)
+
+
+def test_one_mpmath_context_per_precision():
+    # a fresh context per call would be kept alive by every result it returns
+    h = solve(7, 1, 30).h
+    series = eval_qseries(h, 1.5j, precision=200)
+    closed = eval_h_hypergeometric(7, 1, 1.5j, 30, precision=200)
+    assert series.context is closed.context
+    assert series.context.prec == 200
+    assert eval_qseries(h, 1.5j, precision=120).context.prec == 120

@@ -337,3 +337,87 @@ def test_puiseux_leibniz(offset, b1, b2):
     x = PuiseuxSeries(offset, b1)
     y = PuiseuxSeries(offset, b2)
     assert (x * y).derive() == x.derive() * y + x * y.derive()
+
+
+# ---------------------------------------------------- kernels vs reference
+#
+# The product kernels compute on integer numerators over a common
+# denominator.  These plain-Fraction loops are the reference they must
+# reproduce exactly: Cauchy product, Horner composition, repeated products.
+
+
+def ref_mul(a, b, target):
+    out = [F(0)] * target
+    for i in range(min(target, len(a))):
+        for j in range(min(target - i, len(b))):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_compose(outer, inner):
+    v = next(i for i, c in enumerate(inner) if c)
+    target = min(len(inner), len(outer) * v)
+    acc = [F(0)] * target
+    acc[0] = outer[-1]
+    for c in reversed(outer[:-1]):
+        acc = ref_mul(acc, inner, target)
+        acc[0] += c
+    return acc
+
+
+def ref_pow(a, k):
+    out = [F(1)] + [F(0)] * (len(a) - 1)
+    for _ in range(k):
+        out = ref_mul(out, a, len(a))
+    return out
+
+
+def exact(cs):
+    """Coefficients as (numerator, denominator) pairs, for bit-identity."""
+    return [(c.numerator, c.denominator) for c in cs]
+
+
+integers = st.integers(min_value=-10**6, max_value=10**6).map(F)
+mixed = st.one_of(
+    integers,
+    st.just(F(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+@st.composite
+def kernel_coeffs(draw, min_size=1, max_size=25):
+    """Integer-only or mixed-denominator coefficients, zeros included."""
+    element = draw(st.sampled_from([integers, mixed]))
+    return draw(st.lists(element, min_size=min_size, max_size=max_size))
+
+
+@st.composite
+def inner_series(draw):
+    """q**v (c + ...) with v in 1..3, c nonzero, 1 to 25 coefficients."""
+    v = draw(st.integers(min_value=1, max_value=3))
+    lead = draw(mixed.filter(lambda x: x != 0))
+    rest = draw(kernel_coeffs(min_size=0, max_size=24 - v))
+    return [F(0)] * v + [lead] + rest
+
+
+@given(kernel_coeffs(), kernel_coeffs())
+@settings(max_examples=150, deadline=None)
+def test_mul_kernel_matches_fraction_reference(a, b):
+    out = (QSeries(a) * QSeries(b)).coeffs
+    assert all(type(c) is F for c in out)
+    assert exact(out) == exact(ref_mul(a, b, min(len(a), len(b))))
+
+
+@given(kernel_coeffs(), inner_series())
+@settings(max_examples=150, deadline=None)
+def test_compose_kernel_matches_fraction_reference(outer, inner):
+    out = QSeries(outer).compose(QSeries(inner)).coeffs
+    assert all(type(c) is F for c in out)
+    assert exact(out) == exact(ref_compose(outer, inner))
+
+
+@given(kernel_coeffs(max_size=15), st.integers(min_value=0, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_pow_kernel_matches_fraction_reference(a, k):
+    assert exact((QSeries(a) ** k).coeffs) == exact(ref_pow(a, k))

@@ -5,6 +5,7 @@ test_schwarzian_sympy_oracle with symbolic calculus, so the golden and the
 implementation are checked against an independent third computation.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,21 @@ def test_verify_ode_weight_hook():
 def test_verify_ode_rejects_zero():
     with pytest.raises(InvalidParameters):
         verify_ode(PuiseuxSeries(0, QSeries.zero(3)), F(1))
+
+
+# sha256 of "offset;c0;c1;..." (each rational as str) for solve(m, n, order).h,
+# computed with the series kernels that predate the integer-numerator ones,
+# whose Horner composition and convolution ran entirely over Fraction; any
+# change in a single coefficient of h changes the hash
+H_SHA256 = {
+    (7, 1, 60): "e998db9a65ae310d5db708ea4a27d97a33eb64f783e35106f1bfbf2a105e312c",
+    (13, 5, 60): "fc0d912918cf4a9f09a6277a414c8fc344505f653b29ece7a10c8dd5a72d8baa",
+    (11, 13, 30): "57834aef28f75d4a86fbd5f58ae84eb1eb54ea63a799acec4e729af684de614f",
+}
+
+
+@pytest.mark.parametrize("m, n, order", sorted(H_SHA256))
+def test_solution_golden_hash(m, n, order):
+    h = solve(m, n, order).h
+    text = ";".join(str(c) for c in (h.offset, *h.body.coeffs))
+    assert hashlib.sha256(text.encode()).hexdigest() == H_SHA256[(m, n, order)]
