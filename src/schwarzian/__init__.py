@@ -45,14 +45,7 @@ from .errors import (
     UnsupportedWeight,
     VerificationError,
 )
-from .forms import (
-    FormLabel,
-    delta,
-    eisenstein,
-    eta_power,
-    j_inverse,
-    serre_derivative,
-)
+from .forms import delta, eisenstein, eta_power, j_inverse, serre_derivative
 from .hypergeometric import (
     ComponentRecipe,
     HypergeomParams,
@@ -61,7 +54,7 @@ from .hypergeometric import (
     hypergeom_coeffs,
 )
 from .numeric import EvalReport, cross_check, eval_h_hypergeometric, eval_qseries
-from .series import PuiseuxSeries, QSeries, Rational
+from .series import PuiseuxSeries, QSeries
 from .solver import (
     SolutionBundle,
     ode_solutions,
@@ -90,7 +83,6 @@ __all__ = [
     "DegenerateDerivative",
     "DivisionByNonUnit",
     "EvalReport",
-    "FormLabel",
     "HypergeomParams",
     "IncompatibleOffsets",
     "InternalMismatch",
@@ -110,7 +102,6 @@ __all__ = [
     "PivotVanishes",
     "PuiseuxSeries",
     "QSeries",
-    "Rational",
     "RecipeInconsistent",
     "ReprData",
     "SchwarzianError",

@@ -53,14 +53,23 @@ def _check(name: str, passed: bool, detail: str) -> dict[str, Any]:
     return {"name": name, "pass": passed, "detail": detail}
 
 
-def _emit(payload: dict[str, Any], fmt: str) -> int:
-    if fmt == "json":
+def _emit(
+    args: argparse.Namespace,
+    params: dict[str, Any],
+    results: dict[str, Any],
+    checks: list[dict[str, Any]],
+) -> int:
+    payload = {
+        "command": args.command,
+        "params": params,
+        "results": results,
+        "checks": checks,
+    }
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"{payload['command']}  " + "  ".join(
-            f"{k}={v}" for k, v in payload["params"].items()
-        ))
-        for key, value in payload["results"].items():
+        print(f"{args.command}  " + "  ".join(f"{k}={v}" for k, v in params.items()))
+        for key, value in results.items():
             if isinstance(value, list):
                 print(f"{key}:")
                 for item in value:
@@ -69,62 +78,55 @@ def _emit(payload: dict[str, Any], fmt: str) -> int:
                 print(f"{key}: " + ", ".join(f"{k}={v}" for k, v in value.items()))
             else:
                 print(f"{key}: {value}")
-        for check in payload["checks"]:
+        for check in checks:
             mark = "PASS" if check["pass"] else "FAIL"
             print(f"[{mark}] {check['name']} - {check['detail']}")
-    return 0 if all(c["pass"] for c in payload["checks"]) else 1
+    return 0 if all(c["pass"] for c in checks) else 1
+
+
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     params = {"m": args.m, "n": args.n, "terms": args.terms}
-    checks: list[dict[str, Any]] = []
-    results: dict[str, Any] = {}
     try:
         bundle = solver.solve(args.m, args.n, args.terms)
     except VerificationError as exc:
-        checks.append(
-            _check("solution-verification", False, f"{type(exc).__name__}: {exc}")
+        return _emit(
+            args, params, {}, [_check("solution-verification", False, _failure(exc))]
         )
-    else:
-        results = {
-            "offset": _rat(bundle.h.offset),
-            "n_prime": bundle.n_prime,
-            "raises": bundle.r,
-            "weight": int(bundle.form.weight),
-            "h_coefficients": [_rat(c) for c in bundle.h.body.coeffs],
-            "schwarz_constant": _rat(bundle.schwarz_constant),
-            "ode_parameter": _rat(bundle.ode_parameter),
-            "wronskians": [
-                {"level": lvl, "constant": _rat(c), "delta_power": e}
-                for lvl, (c, e) in enumerate(bundle.wronskians)
-            ],
-            "note": solver.CONVENTION_NOTE,
-        }
-        checks.append(
-            _check(
-                "solution-verification",
-                True,
-                f"Wronskian, Schwarzian and ODE identities verified exactly "
-                f"through order {args.terms}",
-            )
-        )
-    payload = {
-        "command": "solve",
-        "params": params,
-        "results": results,
-        "checks": checks,
+    results = {
+        "offset": _rat(bundle.h.offset),
+        "n_prime": bundle.n_prime,
+        "raises": bundle.r,
+        "weight": int(bundle.form.weight),
+        "h_coefficients": [_rat(c) for c in bundle.h.body.coeffs],
+        "schwarz_constant": _rat(bundle.schwarz_constant),
+        "ode_parameter": _rat(bundle.ode_parameter),
+        "wronskians": [
+            {"level": lvl, "constant": _rat(c), "delta_power": e}
+            for lvl, (c, e) in enumerate(bundle.wronskians)
+        ],
+        "note": solver.CONVENTION_NOTE,
     }
-    return _emit(payload, args.format)
+    check = _check(
+        "solution-verification",
+        True,
+        f"Wronskian, Schwarzian and ODE identities verified exactly "
+        f"through order {args.terms}",
+    )
+    return _emit(args, params, results, [check])
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = {"m": args.m, "n": args.n, "terms": args.terms}
-    checks: list[dict[str, Any]] = []
-    n_prime = args.n % args.m
-    r = (args.n - n_prime) // args.m
-    rep = vvmf.ReprData(args.m, n_prime)
-
-    form = vvmf.minimal_form(rep, args.terms + r)
+    rep, r = solver._parameters(args.m, args.n, args.terms)
+    results = {"n_prime": rep.n_prime, "raises": r}
+    try:
+        form = vvmf.minimal_form(rep, args.terms + r)
+    except VerificationError as exc:
+        return _emit(args, params, results, [_check("construction", False, _failure(exc))])
     shape_ok = (
         form.weight == 5
         and form.first.offset == rep.exp_first
@@ -132,79 +134,61 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         and form.first.leading == 1
         and form.second.leading == 1
     )
-    checks.append(
+    checks = [
         _check(
             "minimal-form-shape",
             shape_ok,
             f"weight {form.weight}, exponents {form.first.offset}, {form.second.offset}",
         )
+    ]
+
+    # the solver raises the form built here and appends each level's
+    # Wronskian (c, e) as it passes
+    levels: list[tuple[Fraction, int]] = []
+    try:
+        bundle = solver._verified(form, r, levels)
+    except VerificationError as exc:
+        bundle, failure = None, _failure(exc)
+    raised = len(levels) > r
+    detail = (
+        "; ".join(f"level {lvl}: c={c}, Delta^{e}" for lvl, (c, e) in enumerate(levels))
+        if raised
+        else f"level {len(levels)}: {failure}"
     )
-
-    level = 0
-    try:
-        wronskians = [vvmf.wronskian_check(form)]
-        for level in range(1, r + 1):
-            form = vvmf.raise_weight(form)
-            wronskians.append(vvmf.wronskian_check(form))
-        detail = "; ".join(
-            f"level {lvl}: c={c}, Delta^{e}" for lvl, (c, e) in enumerate(wronskians)
+    checks.append(_check("wronskian-delta-power", raised, detail))
+    if bundle is None:
+        checks.append(_check("schwarzian-proportionality", False, failure))
+        return _emit(args, params, results, checks)
+    expected = -Fraction(args.n, args.m) ** 2 / 2
+    checks.append(
+        _check(
+            "schwarzian-proportionality",
+            bundle.schwarz_constant == expected,
+            f"{{h}} = {bundle.schwarz_constant} * E4, expected {expected}",
         )
-        checks.append(_check("wronskian-delta-power", True, detail))
-    except VerificationError as exc:
-        checks.append(
-            _check(
-                "wronskian-delta-power",
-                False,
-                f"level {level}: {type(exc).__name__}: {exc}",
-            )
+    )
+    checks.append(
+        _check(
+            "ode-solutions",
+            True,
+            f"both solutions satisfy D^2 y + ({bundle.ode_parameter}) E4 y = 0 "
+            f"and y1/y2 = h",
         )
-
-    try:
-        bundle = solver.solve(args.m, args.n, args.terms)
-        expected = -Fraction(args.n, args.m) ** 2 / 2
-        checks.append(
-            _check(
-                "schwarzian-proportionality",
-                bundle.schwarz_constant == expected,
-                f"{{h}} = {bundle.schwarz_constant} * E4, expected {expected}",
-            )
-        )
-        checks.append(
-            _check(
-                "ode-solutions",
-                True,
-                f"both solutions satisfy D^2 y + ({bundle.ode_parameter}) E4 y = 0 "
-                f"and y1/y2 = h",
-            )
-        )
-    except VerificationError as exc:
-        checks.append(
-            _check(
-                "schwarzian-proportionality",
-                False,
-                f"{type(exc).__name__}: {exc}",
-            )
-        )
-
-    payload = {
-        "command": "verify",
-        "params": params,
-        "results": {"n_prime": n_prime, "raises": r},
-        "checks": checks,
-    }
-    return _emit(payload, args.format)
+    )
+    return _emit(args, params, results, checks)
 
 
 def _cmd_vvmf(args: argparse.Namespace) -> int:
     params = {"m": args.m, "n": args.n, "terms": args.terms}
-    n_prime = args.n % args.m
-    r = (args.n - n_prime) // args.m
-    rep = vvmf.ReprData(args.m, n_prime)
-    form = vvmf.minimal_form(rep, args.terms + r)
-
-    c1, c2 = vvmf.raising_constants(form)
-    c2_closed = vvmf.c2_closed_form(args.m, n_prime)
-    c1_candidate = vvmf.c1_closed_form_candidate(args.m, n_prime)
+    rep, r = vvmf.split_n(args.m, args.n)
+    results: dict[str, Any] = {"n_prime": rep.n_prime, "raises": r}
+    try:
+        form = vvmf.minimal_form(rep, args.terms + r)
+        c1, c2 = vvmf.raising_constants(form)
+    except VerificationError as exc:
+        return _emit(args, params, results, [_check("construction", False, _failure(exc))])
+    c2_closed = vvmf.c2_closed_form(rep.m, rep.n_prime)
+    c1_candidate = vvmf.c1_closed_form_candidate(rep.m, rep.n_prime)
 
     levels = []
     checks: list[dict[str, Any]] = []
@@ -234,9 +218,7 @@ def _cmd_vvmf(args: argparse.Namespace) -> int:
             )
         )
     except VerificationError as exc:
-        checks.append(
-            _check("wronskian-delta-power", False, f"{type(exc).__name__}: {exc}")
-        )
+        checks.append(_check("wronskian-delta-power", False, _failure(exc)))
 
     checks.append(
         _check(
@@ -246,82 +228,54 @@ def _cmd_vvmf(args: argparse.Namespace) -> int:
         )
     )
 
-    results = {
-        "n_prime": n_prime,
-        "raises": r,
-        "weight": int(5 + 6 * r),
-        "levels": levels,
-        "raising": {
+    results.update(
+        weight=int(5 + 6 * r),
+        levels=levels,
+        raising={
             "second_ratio": _rat(c2),
             "second_ratio_closed_form": _rat(c2_closed),
             "first_ratio": _rat(c1),
             "first_ratio_candidate": _rat(c1_candidate),
             "candidate_agrees": bool(c1 == c1_candidate),
         },
-    }
-    payload = {
-        "command": "vvmf",
-        "params": params,
-        "results": results,
-        "checks": checks,
-    }
-    return _emit(payload, args.format)
+    )
+    return _emit(args, params, results, checks)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     tau = _parse_tau(args.tau)
-    params = {
-        "m": args.m,
-        "n": args.n,
-        "terms": args.terms,
-        "tau": args.tau,
-    }
+    params = {"m": args.m, "n": args.n, "terms": args.terms, "tau": args.tau}
     if args.precision is not None:
         params["precision"] = args.precision
-    checks: list[dict[str, Any]] = []
-    results: dict[str, Any] = {}
     try:
         report = numeric.cross_check(
             args.m, args.n, tau, args.terms, precision=args.precision
         )
     except OutsideDisk as exc:
-        checks.append(_check("routes-agree", False, str(exc)))
-    else:
-        results = {
-            "via_series": _cplx(report.via_series),
-            "via_hypergeom": _cplx(report.via_hypergeom),
-            "rel_error": repr(report.rel_error),
-            "terms_used": report.terms_used,
-            "tail_bound": repr(report.tail_bound),
-        }
-        checks.append(
-            _check(
-                "routes-agree",
-                report.rel_error < args.tolerance,
-                f"rel_error {report.rel_error:.3e} vs tolerance {args.tolerance:g}",
-            )
-        )
-    payload = {
-        "command": "eval",
-        "params": params,
-        "results": results,
-        "checks": checks,
+        return _emit(args, params, {}, [_check("routes-agree", False, str(exc))])
+    results = {
+        "via_series": _cplx(report.via_series),
+        "via_hypergeom": _cplx(report.via_hypergeom),
+        "rel_error": repr(report.rel_error),
+        "terms_used": report.terms_used,
+        "tail_bound": repr(report.tail_bound),
     }
-    return _emit(payload, args.format)
+    check = _check(
+        "routes-agree",
+        report.rel_error < args.tolerance,
+        f"rel_error {report.rel_error:.3e} vs tolerance {args.tolerance:g}",
+    )
+    return _emit(args, params, results, [check])
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     outcomes = acceptance.run_all()
-    payload = {
-        "command": "selftest",
-        "params": {},
-        "results": {
-            "passed": sum(1 for o in outcomes if o.passed),
-            "failed": sum(1 for o in outcomes if not o.passed),
-        },
-        "checks": [_check(o.name, o.passed, o.detail) for o in outcomes],
+    results = {
+        "passed": sum(1 for o in outcomes if o.passed),
+        "failed": sum(1 for o in outcomes if not o.passed),
     }
-    return _emit(payload, args.format)
+    checks = [_check(o.name, o.passed, o.detail) for o in outcomes]
+    return _emit(args, {}, results, checks)
 
 
 def _add_common(sub: argparse.ArgumentParser, with_mn: bool = True) -> None:

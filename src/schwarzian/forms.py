@@ -20,7 +20,6 @@ k + 2 and satisfies the Ramanujan identities
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalMismatch, OddExponent, UnsupportedWeight
@@ -109,32 +108,3 @@ def serre_derivative(f: QSeries | PuiseuxSeries, weight: Scalar):
         return f.derive() - f * eisenstein(2, f.order) * (k / 12)
     raise TypeError("serre_derivative expects a QSeries or PuiseuxSeries")
 
-
-_KINDS = {
-    "E2": Fraction(2),
-    "E4": Fraction(4),
-    "E6": Fraction(6),
-    "delta": Fraction(12),
-    "j_inverse": Fraction(0),
-    "eta_power": None,  # weight is exponent/2
-}
-
-
-@dataclass(frozen=True)
-class FormLabel:
-    """A name for one of the classical series plus its modular weight."""
-
-    kind: str
-    eta_exponent: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown form kind {self.kind!r}")
-        if (self.kind == "eta_power") != (self.eta_exponent is not None):
-            raise ValueError("eta_exponent is set exactly for kind 'eta_power'")
-
-    @property
-    def weight(self) -> Fraction:
-        if self.kind == "eta_power":
-            return Fraction(self.eta_exponent, 2)
-        return _KINDS[self.kind]

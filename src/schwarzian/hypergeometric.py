@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from . import forms
+from . import forms, vvmf  # vvmf imports this module; used at call time only
 from .errors import InvalidC, InvalidParameters, RecipeInconsistent
-from .series import PuiseuxSeries, QSeries, Scalar
+from .series import PuiseuxSeries, QSeries
 
 ETA_EXPONENT = 10
 
@@ -65,18 +64,17 @@ class ComponentRecipe:
 
     m: int
     signed_residue: int
-    outer_power: Fraction
-    params: HypergeomParams
 
-    def __post_init__(self):
+    @property
+    def outer_power(self) -> Fraction:
+        """Exponent of 1728/j, s/2m + 1/12."""
+        return Fraction(self.signed_residue, 2 * self.m) + Fraction(1, 12)
+
+    @property
+    def params(self) -> HypergeomParams:
+        """(s/2m + 1/12, s/2m + 5/12; s/m + 1)."""
         w = Fraction(self.signed_residue, 2 * self.m)
-        expected_outer = w + Fraction(1, 12)
-        expected = HypergeomParams(w + Fraction(1, 12), w + Fraction(5, 12), 2 * w + 1)
-        if self.outer_power != expected_outer or self.params != expected:
-            raise RecipeInconsistent(
-                f"recipe fields do not match m={self.m}, "
-                f"signed residue {self.signed_residue}"
-            )
+        return HypergeomParams(w + Fraction(1, 12), w + Fraction(5, 12), 2 * w + 1)
 
     @property
     def offset(self) -> Fraction:
@@ -88,18 +86,8 @@ def component_recipe(m: int, n_prime: int, component: str) -> ComponentRecipe:
     """Recipe for the 'first' (+n') or 'second' (-n') component."""
     if component not in ("first", "second"):
         raise InvalidParameters(f"component must be 'first' or 'second', got {component!r}")
-    if m < 7 or not 0 < n_prime < m or gcd(m, n_prime) != 1:
-        raise InvalidParameters(
-            f"need m >= 7 and 0 < n' < m coprime to m, got m={m}, n'={n_prime}"
-        )
-    s = n_prime if component == "first" else -n_prime
-    w = Fraction(s, 2 * m)
-    return ComponentRecipe(
-        m=m,
-        signed_residue=s,
-        outer_power=w + Fraction(1, 12),
-        params=HypergeomParams(w + Fraction(1, 12), w + Fraction(5, 12), 2 * w + 1),
-    )
+    vvmf.ReprData(m, n_prime)
+    return ComponentRecipe(m, n_prime if component == "first" else -n_prime)
 
 
 def component_series(recipe: ComponentRecipe, order: int) -> PuiseuxSeries:

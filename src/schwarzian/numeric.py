@@ -13,7 +13,7 @@ z**(n/m) and [1, inf) of 2F1, so their principal branches continue the
 identity that holds near i*inf.  ``eval_h_hypergeometric`` first moves tau
 by an integer into |Re tau| <= 1/2 and restores the phase through
 h(tau + 1) = exp(2 pi i n/m) h(tau); it refuses |tau| <= 1 (OutsideDisk).
-Inside |z| < 1 - margin it sums the 2F1 Taylor series from their exact
+Inside |z| < 0.95 it sums the 2F1 Taylor series from their exact
 coefficients; beyond, up to the arc |tau| = 1, it continues them
 analytically: in complex doubles by re-expanding the hypergeometric
 equation along the ray from 0 to z, at an integer precision by mpmath's
@@ -33,7 +33,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import copysign, floor, gcd
+from math import copysign, floor
 from typing import Any, Callable, Sequence
 
 from . import solver
@@ -51,6 +51,7 @@ _OVERFLOW = 1e300
 _EPS = 2.0**-60  # relative size of the last Taylor terms summed in doubles
 _MAX_TERMS = 200
 _MAX_STEPS = 2000  # a walk to |z| = 1e18, or to 1e-15 from 1, takes about 100
+_MARGIN = 0.05  # the 2F1 Taylor series are summed for |z| < 1 - _MARGIN
 
 
 @lru_cache(maxsize=32)
@@ -87,8 +88,6 @@ class _Backend:
 
     def number(self, value: Any) -> Any:
         if self._mp is None:
-            if isinstance(value, Fraction):
-                return complex(value)
             return complex(value)
         if isinstance(value, Fraction):
             return self._mp.mpf(value.numerator) / self._mp.mpf(value.denominator)
@@ -195,7 +194,7 @@ def eval_qseries(
     tau = _check_tau(tau)
     backend = _Backend(precision)
     if isinstance(f, QSeries):
-        f = PuiseuxSeries.from_qseries(f)
+        f = PuiseuxSeries(0, f)
     coeffs = f.body.coeffs
     if n_terms is not None:
         if n_terms < 1:
@@ -237,7 +236,6 @@ def eval_h_hypergeometric(
     tau: complex,
     n_terms: int = 60,
     precision: int | None = None,
-    margin: float = 0.05,
 ) -> complex | Any:
     """Closed-form h(tau), normalized to match the unit-leading q-series.
 
@@ -256,29 +254,27 @@ def eval_h_hypergeometric(
     series' error of the arc), the side that continues from the interior
     is taken.
 
-    ``margin`` picks how the 2F1 factors are evaluated: for |z| < 1 - margin
-    they are summed to ``n_terms`` terms from their exact rational
-    coefficients, with an error that falls like |z|**n_terms (about 2e-5
-    at tau = 1.08i, |z| = 0.92, with 60 terms); otherwise they are
-    continued analytically (``_hyp2f1_doubles`` in doubles, mpmath's
-    ``hyp2f1`` at an integer precision), and ``n_terms`` only sets the
-    length of the q-series of z.  Accuracy falls towards the corner
-    rho = exp(2 pi i/3), where that q-series nears its radius of
-    convergence (about 5e-6 at tau = -0.49 + 0.9i with 60 terms).  Near
-    tau = i, where 2F1 has a square-root branch point at z = 1, errors in z
-    are amplified: with 60 terms about 3e-10 at tau = 1.0000000001i even at
-    200 bits.  Doubles give about 7e-10 at tau = 1.00000001i; closer to i,
-    z rounds onto the cut and the point is refused.
-    Only 0 < n < m is meaningful here (the closed form covers one sheet).
+    For |z| < 1 - _MARGIN = 0.95 the 2F1 factors are summed to ``n_terms``
+    terms from their exact rational coefficients, with an error that falls
+    like |z|**n_terms (about 2e-5 at tau = 1.08i, |z| = 0.92, with 60
+    terms); otherwise they are continued analytically (``_hyp2f1_doubles``
+    in doubles, mpmath's ``hyp2f1`` at an integer precision), and
+    ``n_terms`` only sets the length of the q-series of z.  Accuracy falls
+    towards the corner rho = exp(2 pi i/3), where that q-series nears its
+    radius of convergence (about 5e-6 at tau = -0.49 + 0.9i with 60
+    terms).  Near tau = i, where 2F1 has a square-root branch point at
+    z = 1, errors in z are amplified: with 60 terms about 3e-10 at
+    tau = 1.0000000001i even at 200 bits.  Doubles give about 7e-10 at
+    tau = 1.00000001i; closer to i, z rounds onto the cut and the point is
+    refused.  Only 0 < n < m is meaningful here (the closed form covers one
+    sheet); ``component_recipe`` validates (m, n) through ``ReprData``.
     """
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise InvalidParameters("m and n must be integers")
-    if m < 7 or not 0 < n < m or gcd(m, n) != 1:
+    if isinstance(m, int) and isinstance(n, int) and n >= m:
         raise InvalidParameters(
-            f"need m >= 7 and 0 < n < m coprime, got m={m}, n={n}"
+            f"the closed form covers 0 < n < m only, got m={m}, n={n}"
         )
-    if not 0 < margin < 1:
-        raise InvalidParameters("margin must lie in (0, 1)")
+    first = component_recipe(m, n, "first").params
+    second = component_recipe(m, n, "second").params
     tau = _check_tau(tau)
     shift = 0 if abs(tau.real) <= 0.5 else floor(tau.real + 0.5)
     shifted = tau - shift
@@ -294,9 +290,7 @@ def eval_h_hypergeometric(
     # inside F, Im z has the sign of Re tau: take that side of each cut
     if z.real > 1 and z.imag * shifted.real < 0:
         z = z.conjugate()
-    first = component_recipe(m, n, "first").params
-    second = component_recipe(m, n, "second").params
-    if abs(complex(z)) < 1 - margin:
+    if abs(complex(z)) < 1 - _MARGIN:
         f1 = _horner(hypergeom_coeffs(first, n_terms).coeffs, z, backend)
         f2 = _horner(hypergeom_coeffs(second, n_terms).coeffs, z, backend)
     else:
@@ -356,7 +350,6 @@ def cross_check(
     the closed form from ``eval_h_hypergeometric``.  Agreement of the two
     is the end-to-end numerical check of the whole construction.
     """
-    tau = _check_tau(tau)
     bundle = solver.solve(m, n, n_terms)
     return _cross_check_bundle(bundle, tau, n_terms, precision)
 

@@ -30,8 +30,10 @@ coefficients, so their products pay for no gcd at all.  Composition
 writes the inner series as q**v (g/d) w with w an integer series of
 content 1, builds the powers of w by integer convolution, and applies the
 rational scalar f_k (g/d)**k once per power (Brent and Kung, J. ACM 1978,
-cover fast composition; this is the plain power-sum form).  Division,
-exp and log still run over ``Fraction``.
+cover fast composition; this is the plain power-sum form).  Rational
+powers follow the classical power recurrence (J. C. P. Miller; Knuth,
+TAOCP vol. 2, section 4.7), one integer times one ``Fraction`` per term.
+Division still runs over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .errors import (
     NonvanishingInnerConstant,
 )
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
@@ -271,19 +272,29 @@ class QSeries:
         return result
 
     def pow_rational(self, alpha: Scalar) -> QSeries:
-        """u**alpha for rational alpha, via exact series exp and log.
+        """u**alpha for rational alpha; the base must have constant term 1.
 
-        The base must have constant term exactly 1.  For integer alpha the
-        result agrees with repeated multiplication.
+        With w = u**alpha, u D(w) = alpha D(u) w gives the power recurrence
+        k w_k = sum_{j=1..k} ((alpha + 1) j - k) u_j w_{k-j}.  For integer
+        alpha the result agrees with repeated multiplication.
         """
         if self._coeffs[0] != 1:
             raise NonUnitBase(
                 f"rational power needs constant term 1, got {self._coeffs[0]}"
             )
-        a = Fraction(alpha)
-        if a == 0:
-            return QSeries.one(self.order)
-        return _exp(_log(self) * a)
+        # u_j = nums[j] / den and alpha + 1 = p / q, so every product below
+        # is one integer times one Fraction
+        nums, den = _common(self._coeffs)
+        a1 = Fraction(alpha) + 1
+        p, q = a1.numerator, a1.denominator
+        w = [Fraction(1)]
+        for k in range(1, len(nums)):
+            acc = Fraction(0)
+            for j in range(1, k + 1):
+                if nums[j]:
+                    acc += (p * j - q * k) * nums[j] * w[k - j]
+            w.append(acc / (q * k * den))
+        return QSeries(w)
 
     def compose(self, inner: QSeries) -> QSeries:
         """Substitute ``inner`` into this series; inner(0) must vanish.
@@ -338,29 +349,6 @@ class QSeries:
         return f"QSeries([{shown}{tail}], order={len(self._coeffs)})"
 
 
-def _log(u: QSeries) -> QSeries:
-    """log(u) for u with constant term 1, integrating D(log u) = Du/u."""
-    dlog = u.derive() / u
-    cs = [Fraction(0)] * u.order
-    for k in range(1, u.order):
-        cs[k] = dlog[k] / k
-    return QSeries(cs)
-
-
-def _exp(v: QSeries) -> QSeries:
-    """exp(v) for v with zero constant term, from k e_k = sum j v_j e_{k-j}."""
-    assert v[0] == 0, "series exp needs a vanishing constant term"
-    n = v.order
-    e = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for k in range(1, n):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if v[j]:
-                acc += j * v[j] * e[k - j]
-        e[k] = acc / k
-    return QSeries(e)
-
-
 class PuiseuxSeries:
     """q**offset times a QSeries body, kept in normal form.
 
@@ -384,10 +372,6 @@ class PuiseuxSeries:
         self._offset = off
         self._body = body
 
-    @classmethod
-    def from_qseries(cls, body: QSeries) -> PuiseuxSeries:
-        return cls(Fraction(0), body)
-
     @property
     def offset(self) -> Fraction:
         return self._offset
@@ -408,14 +392,6 @@ class PuiseuxSeries:
     def leading(self) -> Fraction:
         """Coefficient of q**offset (nonzero unless the series is zero)."""
         return self._body[0]
-
-    def as_qseries(self) -> QSeries:
-        """Fold a nonnegative integer offset into plain q-coefficients."""
-        if self._offset.denominator != 1 or self._offset < 0:
-            raise ValueError(
-                f"offset {self._offset} cannot be folded into integer exponents"
-            )
-        return self._body.shift(int(self._offset))
 
     # -- arithmetic --
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import forms, vvmf
 from .errors import (
@@ -62,15 +61,14 @@ def schwarz_derivative(h: PuiseuxSeries) -> QSeries:
     return gq.derive() - gq * gq / 2
 
 
-def verify_proportionality(sd: QSeries, order: int | None = None) -> Fraction:
-    """Check sd = c * E4 exactly through ``order`` coefficients; return c.
+def verify_proportionality(sd: QSeries) -> Fraction:
+    """Check sd = c * E4 exactly through its order; return c.
 
     Raises NotProportional with the first failing index and the residual
     value there.
     """
-    n = sd.order if order is None else min(order, sd.order)
-    ratio = sd.truncate(n) / forms.eisenstein(4, n)
-    for i in range(1, n):
+    ratio = sd / forms.eisenstein(4, sd.order)
+    for i in range(1, sd.order):
         if ratio[i]:
             raise NotProportional(
                 f"sd / E4 is not constant: coefficient {ratio[i]} at q^{i}",
@@ -95,25 +93,15 @@ def ode_solutions(h: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:
     return y1, y2
 
 
-def verify_ode(
-    y: PuiseuxSeries,
-    s: Fraction,
-    order: int | None = None,
-    weight_series: QSeries | None = None,
-) -> bool:
+def verify_ode(y: PuiseuxSeries, s: Fraction) -> bool:
     """Check D(D(y)) + s * E4 * y = 0 exactly; True on success.
 
-    ``weight_series`` replaces E4 (a test hook: with weight_series = 1 the
-    equation forces s = -offset**2 for a pure monomial).  Raises
-    OdeResidualNonzero with the integer exponent offset of the first
+    Raises OdeResidualNonzero with the integer exponent offset of the first
     nonzero residual coefficient.
     """
     if y.is_zero():
         raise InvalidParameters("cannot verify the ODE for the zero series")
-    n = y.order if order is None else min(order, y.order)
-    yt = PuiseuxSeries(y.offset, y.body.truncate(n))
-    e4 = weight_series if weight_series is not None else forms.eisenstein(4, n)
-    residual = yt.derive().derive() + yt * e4 * Fraction(s)
+    residual = y.derive().derive() + y * forms.eisenstein(4, y.order) * Fraction(s)
     if residual.is_zero():
         return True
     where = residual.offset - y.offset
@@ -155,28 +143,35 @@ def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
     * D(D(y)) + s E4 y = 0 for both ODE solutions, s = -(n/2m)**2;
     * y1 / y2 reproduces h exactly.
     """
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise InvalidParameters("m and n must be integers")
-    if m < 7:
-        raise InvalidParameters(f"m must be >= 7, got {m}")
-    if n < 1:
-        raise InvalidParameters(f"n must be >= 1, got {n}")
-    if gcd(m, n) != 1:
-        raise InvalidParameters(f"m={m} and n={n} must be coprime")
+    rep, r = _parameters(m, n, order)
+    # each raising step consumes one body coefficient of the first component
+    return _verified(vvmf.minimal_form(rep, order + r), r, [])
+
+
+def _parameters(m: int, n: int, order: int) -> tuple[vvmf.ReprData, int]:
+    """``vvmf.split_n(m, n)``, after which InvalidParameters unless order >= 2."""
+    rep, r = vvmf.split_n(m, n)
     if order < 2:
         raise InvalidParameters("order must be >= 2")
+    return rep, r
 
-    n_prime = n % m
-    r = (n - n_prime) // m
-    rep = vvmf.ReprData(m, n_prime)
 
-    # each raising step consumes one body coefficient of the first component
-    form = vvmf.minimal_form(rep, order + r)
-    levels = [vvmf.wronskian_check(form)]
+def _verified(
+    form: vvmf.VectorForm, r: int, levels: list[tuple[Fraction, int]]
+) -> SolutionBundle:
+    """Everything ``solve`` checks, from the minimal form built for it.
+
+    Lifts ``form`` r weight levels and appends the Wronskian check of each
+    level, 0 to r, to ``levels`` as it passes, so a caller can tell how far
+    the raising got when a check fails.
+    """
+    levels.append(vvmf.wronskian_check(form))
     for _ in range(r):
         form = vvmf.raise_weight(form)
         levels.append(vvmf.wronskian_check(form))
 
+    rep = form.rep
+    m, n = rep.m, r * rep.m + rep.n_prime
     ratio = form.first / form.second
     h = ratio / ratio.leading
     sigma = Fraction(n, m)
@@ -203,7 +198,7 @@ def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
     return SolutionBundle(
         m=m,
         n=n,
-        n_prime=n_prime,
+        n_prime=rep.n_prime,
         r=r,
         h=h,
         form=form,

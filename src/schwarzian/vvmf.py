@@ -71,6 +71,18 @@ class ReprData:
         return Fraction(self.m - self.n_prime, 2 * self.m)
 
 
+def split_n(m: int, n: int) -> tuple[ReprData, int]:
+    """(ReprData(m, n'), r) for n = r m + n' with 0 < n' < m.
+
+    Raises InvalidParameters unless n >= 1 and ReprData accepts (m, n').
+    """
+    if not isinstance(n, int) or n < 1:
+        raise InvalidParameters(f"n must be an integer >= 1, got {n!r}")
+    if not isinstance(m, int) or m < 7:
+        ReprData(m, n)  # refuses m before n % m is formed
+    return ReprData(m, n % m), n // m
+
+
 @dataclass(frozen=True)
 class VectorForm:
     """A two-component form of weight 5 + 6*level."""

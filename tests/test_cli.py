@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from schwarzian import QSeries, forms, vvmf
 from schwarzian.cli import main
 
 
@@ -91,6 +92,74 @@ def test_verify_subcommand(capsys):
     assert "wronskian-delta-power" in names
     assert "schwarzian-proportionality" in names
     assert all(c["pass"] for c in payload["checks"])
+
+
+def test_verify_builds_each_form_once(capsys, monkeypatch):
+    calls = {"minimal_form": 0, "raise_weight": 0}
+    for name in calls:
+        original = getattr(vvmf, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(vvmf, name, counted)
+    code, out, _ = run_cli(
+        capsys, "verify", "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
+    )
+    assert code == 0
+    assert calls == {"minimal_form": 1, "raise_weight": 1}
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "minimal-form-shape",
+        "wronskian-delta-power",
+        "schwarzian-proportionality",
+        "ode-solutions",
+    ]
+    assert all(c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("command", ["verify", "vvmf"])
+@pytest.mark.parametrize("n", ["-1", "-6", "0"])
+def test_nonpositive_n_is_usage_error(capsys, monkeypatch, command, n):
+    def unreachable(*args):
+        raise AssertionError("built a form for n <= 0")
+
+    monkeypatch.setattr(vvmf, "minimal_form", unreachable)
+    code, out, err = run_cli(capsys, command, "--m", "7", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.strip().count("\n") == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "vvmf"])
+def test_construction_failure_keeps_json_payload(capsys, monkeypatch, command):
+    # E4 corrupted at q^2, as the seeded-bug check does: Delta's two
+    # formulas then disagree while the minimal form is being built
+    original = forms.eisenstein
+
+    def corrupted(k, order):
+        out = original(k, order)
+        if k == 4 and order > 2:
+            cs = list(out.coeffs)
+            cs[2] += 1
+            out = QSeries(cs)
+        return out
+
+    monkeypatch.setattr(forms, "eisenstein", corrupted)
+    code, out, err = run_cli(
+        capsys, command, "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
+    )
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert set(payload) == {"command", "params", "results", "checks"}
+    assert payload["command"] == command
+    assert payload["results"] == {"n_prime": 2, "raises": 1}
+    [check] = payload["checks"]
+    assert check["pass"] is False
+    assert check["detail"].startswith("InternalMismatch: Delta formulas disagree at q^2")
 
 
 def test_usage_error_is_one_line_exit_2(capsys):

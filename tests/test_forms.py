@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from schwarzian import (
-    FormLabel,
     OddExponent,
     PuiseuxSeries,
     QSeries,
@@ -125,17 +124,3 @@ def test_serre_derivative_rejects_other_types():
     with pytest.raises(TypeError):
         serre_derivative([1, 2], 4)
 
-
-def test_form_label_weights():
-    assert FormLabel("E2").weight == 2
-    assert FormLabel("E4").weight == 4
-    assert FormLabel("E6").weight == 6
-    assert FormLabel("delta").weight == 12
-    assert FormLabel("j_inverse").weight == 0
-    assert FormLabel("eta_power", eta_exponent=10).weight == F(5)
-    with pytest.raises(ValueError):
-        FormLabel("theta")
-    with pytest.raises(ValueError):
-        FormLabel("E4", eta_exponent=2)
-    with pytest.raises(ValueError):
-        FormLabel("eta_power")

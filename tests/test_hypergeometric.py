@@ -11,11 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schwarzian import (
-    ComponentRecipe,
     HypergeomParams,
     InvalidC,
     InvalidParameters,
-    RecipeInconsistent,
     component_recipe,
     component_series,
     hypergeom_coeffs,
@@ -109,24 +107,6 @@ def test_recipe_validation():
         component_recipe(8, 2, "first")  # not coprime
     with pytest.raises(InvalidParameters):
         component_recipe(7, 1, "third")
-
-
-def test_inconsistent_recipe_rejected():
-    good = component_recipe(7, 1, "first")
-    with pytest.raises(RecipeInconsistent):
-        ComponentRecipe(
-            m=good.m,
-            signed_residue=good.signed_residue,
-            outer_power=good.outer_power + 1,
-            params=good.params,
-        )
-    with pytest.raises(RecipeInconsistent):
-        ComponentRecipe(
-            m=good.m,
-            signed_residue=good.signed_residue,
-            outer_power=good.outer_power,
-            params=HypergeomParams(good.params.a + 1, good.params.b, good.params.c),
-        )
 
 
 def test_component_series_shape():

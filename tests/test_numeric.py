@@ -75,8 +75,6 @@ def test_eval_h_parameter_validation():
         eval_h_hypergeometric(7, 9, 2j)  # closed form covers 0 < n < m only
     with pytest.raises(InvalidParameters):
         eval_h_hypergeometric(8, 2, 2j)  # not coprime
-    with pytest.raises(InvalidParameters):
-        eval_h_hypergeometric(7, 1, 2j, margin=0)
 
 
 def test_outside_disk_near_real_axis():

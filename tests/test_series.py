@@ -245,19 +245,6 @@ def test_puiseux_sqrt_drops_scalar_root():
     assert r.body.coeffs == (1, F(1, 2), 0)
 
 
-def test_as_qseries_roundtrip():
-    p = PuiseuxSeries(2, QSeries([1, 5]))
-    assert p.as_qseries().coeffs == (0, 0, 1, 5)
-    with pytest.raises(ValueError):
-        PuiseuxSeries(F(1, 2), QSeries([1])).as_qseries()
-
-
-def test_from_qseries():
-    p = PuiseuxSeries.from_qseries(QSeries([0, 0, 2, 1]))
-    assert p.offset == 2
-    assert p.body.coeffs == (2, 1)
-
-
 # ------------------------------------------------------------- properties
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -310,8 +297,7 @@ def test_pow_rational_roundtrip(a, alpha):
 
 @given(qseries(nonzero_constant=True))
 @settings(max_examples=60)
-def test_log_exp_consistency(a):
-    # a / a == 1 exercises the same unit-division kernel as exp/log
+def test_self_division_is_one(a):
     assert a / a == QSeries.one(a.order)
 
 
@@ -342,8 +328,9 @@ def test_puiseux_leibniz(offset, b1, b2):
 # ---------------------------------------------------- kernels vs reference
 #
 # The product kernels compute on integer numerators over a common
-# denominator.  These plain-Fraction loops are the reference they must
-# reproduce exactly: Cauchy product, Horner composition, repeated products.
+# denominator, and rational powers use the power recurrence.  These
+# plain-Fraction loops are the reference they must reproduce exactly:
+# Cauchy product, Horner composition, repeated products, exp(alpha log u).
 
 
 def ref_mul(a, b, target):
@@ -370,6 +357,22 @@ def ref_pow(a, k):
     for _ in range(k):
         out = ref_mul(out, a, len(a))
     return out
+
+
+def ref_pow_rational(u, alpha):
+    """exp(alpha log u) for u[0] == 1, with log u integrated from Du / u."""
+    n = len(u)
+    dlog = [F(0)] * n
+    rem = [i * c for i, c in enumerate(u)]
+    for i in range(n):
+        dlog[i] = rem[i]
+        for j in range(1, n - i):
+            rem[i + j] -= dlog[i] * u[j]
+    v = [F(0)] + [alpha * dlog[k] / k for k in range(1, n)]
+    e = [F(1)] + [F(0)] * (n - 1)
+    for k in range(1, n):
+        e[k] = sum(j * v[j] * e[k - j] for j in range(1, k + 1)) / k
+    return e
 
 
 def exact(cs):
@@ -421,3 +424,19 @@ def test_compose_kernel_matches_fraction_reference(outer, inner):
 @settings(max_examples=100, deadline=None)
 def test_pow_kernel_matches_fraction_reference(a, k):
     assert exact((QSeries(a) ** k).coeffs) == exact(ref_pow(a, k))
+
+
+alphas = st.one_of(
+    st.fractions(min_value=-6, max_value=-F(1, 12), max_denominator=12),
+    st.just(F(1, 2)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@given(kernel_coeffs(min_size=0, max_size=19), alphas)
+@settings(max_examples=100, deadline=None)
+def test_pow_rational_matches_exp_log_reference(rest, alpha):
+    u = [F(1)] + rest
+    out = QSeries(u).pow_rational(alpha).coeffs
+    assert all(type(c) is F for c in out)
+    assert exact(out) == exact(ref_pow_rational(u, alpha))
