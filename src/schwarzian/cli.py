@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import acceptance, numeric, solver, vvmf
+from .acceptance import CheckResult, failure, verdict
 from .errors import (
     InvalidParameters,
     NotUpperHalfPlane,
@@ -49,21 +50,17 @@ def _parse_tau(text: str) -> complex:
     return value
 
 
-def _check(name: str, passed: bool, detail: str) -> dict[str, Any]:
-    return {"name": name, "pass": passed, "detail": detail}
-
-
 def _emit(
     args: argparse.Namespace,
     params: dict[str, Any],
     results: dict[str, Any],
-    checks: list[dict[str, Any]],
+    checks: list[CheckResult],
 ) -> int:
     payload = {
         "command": args.command,
         "params": params,
         "results": results,
-        "checks": checks,
+        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in checks],
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -79,13 +76,25 @@ def _emit(
             else:
                 print(f"{key}: {value}")
         for check in checks:
-            mark = "PASS" if check["pass"] else "FAIL"
-            print(f"[{mark}] {check['name']} - {check['detail']}")
-    return 0 if all(c["pass"] for c in checks) else 1
+            mark = "PASS" if check.passed else "FAIL"
+            print(f"[{mark}] {check.name} - {check.detail}")
+    return 0 if all(c.passed for c in checks) else 1
 
 
-def _failure(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _wronskian_verdict(
+    rep: vvmf.ReprData,
+    r: int,
+    levels: list[tuple[Fraction, int]],
+    stopped: str | None,
+) -> CheckResult:
+    """wronskian-delta-power from the (c, e) of the levels before ``stopped``."""
+    problems = acceptance.wronskian_problems(rep, levels)
+    if len(levels) <= r:
+        problems.append(f"level {len(levels)}: {stopped}")
+    detail = f"levels 0..{r}" + "".join(
+        f"; level {lvl}: c={c}, Delta^{e}" for lvl, (c, e) in enumerate(levels)
+    )
+    return verdict("wronskian-delta-power", detail, problems)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -94,7 +103,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         bundle = solver.solve(args.m, args.n, args.terms)
     except VerificationError as exc:
         return _emit(
-            args, params, {}, [_check("solution-verification", False, _failure(exc))]
+            args, params, {}, [CheckResult("solution-verification", False, failure(exc))]
         )
     results = {
         "offset": _rat(bundle.h.offset),
@@ -110,7 +119,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ],
         "note": solver.CONVENTION_NOTE,
     }
-    check = _check(
+    check = CheckResult(
         "solution-verification",
         True,
         f"Wronskian, Schwarzian and ODE identities verified exactly "
@@ -126,49 +135,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         form = vvmf.minimal_form(rep, args.terms + r)
     except VerificationError as exc:
-        return _emit(args, params, results, [_check("construction", False, _failure(exc))])
-    shape_ok = (
-        form.weight == 5
-        and form.first.offset == rep.exp_first
-        and form.second.offset == rep.exp_second
-        and form.first.leading == 1
-        and form.second.leading == 1
-    )
+        return _emit(args, params, results, [CheckResult("construction", False, failure(exc))])
     checks = [
-        _check(
+        verdict(
             "minimal-form-shape",
-            shape_ok,
             f"weight {form.weight}, exponents {form.first.offset}, {form.second.offset}",
+            acceptance.shape_problems(form),
         )
     ]
 
     # the solver raises the form built here and appends each level's
     # Wronskian (c, e) as it passes
     levels: list[tuple[Fraction, int]] = []
+    bundle, stopped = None, None
     try:
         bundle = solver._verified(form, r, levels)
     except VerificationError as exc:
-        bundle, failure = None, _failure(exc)
-    raised = len(levels) > r
-    detail = (
-        "; ".join(f"level {lvl}: c={c}, Delta^{e}" for lvl, (c, e) in enumerate(levels))
-        if raised
-        else f"level {len(levels)}: {failure}"
-    )
-    checks.append(_check("wronskian-delta-power", raised, detail))
+        stopped = failure(exc)
+    checks.append(_wronskian_verdict(rep, r, levels, stopped))
     if bundle is None:
-        checks.append(_check("schwarzian-proportionality", False, failure))
+        checks.append(CheckResult("schwarzian-proportionality", False, stopped))
         return _emit(args, params, results, checks)
-    expected = -Fraction(args.n, args.m) ** 2 / 2
     checks.append(
-        _check(
+        verdict(
             "schwarzian-proportionality",
-            bundle.schwarz_constant == expected,
-            f"{{h}} = {bundle.schwarz_constant} * E4, expected {expected}",
+            f"{{h}} = {bundle.schwarz_constant} * E4",
+            acceptance.schwarzian_problems(bundle),
         )
     )
     checks.append(
-        _check(
+        CheckResult(
             "ode-solutions",
             True,
             f"both solutions satisfy D^2 y + ({bundle.ode_parameter}) E4 y = 0 "
@@ -180,57 +176,51 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_vvmf(args: argparse.Namespace) -> int:
     params = {"m": args.m, "n": args.n, "terms": args.terms}
-    rep, r = vvmf.split_n(args.m, args.n)
+    rep, r = solver._parameters(args.m, args.n, args.terms)
     results: dict[str, Any] = {"n_prime": rep.n_prime, "raises": r}
     try:
         form = vvmf.minimal_form(rep, args.terms + r)
-        c1, c2 = vvmf.raising_constants(form)
+        # level 1, built once: it gives the raising constants and, when
+        # r >= 1, the first raised level of the chain below
+        lifted = vvmf.raise_weight(form)
     except VerificationError as exc:
-        return _emit(args, params, results, [_check("construction", False, _failure(exc))])
+        return _emit(args, params, results, [CheckResult("construction", False, failure(exc))])
+    c1, c2 = vvmf.raising_ratios(form, lifted)
     c2_closed = vvmf.c2_closed_form(rep.m, rep.n_prime)
     c1_candidate = vvmf.c1_closed_form_candidate(rep.m, rep.n_prime)
 
-    levels = []
-    checks: list[dict[str, Any]] = []
-    current = form
+    chain, wronskians, stopped = [form, lifted], [], None
     try:
         for level in range(r + 1):
-            if level:
-                current = vvmf.raise_weight(current)
-            c, e = vvmf.wronskian_check(current)
-            levels.append(
-                {
-                    "level": level,
-                    "weight": int(current.weight),
-                    "first_exponent": _rat(current.first.offset),
-                    "second_exponent": _rat(current.second.offset),
-                    "first_leading": _rat(current.first.leading),
-                    "second_leading": _rat(current.second.leading),
-                    "wronskian_constant": _rat(c),
-                    "delta_power": e,
-                }
-            )
-        checks.append(
-            _check(
-                "wronskian-delta-power",
-                True,
-                f"levels 0..{r} proportional to the stated discriminant powers",
-            )
-        )
+            if level == len(chain):
+                chain.append(vvmf.raise_weight(chain[-1]))
+            wronskians.append(vvmf.wronskian_check(chain[level]))
     except VerificationError as exc:
-        checks.append(_check("wronskian-delta-power", False, _failure(exc)))
-
-    checks.append(
-        _check(
+        stopped = failure(exc)
+    checks = [
+        _wronskian_verdict(rep, r, wronskians, stopped),
+        verdict(
             "second-raising-ratio",
-            c2 == c2_closed,
             f"computed {c2}, closed form 12n'/(m+6n') = {c2_closed}",
-        )
-    )
+            acceptance.raising_problems(rep, c2),
+        ),
+    ]
 
     results.update(
         weight=int(5 + 6 * r),
-        levels=levels,
+        levels=[
+            {
+                "level": level,
+                "weight": int(current.weight),
+                "first_exponent": _rat(current.first.offset),
+                "second_exponent": _rat(current.second.offset),
+                "first_leading": _rat(current.first.leading),
+                "second_leading": _rat(current.second.leading),
+                "wronskian_constant": _rat(c),
+                "delta_power": e,
+            }
+            for level, (current, (c, e)) in enumerate(zip(chain, wronskians))
+        ],
         raising={
             "second_ratio": _rat(c2),
             "second_ratio_closed_form": _rat(c2_closed),
@@ -252,7 +242,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             args.m, args.n, tau, args.terms, precision=args.precision
         )
     except OutsideDisk as exc:
-        return _emit(args, params, {}, [_check("routes-agree", False, str(exc))])
+        return _emit(args, params, {}, [CheckResult("routes-agree", False, str(exc))])
     results = {
         "via_series": _cplx(report.via_series),
         "via_hypergeom": _cplx(report.via_hypergeom),
@@ -260,7 +250,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "terms_used": report.terms_used,
         "tail_bound": repr(report.tail_bound),
     }
-    check = _check(
+    check = CheckResult(
         "routes-agree",
         report.rel_error < args.tolerance,
         f"rel_error {report.rel_error:.3e} vs tolerance {args.tolerance:g}",
@@ -274,8 +264,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         "passed": sum(1 for o in outcomes if o.passed),
         "failed": sum(1 for o in outcomes if not o.passed),
     }
-    checks = [_check(o.name, o.passed, o.detail) for o in outcomes]
-    return _emit(args, {}, results, checks)
+    return _emit(args, {}, results, outcomes)
 
 
 def _add_common(sub: argparse.ArgumentParser, with_mn: bool = True) -> None:

@@ -179,10 +179,7 @@ def _horner(coeffs: Sequence[Fraction], q: Any, backend: _Backend) -> Any:
 
 
 def eval_qseries(
-    f: QSeries | PuiseuxSeries,
-    tau: complex,
-    n_terms: int | None = None,
-    precision: int | None = None,
+    f: QSeries | PuiseuxSeries, tau: complex, precision: int | None = None
 ) -> complex | Any:
     """Evaluate a (fractional-power) q-series at q = exp(2 pi i tau).
 
@@ -195,14 +192,9 @@ def eval_qseries(
     backend = _Backend(precision)
     if isinstance(f, QSeries):
         f = PuiseuxSeries(0, f)
-    coeffs = f.body.coeffs
-    if n_terms is not None:
-        if n_terms < 1:
-            raise InvalidParameters("n_terms must be >= 1")
-        coeffs = coeffs[:n_terms]
     two_pi_i = backend.number(2j) * backend.pi()
     q = backend.exp(two_pi_i * backend.number(tau))
-    value = _horner(coeffs, q, backend)
+    value = _horner(f.body.coeffs, q, backend)
     if not f.is_zero() and f.offset:
         value = value * backend.exp(backend.number(f.offset) * two_pi_i * backend.number(tau))
     if precision is None and (
@@ -228,6 +220,14 @@ def _eval_z(m_terms: int, tau: complex, backend: _Backend) -> Any:
     two_pi_i = backend.number(2j) * backend.pi()
     q = backend.exp(two_pi_i * backend.number(tau))
     return _horner(_z_coeffs(m_terms), q, backend)
+
+
+def _one_sheet(m: int, n: int) -> None:
+    """Refuse n >= m (InvalidParameters): the closed form covers one sheet."""
+    if isinstance(m, int) and isinstance(n, int) and n >= m:
+        raise InvalidParameters(
+            f"the closed form covers 0 < n < m only, got m={m}, n={n}"
+        )
 
 
 def eval_h_hypergeometric(
@@ -266,13 +266,10 @@ def eval_h_hypergeometric(
     z = 1, errors in z are amplified: with 60 terms about 3e-10 at
     tau = 1.0000000001i even at 200 bits.  Doubles give about 7e-10 at
     tau = 1.00000001i; closer to i, z rounds onto the cut and the point is
-    refused.  Only 0 < n < m is meaningful here (the closed form covers one
-    sheet); ``component_recipe`` validates (m, n) through ``ReprData``.
+    refused.  Only 0 < n < m is meaningful here (``_one_sheet``);
+    ``component_recipe`` validates (m, n) through ``ReprData``.
     """
-    if isinstance(m, int) and isinstance(n, int) and n >= m:
-        raise InvalidParameters(
-            f"the closed form covers 0 < n < m only, got m={m}, n={n}"
-        )
+    _one_sheet(m, n)
     first = component_recipe(m, n, "first").params
     second = component_recipe(m, n, "second").params
     tau = _check_tau(tau)
@@ -348,10 +345,11 @@ def cross_check(
 
     The q-expansion comes from the fully verified ``solver.solve`` bundle;
     the closed form from ``eval_h_hypergeometric``.  Agreement of the two
-    is the end-to-end numerical check of the whole construction.
+    is the end-to-end numerical check of the whole construction.  A pair
+    the closed form does not cover is refused before anything is solved.
     """
-    bundle = solver.solve(m, n, n_terms)
-    return _cross_check_bundle(bundle, tau, n_terms, precision)
+    _one_sheet(m, n)
+    return _cross_check_bundle(solver.solve(m, n, n_terms), tau, n_terms, precision)
 
 
 def _cross_check_bundle(

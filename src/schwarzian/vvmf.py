@@ -209,13 +209,17 @@ def c1_closed_form_candidate(m: int, n_prime: int) -> Fraction:
 
 
 def raising_constants(form: VectorForm) -> tuple[Fraction, Fraction]:
-    """(c1, c2) for one raising step from ``form``.
+    """(c1, c2) for one raising step from ``form``: ``raising_ratios`` of it."""
+    return raising_ratios(form, raise_weight(form))
+
+
+def raising_ratios(form: VectorForm, raised: VectorForm) -> tuple[Fraction, Fraction]:
+    """(c1, c2) from ``form`` and ``raised = raise_weight(form)``, built already.
 
     The constants are the new leading coefficients divided by the old ones,
     so at level 0 (unit leading coefficients) they are the new leading
     coefficients themselves.
     """
-    raised = raise_weight(form)
     return (
         raised.first.leading / form.first.leading,
         raised.second.leading / form.second.leading,

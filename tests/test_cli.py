@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from schwarzian import QSeries, forms, vvmf
+from schwarzian import NotProportionalToDeltaPower, QSeries, forms, solver, vvmf
 from schwarzian.cli import main
 
 
@@ -94,21 +94,12 @@ def test_verify_subcommand(capsys):
     assert all(c["pass"] for c in payload["checks"])
 
 
-def test_verify_builds_each_form_once(capsys, monkeypatch):
-    calls = {"minimal_form": 0, "raise_weight": 0}
-    for name in calls:
-        original = getattr(vvmf, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(vvmf, name, counted)
+def test_verify_builds_each_form_once(capsys, build_counts):
     code, out, _ = run_cli(
         capsys, "verify", "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
     )
     assert code == 0
-    assert calls == {"minimal_form": 1, "raise_weight": 1}
+    assert build_counts == {"minimal_form": 1, "raise_weight": 1}
     checks = json.loads(out)["checks"]
     assert [c["name"] for c in checks] == [
         "minimal-form-shape",
@@ -119,22 +110,66 @@ def test_verify_builds_each_form_once(capsys, monkeypatch):
     assert all(c["pass"] for c in checks)
 
 
+def test_vvmf_raises_each_level_once(capsys, build_counts):
+    # the level-1 form gives both the raising constants and level 1
+    code, out, _ = run_cli(
+        capsys, "vvmf", "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
+    )
+    assert code == 0
+    assert build_counts == {"minimal_form": 1, "raise_weight": 1}
+    assert json.loads(out)["results"]["raising"]["second_ratio"] == "24/19"
+
+
 @pytest.mark.parametrize("command", ["verify", "vvmf"])
-@pytest.mark.parametrize("n", ["-1", "-6", "0"])
-def test_nonpositive_n_is_usage_error(capsys, monkeypatch, command, n):
+def test_wronskian_verdict_is_the_battery_predicate(capsys, monkeypatch, command):
+    # level 0 must give exactly n'/m, as criterion 3 requires, and a level
+    # whose check raises is named with the error
+    original = vvmf.wronskian_check
+
+    def off(form):
+        c, e = original(form)
+        if form.level == 0:
+            return c + 1, e
+        raise NotProportionalToDeltaPower("seeded", index=3)
+
+    monkeypatch.setattr(vvmf, "wronskian_check", off)
+    code, out, _ = run_cli(
+        capsys, command, "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
+    )
+    assert code == 1
+    [check] = [c for c in json.loads(out)["checks"] if c["name"] == "wronskian-delta-power"]
+    assert check["pass"] is False
+    assert "level 0 gave c=9/7, e=1, expected c=2/7, e=1" in check["detail"]
+    assert "level 1: NotProportionalToDeltaPower: seeded" in check["detail"]
+
+
+@pytest.mark.parametrize("command", ["verify", "vvmf"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "-1"],
+        ["--n", "-6"],
+        ["--n", "0"],
+        ["--n", "1", "--terms", "0"],
+        ["--n", "1", "--terms", "-3"],
+        ["--n", "1", "--terms", "1"],
+    ],
+    ids=["-1", "-6", "0", "terms0", "terms-3", "terms1"],
+)
+def test_nonpositive_n_is_usage_error(capsys, monkeypatch, command, args):
+    # n <= 0 and fewer than two terms are refused before anything is built
     def unreachable(*args):
-        raise AssertionError("built a form for n <= 0")
+        raise AssertionError("built a form for unusable input")
 
     monkeypatch.setattr(vvmf, "minimal_form", unreachable)
-    code, out, err = run_cli(capsys, command, "--m", "7", "--n", n)
+    code, out, err = run_cli(capsys, command, "--m", "7", *args)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
     assert err.strip().count("\n") == 0
 
 
-@pytest.mark.parametrize("command", ["verify", "vvmf"])
-def test_construction_failure_keeps_json_payload(capsys, monkeypatch, command):
+def corrupt_e4(monkeypatch):
     # E4 corrupted at q^2, as the seeded-bug check does: Delta's two
     # formulas then disagree while the minimal form is being built
     original = forms.eisenstein
@@ -148,6 +183,11 @@ def test_construction_failure_keeps_json_payload(capsys, monkeypatch, command):
         return out
 
     monkeypatch.setattr(forms, "eisenstein", corrupted)
+
+
+@pytest.mark.parametrize("command", ["verify", "vvmf"])
+def test_construction_failure_keeps_json_payload(capsys, monkeypatch, command):
+    corrupt_e4(monkeypatch)
     code, out, err = run_cli(
         capsys, command, "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
     )
@@ -160,6 +200,35 @@ def test_construction_failure_keeps_json_payload(capsys, monkeypatch, command):
     [check] = payload["checks"]
     assert check["pass"] is False
     assert check["detail"].startswith("InternalMismatch: Delta formulas disagree at q^2")
+
+
+def test_selftest_construction_failure_keeps_json_payload(capsys, monkeypatch):
+    # each criterion that builds forms reports the fault as its own failing
+    # check, naming the pair, and the battery still reports all eight
+    corrupt_e4(monkeypatch)
+    code, out, err = run_cli(capsys, "selftest", "--format", "json")
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    checks = payload["checks"]
+    assert [c["name"] for c in checks] == [
+        "classical-identities",
+        "minimal-form-shape",
+        "wronskian-delta-power",
+        "raising-constants",
+        "schwarzian-proportionality",
+        "ode-solutions",
+        "numeric-cross-check",
+        "seeded-bug-sensitivity",
+    ]
+    fault = "InternalMismatch: Delta formulas disagree at q^2"
+    for check in checks[:7]:
+        assert check["pass"] is False, check["name"]
+        assert fault in check["detail"], check["name"]
+    for check in checks[1:7]:
+        assert "(7,1): InternalMismatch" in check["detail"], check["name"]
+    failed = sum(not c["pass"] for c in checks)
+    assert payload["results"] == {"passed": 8 - failed, "failed": failed}
 
 
 def test_usage_error_is_one_line_exit_2(capsys):
@@ -176,6 +245,19 @@ def test_bad_tau_is_usage_error(capsys):
     )
     assert code == 2
     assert "tau" in err
+
+
+def test_eval_refuses_n_beyond_m_before_solving(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("solved a pair the closed form does not cover")
+
+    monkeypatch.setattr(solver, "solve", unreachable)
+    code, out, err = run_cli(
+        capsys, "eval", "--m", "7", "--n", "9", "--tau", "2i", "--terms", "60"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the closed form covers 0 < n < m only, got m=7, n=9\n"
 
 
 def test_eval_json_complex_schema(capsys):

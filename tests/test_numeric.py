@@ -206,14 +206,11 @@ def test_determinism():
 
 
 def test_eval_qseries_term_limit():
-    # tau = 0.5i gives |q| = e^(-pi) ~ 0.043, so a 5-term cut is visible
+    # every tracked term is summed, and nothing beyond: at tau = 0.5i,
+    # |q| = e^(-pi) ~ 0.043, so one term more or less is visible
     s = QSeries([1] * 30)
-    full = eval_qseries(s, 0.5j)
-    short = eval_qseries(s, 0.5j, n_terms=5)
-    assert full != short
-    assert abs(full - short) < 1e-5
-    with pytest.raises(InvalidParameters):
-        eval_qseries(s, 0.5j, n_terms=0)
+    q = cmath.exp(2j * cmath.pi * 0.5j)
+    assert abs(eval_qseries(s, 0.5j) - (1 - q**30) / (1 - q)) < 1e-15
 
 
 def test_one_mpmath_context_per_precision():
