@@ -33,7 +33,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import copysign, floor
+from math import ceil, copysign, floor, log2
 from typing import Any, Callable, Sequence
 
 from . import solver
@@ -52,6 +52,7 @@ _EPS = 2.0**-60  # relative size of the last Taylor terms summed in doubles
 _MAX_TERMS = 200
 _MAX_STEPS = 2000  # a walk to |z| = 1e18, or to 1e-15 from 1, takes about 100
 _MARGIN = 0.05  # the 2F1 Taylor series are summed for |z| < 1 - _MARGIN
+_GUARD = 32  # bits of _horner's integer sums beyond the working precision
 
 
 @lru_cache(maxsize=32)
@@ -172,10 +173,39 @@ def _check_tau(tau: complex) -> complex:
 
 
 def _horner(coeffs: Sequence[Fraction], q: Any, backend: _Backend) -> Any:
-    acc = backend.number(0)
-    for c in reversed(coeffs):
-        acc = acc * q + backend.number(c)
-    return acc
+    """sum_k coeffs[k] q**k for |q| <= 1.
+
+    At an integer precision the terms from the first nonzero coefficient on
+    are summed on integers scaled by 2**shift, far cheaper than mpmath
+    numbers.  The shift gives that coefficient _GUARD bits beyond the
+    working precision, plus the bits that the rounding of q and of every
+    step can cost next to it, so short of cancellation the result is as
+    accurate as floating-point Horner.
+    """
+    mp = backend._mp
+    if mp is None:
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * q + complex(c)
+        return acc
+    first = next((k for k, c in enumerate(coeffs) if c), len(coeffs))
+    q = mp.mpc(q)
+    log_q = log2(max(abs(complex(q)), 1e-300))
+    # about log2 |c_k q**(k-1)|: what rounding q and each step can cost
+    bits = [
+        c.numerator.bit_length() - c.denominator.bit_length() + max(k - 1, 0) * log_q
+        for k, c in enumerate(coeffs[first:])
+    ] or [0]
+    shift = mp.prec + _GUARD + ceil(max(bits) - bits[0]) + 2 * len(coeffs).bit_length()
+    qr, qi = int(mp.ldexp(q.real, shift)), int(mp.ldexp(q.imag, shift))
+    ar = ai = 0
+    for c in reversed(coeffs[first:]):
+        ar, ai = (
+            ((ar * qr - ai * qi) >> shift) + (c.numerator << shift) // c.denominator,
+            (ar * qi + ai * qr) >> shift,
+        )
+    value = mp.mpc(mp.ldexp(ar, -shift), mp.ldexp(ai, -shift))
+    return value * q**first if first else value
 
 
 def eval_qseries(

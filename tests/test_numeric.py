@@ -21,6 +21,7 @@ from schwarzian import (
     delta,
     eval_h_hypergeometric,
     eval_qseries,
+    j_inverse,
     solve,
 )
 
@@ -221,3 +222,26 @@ def test_one_mpmath_context_per_precision():
     assert series.context is closed.context
     assert series.context.prec == 200
     assert eval_qseries(h, 1.5j, precision=120).context.prec == 120
+
+
+@pytest.mark.parametrize(
+    "coeffs, tau",
+    [
+        # leading zeros and a tiny q: the value is ~3 q^2 ~ 1e-65
+        ([0, 0, 3, F(-5, 7), F(10**40, 3)], 12j),
+        # the 1728/j coefficients grow past 400 bits
+        (list(j_inverse(60).coeffs), 0.3 + 1.1j),
+        ([F(1, 3), F(-2, 9), 0, F(7, 1024)] * 15, -0.45 + 0.9j),
+        # 10**40 q next to 1: an error in q costs 133 bits more
+        ([1, 10**40], 22j),
+    ],
+)
+def test_integer_sum_keeps_the_working_precision(coeffs, tau):
+    # at 200 bits the sum runs on scaled integers; against a 400-bit
+    # mpmath sum it must still be good to nearly 200 bits
+    ref = mpmath.mp.clone()
+    ref.prec = 400
+    q = ref.exp(2j * ref.pi * ref.mpc(tau))
+    want = sum(ref.mpf(c.numerator) / c.denominator * q**k for k, c in enumerate(map(F, coeffs)))
+    got = eval_qseries(QSeries(coeffs), tau, precision=200)
+    assert abs(ref.mpc(got) - want) <= abs(want) * 2.0**-190
