@@ -109,7 +109,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "offset": _rat(bundle.h.offset),
         "n_prime": bundle.n_prime,
         "raises": bundle.r,
-        "weight": int(bundle.form.weight),
+        "weight": bundle.weight,
         "h_coefficients": [_rat(c) for c in bundle.h.body.coeffs],
         "schwarz_constant": _rat(bundle.schwarz_constant),
         "ode_parameter": _rat(bundle.ode_parameter),

@@ -75,13 +75,12 @@ class _Backend:
     """Uniform complex arithmetic over cmath doubles or mpmath bits."""
 
     def __init__(self, precision: int | None):
+        _check_precision(precision)
         if precision is None:
             self.exp: Callable[[Any], Any] = cmath.exp
             self.log: Callable[[Any], Any] = cmath.log
             self._mp = None
         else:
-            if precision < 8:
-                raise InvalidParameters("precision must be at least 8 bits")
             mp = _context(precision)
             self._mp = mp
             self.exp = mp.exp
@@ -163,6 +162,12 @@ def _hyp2f1_doubles(params: HypergeomParams, z: complex) -> complex:
                 f"1728/j(tau) = {z} lies within rounding of the branch point 1 of 2F1"
             )
     return f
+
+
+def _check_precision(precision: int | None) -> None:
+    """InvalidParameters unless doubles (None) or at least 8 bits."""
+    if precision is not None and precision < 8:
+        raise InvalidParameters("precision must be at least 8 bits")
 
 
 def _check_tau(tau: complex) -> complex:
@@ -376,9 +381,12 @@ def cross_check(
     The q-expansion comes from the fully verified ``solver.solve`` bundle;
     the closed form from ``eval_h_hypergeometric``.  Agreement of the two
     is the end-to-end numerical check of the whole construction.  A pair
-    the closed form does not cover is refused before anything is solved.
+    the closed form does not cover, a tau off the upper half plane and a
+    precision below 8 bits are refused before anything is solved.
     """
     _one_sheet(m, n)
+    _check_tau(tau)
+    _check_precision(precision)
     return _cross_check_bundle(solver.solve(m, n, n_terms), tau, n_terms, precision)
 
 

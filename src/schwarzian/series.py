@@ -32,8 +32,11 @@ content 1, builds the powers of w by integer convolution, and applies the
 rational scalar f_k (g/d)**k once per power (Brent and Kung, J. ACM 1978,
 cover fast composition; this is the plain power-sum form).  Rational
 powers follow the classical power recurrence (J. C. P. Miller; Knuth,
-TAOCP vol. 2, section 4.7), one integer times one ``Fraction`` per term.
-Division still runs over ``Fraction``.
+TAOCP vol. 2, section 4.7).  Division and rational powers solve one
+coefficient at a time, so their outputs are kept as integer numerators
+over a running common denominator that grows to the lcm whenever a new
+term needs it (``_append``): each term costs integer dot products and one
+gcd, where ``Fraction`` arithmetic paid a gcd per product.
 """
 
 from __future__ import annotations
@@ -95,19 +98,48 @@ def _conv(a, b, target: int) -> list[Fraction]:
     return _fractions(_iconv(na, nb, target), da * db)
 
 
+def _append(nums: list[int], den: int, p: int, q: int) -> int:
+    """Append the rational p/q (q > 0) to ``nums``, integer numerators over
+    the running common denominator ``den``; return the new denominator.
+
+    When the reduced q does not divide ``den``, the denominator becomes
+    their lcm and the earlier numerators are rescaled in place.
+    """
+    g = gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
+    if den % q:
+        scale = q // gcd(den, q)
+        nums[:] = [x * scale for x in nums]
+        den *= scale
+    nums.append(p * (den // q))
+    return den
+
+
 def _divide_unit(num, den, order: int) -> list[Fraction]:
-    """Long division num/den to ``order`` terms; den[0] must be nonzero."""
-    out = [Fraction(0)] * order
-    rem = list(num[:order]) + [Fraction(0)] * max(0, order - len(num))
-    lead = den[0]
+    """Long division num/den to ``order`` terms; den[0] must be nonzero and
+    both operands must hold at least ``order`` terms.
+
+    With num = a / da and den = b / db on integer numerators, and the
+    quotient so far held as numerators o over the running denominator L
+    (``_append``), term i is
+    (a_i db L - da sum_{j>=1} b_j o_{i-j}) / (da b_0 L): one integer dot
+    product and one gcd per term.
+    """
+    a, da = _common(num[:order])
+    b, db = _common(den[:order])
+    if b[0] < 0:
+        # keep every appended denominator positive
+        a = [-x for x in a]
+        b = [-x for x in b]
+    rb = b[::-1]
+    lead = da * b[0]
+    out: list[int] = []
+    dl = 1
     for i in range(order):
-        c = rem[i] / lead
-        out[i] = c
-        if c:
-            for j in range(1, min(order - i, len(den))):
-                if den[j]:
-                    rem[i + j] -= c * den[j]
-    return out
+        s = sum(map(mul, out, rb[order - 1 - i : order - 1]))
+        dl = _append(out, dl, a[i] * db * dl - da * s, lead * dl)
+    return _fractions(out, dl)
 
 
 class QSeries:
@@ -276,25 +308,30 @@ class QSeries:
 
         With w = u**alpha, u D(w) = alpha D(u) w gives the power recurrence
         k w_k = sum_{j=1..k} ((alpha + 1) j - k) u_j w_{k-j}.  For integer
-        alpha the result agrees with repeated multiplication.
+        alpha the result agrees with repeated multiplication.  It runs on
+        integers: u is held as numerators over one denominator, w as
+        numerators over a running one (``_append``), so each term costs two
+        integer dot products and one gcd.
         """
         if self._coeffs[0] != 1:
             raise NonUnitBase(
                 f"rational power needs constant term 1, got {self._coeffs[0]}"
             )
-        # u_j = nums[j] / den and alpha + 1 = p / q, so every product below
-        # is one integer times one Fraction
+        # u_j = nums[j] / den, alpha + 1 = p / q and w_j = o[j] / L, so
+        # k w_k = (p sum_j j nums_j o_{k-j} - q k sum_j nums_j o_{k-j}) / (q den L)
         nums, den = _common(self._coeffs)
         a1 = Fraction(alpha) + 1
         p, q = a1.numerator, a1.denominator
-        w = [Fraction(1)]
-        for k in range(1, len(nums)):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if nums[j]:
-                    acc += (p * j - q * k) * nums[j] * w[k - j]
-            w.append(acc / (q * k * den))
-        return QSeries(w)
+        n = len(nums)
+        rn = nums[::-1]
+        rjn = [j * x for j, x in enumerate(nums)][::-1]
+        o = [1]
+        dl = 1
+        for k in range(1, n):
+            s1 = sum(map(mul, o, rjn[n - 1 - k : n - 1]))
+            s0 = sum(map(mul, o, rn[n - 1 - k : n - 1]))
+            dl = _append(o, dl, p * s1 - q * k * s0, q * k * den * dl)
+        return QSeries(_fractions(o, dl))
 
     def compose(self, inner: QSeries) -> QSeries:
         """Substitute ``inner`` into this series; inner(0) must vanish.

@@ -117,7 +117,8 @@ class SolutionBundle:
 
     ``schwarz_constant`` is the verified proportionality constant
     -(1/2)(n/m)**2 and ``ode_parameter`` the verified s = -(n/2m)**2;
-    ``wronskians`` holds the (c, e) pair from every level's Wronskian check.
+    ``wronskians`` holds the (c, e) pair from every level's Wronskian check,
+    and ``weight`` is the weight of the form h was read from.
     """
 
     m: int
@@ -125,7 +126,7 @@ class SolutionBundle:
     n_prime: int
     r: int
     h: PuiseuxSeries
-    form: vvmf.VectorForm
+    weight: int
     schwarz_constant: Fraction
     ode_parameter: Fraction
     wronskians: tuple[tuple[Fraction, int], ...]
@@ -201,7 +202,7 @@ def _verified(
         n_prime=rep.n_prime,
         r=r,
         h=h,
-        form=form,
+        weight=int(form.weight),
         schwarz_constant=constant,
         ode_parameter=s,
         wronskians=tuple(levels),

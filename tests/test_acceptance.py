@@ -15,7 +15,7 @@ its principal branches, and all nine points must agree to 1e-9.
 
 import pytest
 
-from schwarzian import acceptance
+from schwarzian import acceptance, numeric
 
 
 def _report(result: acceptance.CheckResult) -> None:
@@ -60,6 +60,41 @@ def test_criterion_7_numeric_cross_check():
 @pytest.mark.slow
 def test_criterion_8_seeded_bug_sensitivity():
     _report(acceptance.check_seeded_bug_sensitivity())
+
+
+@pytest.fixture
+def series_sums(monkeypatch):
+    """The tau of every numeric.eval_qseries call made during the test."""
+    taus = []
+    original = numeric.eval_qseries
+
+    def counted(f, tau, precision=None):
+        taus.append(tau)
+        return original(f, tau, precision)
+
+    monkeypatch.setattr(numeric, "eval_qseries", counted)
+    return taus
+
+
+@pytest.mark.slow
+def test_numeric_cross_check_sums_h_once_per_point(series_sums):
+    # the phase check reuses the cross-check's series value at tau and
+    # sums h only at tau + 1
+    assert acceptance.check_numeric_cross_check().passed
+    points = len(acceptance.NUMERIC_GRID) * len(acceptance.NUMERIC_TAUS)
+    assert len(series_sums) == 2 * points == 18
+
+
+def test_refused_point_sums_h_itself(monkeypatch, series_sums):
+    # 0.2 + 0.9i lies below the arc: the closed form refuses it after the
+    # series route has run, so the phase check sums h at tau again
+    monkeypatch.setattr(acceptance, "NUMERIC_GRID", ((7, 1),))
+    monkeypatch.setattr(acceptance, "NUMERIC_TAUS", (2j, 0.2 + 0.9j))
+    result = acceptance.check_numeric_cross_check()
+    assert not result.passed
+    assert "tau=(0.2+0.9j): OutsideDisk" in result.detail
+    assert "phase drift" not in result.detail
+    assert series_sums == [2j, 2j + 1, 0.2 + 0.9j, 0.2 + 0.9j, 1.2 + 0.9j]
 
 
 def test_battery_builds_each_shape_form_once(monkeypatch, build_counts):

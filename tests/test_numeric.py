@@ -23,6 +23,7 @@ from schwarzian import (
     eval_qseries,
     j_inverse,
     solve,
+    solver,
 )
 
 F = Fraction
@@ -67,6 +68,17 @@ def test_upper_half_plane_enforced():
         eval_h_hypergeometric(7, 1, -1j)
     with pytest.raises(NotUpperHalfPlane):
         cross_check(7, 1, 0j)
+
+
+def test_cross_check_refuses_before_solving(monkeypatch):
+    calls = []
+    original = solver.solve
+    monkeypatch.setattr(solver, "solve", lambda *args: calls.append(args) or original(*args))
+    with pytest.raises(InvalidParameters, match="precision must be at least 8 bits"):
+        cross_check(7, 1, 2j, precision=4)
+    with pytest.raises(NotUpperHalfPlane, match="nonpositive imaginary part"):
+        cross_check(7, 1, -2j)
+    assert calls == []
 
 
 def test_eval_h_parameter_validation():

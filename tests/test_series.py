@@ -9,7 +9,7 @@ arithmetic it did not produce.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schwarzian import (
@@ -328,9 +328,11 @@ def test_puiseux_leibniz(offset, b1, b2):
 # ---------------------------------------------------- kernels vs reference
 #
 # The product kernels compute on integer numerators over a common
-# denominator, and rational powers use the power recurrence.  These
+# denominator, division and rational powers on integer numerators over a
+# running one, and rational powers use the power recurrence.  These
 # plain-Fraction loops are the reference they must reproduce exactly:
-# Cauchy product, Horner composition, repeated products, exp(alpha log u).
+# Cauchy product, Horner composition, repeated products, long division,
+# exp(alpha log u).
 
 
 def ref_mul(a, b, target):
@@ -356,6 +358,21 @@ def ref_pow(a, k):
     out = [F(1)] + [F(0)] * (len(a) - 1)
     for _ in range(k):
         out = ref_mul(out, a, len(a))
+    return out
+
+
+def ref_div(a, b):
+    """a / b by long division, after cancelling the valuation v of b."""
+    v = next(i for i, c in enumerate(b) if c)
+    a, b = a[v:], b[v:]
+    n = min(len(a), len(b))
+    rem = list(a[:n])
+    out = []
+    for i in range(n):
+        c = rem[i] / b[0]
+        out.append(c)
+        for j in range(1, n - i):
+            rem[i + j] -= c * b[j]
     return out
 
 
@@ -418,6 +435,28 @@ def test_compose_kernel_matches_fraction_reference(outer, inner):
     out = QSeries(outer).compose(QSeries(inner)).coeffs
     assert all(type(c) is F for c in out)
     assert exact(out) == exact(ref_compose(outer, inner))
+
+
+@st.composite
+def division_pairs(draw):
+    """(a, b) with b = q**v (c + ...), c nonzero of either sign and often not
+    1, zeros inside b, and a of valuation >= v, shorter or longer than b."""
+    v = draw(st.integers(min_value=0, max_value=3))
+    lead = draw(mixed.filter(lambda x: x != 0))
+    rest = draw(st.lists(st.one_of(st.just(F(0)), mixed), max_size=24 - v))
+    a = draw(kernel_coeffs(min_size=1, max_size=25 - v))
+    return [F(0)] * v + a, [F(0)] * v + [lead] + rest
+
+
+@given(division_pairs())
+@example(([F(1), F(2)], [F(-3, 2), F(0), F(5), F(7)]))
+@example(([F(0), F(0), F(4), F(1), F(-1)], [F(0), F(0), F(-2), F(0), F(3, 7), F(1)]))
+@settings(max_examples=150, deadline=None)
+def test_div_kernel_matches_fraction_reference(pair):
+    a, b = pair
+    out = (QSeries(a) / QSeries(b)).coeffs
+    assert all(type(c) is F for c in out)
+    assert exact(out) == exact(ref_div(a, b))
 
 
 @given(kernel_coeffs(max_size=15), st.integers(min_value=0, max_value=6))

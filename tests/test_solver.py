@@ -101,7 +101,7 @@ def test_solve_smallest_case():
     assert bundle.n_prime == 1
     assert bundle.r == 0
     assert bundle.wronskians == ((F(1, 7), 1),)
-    assert bundle.form.weight == 5
+    assert bundle.weight == 5
 
 
 def test_solve_with_one_raise():
@@ -110,7 +110,7 @@ def test_solve_with_one_raise():
     assert bundle.r == 1
     assert bundle.h.offset == F(9, 7)
     assert bundle.schwarz_constant == F(-81, 98)
-    assert bundle.form.weight == 11
+    assert bundle.weight == 11
     assert len(bundle.wronskians) == 2
     assert bundle.wronskians[0] == (F(2, 7), 1)
     assert bundle.wronskians[1][1] == 2
@@ -162,11 +162,16 @@ def test_verify_ode_rejects_zero():
 # sha256 of "offset;c0;c1;..." (each rational as str) for solve(m, n, order).h,
 # computed with the series kernels that predate the integer-numerator ones,
 # whose Horner composition and convolution ran entirely over Fraction; any
-# change in a single coefficient of h changes the hash
+# change in a single coefficient of h changes the hash.  The order-120
+# entries were computed while division and rational powers still ran over
+# Fraction; at that length the running denominator of both is raised many
+# times.
 H_SHA256 = {
     (7, 1, 60): "e998db9a65ae310d5db708ea4a27d97a33eb64f783e35106f1bfbf2a105e312c",
     (13, 5, 60): "fc0d912918cf4a9f09a6277a414c8fc344505f653b29ece7a10c8dd5a72d8baa",
     (11, 13, 30): "57834aef28f75d4a86fbd5f58ae84eb1eb54ea63a799acec4e729af684de614f",
+    (7, 1, 120): "de63c8fd9fee562c58961786772116d91192733bac37a840129f6123c76c0106",
+    (13, 5, 120): "43ae3efa6f82467e405bc10aad2f34ce8cded77c6388d15784a21572db71d832",
 }
 
 
