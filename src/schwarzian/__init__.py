@@ -67,7 +67,7 @@ from .vvmf import (
     MINIMAL_WEIGHT,
     ReprData,
     VectorForm,
-    c1_closed_form_candidate,
+    c1_closed_form,
     c2_closed_form,
     minimal_form,
     raise_weight,
@@ -110,7 +110,7 @@ __all__ = [
     "UnsupportedWeight",
     "VectorForm",
     "VerificationError",
-    "c1_closed_form_candidate",
+    "c1_closed_form",
     "c2_closed_form",
     "component_recipe",
     "component_series",

@@ -167,8 +167,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         CheckResult(
             "ode-solutions",
             True,
-            f"both solutions satisfy D^2 y + ({bundle.ode_parameter}) E4 y = 0 "
-            f"and y1/y2 = h",
+            f"h y2 satisfies D^2 y + ({bundle.ode_parameter}) E4 y = 0 for the "
+            f"Frobenius solution y2 = q^(-n/2m)(1 + ...), so h = y1/y2",
         )
     )
     return _emit(args, params, results, checks)
@@ -186,8 +186,8 @@ def _cmd_vvmf(args: argparse.Namespace) -> int:
     except VerificationError as exc:
         return _emit(args, params, results, [CheckResult("construction", False, failure(exc))])
     c1, c2 = vvmf.raising_ratios(form, lifted)
+    c1_closed = vvmf.c1_closed_form(rep.m, rep.n_prime)
     c2_closed = vvmf.c2_closed_form(rep.m, rep.n_prime)
-    c1_candidate = vvmf.c1_closed_form_candidate(rep.m, rep.n_prime)
 
     chain, wronskians, stopped = [form, lifted], [], None
     try:
@@ -200,9 +200,10 @@ def _cmd_vvmf(args: argparse.Namespace) -> int:
     checks = [
         _wronskian_verdict(rep, r, wronskians, stopped),
         verdict(
-            "second-raising-ratio",
-            f"computed {c2}, closed form 12n'/(m+6n') = {c2_closed}",
-            acceptance.raising_problems(rep, c2),
+            "raising-ratios",
+            f"computed {c1}, {c2}; closed forms -144(5m+6n')/(m+n') = {c1_closed}, "
+            f"12n'/(m+6n') = {c2_closed}",
+            acceptance.raising_problems(rep, c1, c2),
         ),
     ]
 
@@ -225,8 +226,7 @@ def _cmd_vvmf(args: argparse.Namespace) -> int:
             "second_ratio": _rat(c2),
             "second_ratio_closed_form": _rat(c2_closed),
             "first_ratio": _rat(c1),
-            "first_ratio_candidate": _rat(c1_candidate),
-            "candidate_agrees": bool(c1 == c1_candidate),
+            "first_ratio_closed_form": _rat(c1_closed),
         },
     )
     return _emit(args, params, results, checks)

@@ -99,13 +99,14 @@ def _conv(a, b, target: int) -> list[Fraction]:
 
 
 def _append(nums: list[int], den: int, p: int, q: int) -> int:
-    """Append the rational p/q (q > 0) to ``nums``, integer numerators over
-    the running common denominator ``den``; return the new denominator.
+    """Append the rational p/q (q != 0) to ``nums``, integer numerators over
+    the running common denominator ``den`` > 0; return the new denominator.
 
-    When the reduced q does not divide ``den``, the denominator becomes
-    their lcm and the earlier numerators are rescaled in place.
+    p/q is first reduced to a positive denominator; when that does not divide
+    ``den``, the denominator becomes their lcm and the earlier numerators are
+    rescaled in place.
     """
-    g = gcd(p, q)
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
     if g != 1:
         p, q = p // g, q // g
     if den % q:
@@ -128,10 +129,6 @@ def _divide_unit(num, den, order: int) -> list[Fraction]:
     """
     a, da = _common(num[:order])
     b, db = _common(den[:order])
-    if b[0] < 0:
-        # keep every appended denominator positive
-        a = [-x for x in a]
-        b = [-x for x in b]
     rb = b[::-1]
     lead = da * b[0]
     out: list[int] = []
@@ -536,8 +533,9 @@ class PuiseuxSeries:
 
         The exact root of q**a (c + ...) is sqrt(c) q**(a/2) (1 + ...); the
         scalar sqrt(c) is dropped, rational or not, so the result is the
-        unit-normalized representative.  Consumers that only need a result
-        up to a constant factor (solutions of a linear ODE) are unaffected.
+        unit-normalized representative.  Nothing in the package calls it
+        (the ODE solutions come from the Frobenius recurrence); the
+        benchmark's tracer, ``perfbench/tracer.py``, still wraps it by name.
         """
         if self.is_zero():
             return PuiseuxSeries(self._offset / 2, self._body)

@@ -7,12 +7,12 @@ convention,
 
     {h} = D(D2h / Dh) - (1/2) (D2h / Dh)**2,
 
-is exactly -(1/2) (n/m)**2 * E4.  Equivalently y1 = h / sqrt(Dh) and
-y2 = 1 / sqrt(Dh) solve D(D(y)) + s E4 y = 0 with s = -(n/2m)**2.
+is exactly -(1/2) (n/m)**2 * E4.  Equivalently h = y1 / y2 for the Frobenius
+solutions y1, y2 = q**(+-n/2m) (1 + ...) of D(D(y)) + s E4 y = 0, s = -(n/2m)**2.
 
-``solve`` builds h, re-derives every one of those statements from the
-series, and raises a VerificationError subclass (with the index of the
-first bad coefficient) if any of them fails to hold exactly.
+``solve`` builds h, re-derives those statements from the series, and raises
+a VerificationError subclass (with the index of the first bad coefficient)
+if any of them fails to hold exactly.
 
 Convention note: with derivatives taken directly in tau instead of D, the
 Schwarzian picks up a fixed factor (2 pi i)^2, and other normalizations in
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import forms, vvmf
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     NotProportional,
     OdeResidualNonzero,
 )
-from .series import PuiseuxSeries, QSeries
+from .series import PuiseuxSeries, QSeries, _append, _common, _fractions
 
 CONVENTION_NOTE = (
     "derivative convention: D = q d/dq; verified constants are "
@@ -77,20 +78,34 @@ def verify_proportionality(sd: QSeries) -> Fraction:
     return ratio[0]
 
 
-def ode_solutions(h: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    """(y1, y2) = (h / sqrt(Dh), 1 / sqrt(Dh)), each normalized to leading 1.
-
-    The square root drops the scalar root of the leading coefficient, so
-    both solutions are unit-normalized representatives; the exact identity
-    y1 / y2 = h survives because the same scalar is dropped from both.
+def _frobenius(b: Fraction, order: int) -> PuiseuxSeries:
+    """The solution q**b (1 + ...) of D(D(y)) - b**2 E4 y = 0 to ``order`` terms,
+    from c_k k(k + 2b) = b**2 sum_{j>=1} E4_j c_{k-j} on integer numerators
+    (``series._append``).  InvalidParameters when 2b is an integer (resonant).
     """
-    dh = h.derive()
-    if dh.is_zero():
-        raise DegenerateDerivative("h has identically zero derivative")
-    root = dh.sqrt()
-    y2 = 1 / root
-    y1 = h * y2
-    return y1, y2
+    b = Fraction(b)
+    if b.denominator <= 2:
+        raise InvalidParameters(f"2b = {2 * b} is an integer: resonant recurrence")
+    # b = p/q, E4_j = e_j/d and c_j = o_j/L, so
+    # c_k = p^2 sum_j e_j o_{k-j} / (q d L k (k q + 2 p))
+    e, d = _common(forms.eisenstein(4, order).coeffs)
+    p, q = b.numerator, b.denominator
+    re = e[::-1]
+    o = [1]
+    dl = 1
+    for k in range(1, order):
+        acc = sum(map(mul, o, re[order - 1 - k : order - 1]))
+        dl = _append(o, dl, p * p * acc, q * d * dl * k * (k * q + 2 * p))
+    return PuiseuxSeries(b, QSeries(_fractions(o, dl)))
+
+
+def ode_solutions(h: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+    """The Frobenius solutions q**(+-a) (1 + ...), a = h.offset/2, to h's order.
+
+    They solve D(D(y)) - a**2 E4 y = 0; only h's offset and order are read.
+    """
+    a = h.offset / 2
+    return _frobenius(a, h.order), _frobenius(-a, h.order)
 
 
 def verify_ode(y: PuiseuxSeries, s: Fraction) -> bool:
@@ -141,8 +156,9 @@ def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
 
     * Wronskian = c Delta**(level+1) with c nonzero, at every level;
     * {h} / E4 constant, equal to -(1/2)(n/m)**2;
-    * D(D(y)) + s E4 y = 0 for both ODE solutions, s = -(n/2m)**2;
-    * y1 / y2 reproduces h exactly.
+    * D(D(y)) + s E4 y = 0 for y = h y2, s = -(n/2m)**2, with y2 the
+      Frobenius solution q**(-n/2m) (1 + ...): it holds only if h = y1 / y2,
+      so OdeResidualNonzero names the first coefficient of h that differs.
     """
     rep, r = _parameters(m, n, order)
     # each raising step consumes one body coefficient of the first component
@@ -190,11 +206,7 @@ def _verified(
         )
 
     s = constant / 2
-    y1, y2 = ode_solutions(h)
-    verify_ode(y1, s)
-    verify_ode(y2, s)
-    if not (y1 / y2) == h:
-        raise InternalMismatch("y1 / y2 does not reproduce h")
+    verify_ode(h * _frobenius(-sigma / 2, h.order), s)
 
     return SolutionBundle(
         m=m,

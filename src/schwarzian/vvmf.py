@@ -195,17 +195,16 @@ def c2_closed_form(m: int, n_prime: int) -> Fraction:
     return Fraction(12 * n_prime, m + 6 * n_prime)
 
 
-def c1_closed_form_candidate(m: int, n_prime: int) -> Fraction:
-    """Conjectured closed form for the first-component raising constant.
+def c1_closed_form(m: int, n_prime: int) -> Fraction:
+    """Exact first-component raising constant at level 0: -144(5m + 6n')/(m + n').
 
-    Kept only for comparison: the series computation disagrees with it (for
-    example (7, 2) gives -752 from the series, 7333/19 from this formula),
-    so callers must treat it as a candidate, never as ground truth.
+    It is -1728 b/c for the first component's 2F1(a, b; c), with
+    b = n'/2m + 5/12 and c = n'/m + 1.
+
+    >>> c1_closed_form(7, 2)
+    Fraction(-752, 1)
     """
-    return Fraction(
-        377 * m * m + 2004 * m * n_prime - 2466 * n_prime * n_prime,
-        (m - n_prime) * (m + 6 * n_prime),
-    )
+    return Fraction(-144 * (5 * m + 6 * n_prime), m + n_prime)
 
 
 def raising_constants(form: VectorForm) -> tuple[Fraction, Fraction]:

@@ -75,8 +75,7 @@ def test_vvmf_raised_weight_and_ratios(capsys):
     assert results["raising"]["second_ratio"] == "24/19"
     assert results["raising"]["second_ratio_closed_form"] == "24/19"
     assert results["raising"]["first_ratio"] == "-752"
-    assert results["raising"]["first_ratio_candidate"] == "7333/19"
-    assert results["raising"]["candidate_agrees"] is False
+    assert results["raising"]["first_ratio_closed_form"] == "-752"
     assert [lvl["weight"] for lvl in results["levels"]] == [5, 11]
     assert all(c["pass"] for c in payload["checks"])
 

@@ -3,13 +3,21 @@
 The frozen expansion of {q^(1/7)(1+q)} is re-derived inside
 test_schwarzian_sympy_oracle with symbolic calculus, so the golden and the
 implementation are checked against an independent third computation.
+test_solve_matches_frobenius_ratio checks h on random coprime (m, n)
+against the ratio of the two Frobenius solutions, summed here over plain
+Fractions from E4's own divisor sums.
 """
 
+import dataclasses
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schwarzian import solver, vvmf
 from schwarzian import (
     DegenerateDerivative,
     InvalidParameters,
@@ -141,6 +149,57 @@ def test_ode_solutions_shape_and_ratio():
     w = y1.derive() * y2 - y1 * y2.derive()
     assert w.offset == 0
     assert (w - F(2, 7)).is_zero()
+    # the pair is, coefficient by coefficient, the square-root route
+    # y2 = 1 / sqrt(Dh) and y1 = h y2, normalized to leading 1
+    root_inverse = 1 / bundle.h.derive().sqrt()
+    for y, old in ((y1, bundle.h * root_inverse), (y2, root_inverse)):
+        assert y.offset == old.offset
+        assert y.body.coeffs == old.body.coeffs
+
+
+def test_ode_solutions_refuse_integer_offset():
+    # a = offset/2 makes k + 2(-a) vanish at k = offset: a resonant recurrence
+    for offset in (1, 2):
+        with pytest.raises(InvalidParameters):
+            ode_solutions(PuiseuxSeries(offset, QSeries([1, 2, 3, 4])))
+
+
+@pytest.mark.parametrize("k", [1, 4, 17])
+def test_ode_stage_names_first_wrong_coefficient_of_h(monkeypatch, k):
+    # bump the first component at q^k, so h is wrong from q^k on, and let it
+    # through the Wronskian and Schwarzian stages, which would catch it first
+    build = vvmf.minimal_form
+
+    def bumped(rep, order):
+        form = build(rep, order)
+        coeffs = list(form.first.body.coeffs)
+        coeffs[k] += 1
+        return dataclasses.replace(
+            form, first=PuiseuxSeries(form.first.offset, QSeries(coeffs))
+        )
+
+    monkeypatch.setattr(vvmf, "minimal_form", bumped)
+    monkeypatch.setattr(vvmf, "wronskian_check", lambda form: (F(5, 11), 1))
+    monkeypatch.setattr(solver, "verify_proportionality", lambda sd: sd[0])
+    with pytest.raises(OdeResidualNonzero) as info:
+        solve(11, 5, 30)
+    assert info.value.index == k
+
+
+def test_solve_checks_the_ode_once_without_square_roots(monkeypatch):
+    calls = {"sqrt": 0, "verify_ode": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(PuiseuxSeries, "sqrt", counted("sqrt", PuiseuxSeries.sqrt))
+    monkeypatch.setattr(solver, "verify_ode", counted("verify_ode", verify_ode))
+    solve(7, 1, 40)
+    assert calls == {"sqrt": 0, "verify_ode": 1}
 
 
 def test_verify_ode_on_solved_pair():
@@ -180,3 +239,40 @@ def test_solution_golden_hash(m, n, order):
     h = solve(m, n, order).h
     text = ";".join(str(c) for c in (h.offset, *h.body.coeffs))
     assert hashlib.sha256(text.encode()).hexdigest() == H_SHA256[(m, n, order)]
+
+
+def _e4(order):
+    sums = [0] * order
+    for d in range(1, order):
+        for k in range(d, order, d):
+            sums[k] += d**3
+    return [1] + [240 * x for x in sums[1:]]
+
+
+def frobenius_ratio(m, n, order):
+    """Body of y1 / y2, y = q^b (1 + sum c_k q^k) with b = +-n/2m and
+    c_k k (k + 2b) = (n/2m)^2 sum_{j>=1} E4_j c_{k-j}."""
+    a = F(n, 2 * m)
+    e4 = _e4(order)
+
+    def solution(b):
+        c = [F(1)]
+        for k in range(1, order):
+            acc = sum(e4[j] * c[k - j] for j in range(1, k + 1))
+            c.append(a * a * acc / (k * (k + 2 * b)))
+        return c
+
+    y1, y2 = solution(a), solution(-a)
+    h = []
+    for k in range(order):
+        h.append(y1[k] - sum(h[j] * y2[k - j] for j in range(k)))
+    return h
+
+
+@given(st.integers(7, 40), st.data(), st.integers(8, 12))
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_frobenius_ratio(m, data, order):
+    n = data.draw(st.integers(1, 5 * m).filter(lambda n: gcd(m, n) == 1), label="n")
+    h = solve(m, n, order).h
+    assert h.offset == F(n, m)
+    assert list(h.body.coeffs) == frobenius_ratio(m, n, order)

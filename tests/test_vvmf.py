@@ -14,7 +14,7 @@ from schwarzian import (
     InvalidParameters,
     MINIMAL_WEIGHT,
     ReprData,
-    c1_closed_form_candidate,
+    c1_closed_form,
     c2_closed_form,
     minimal_form,
     raise_weight,
@@ -110,17 +110,15 @@ def test_raising_constants_for_7_2():
     assert c2 == F(24, 19)
     assert c2 == c2_closed_form(7, 2)
     assert c1 == -752
-    # the candidate closed form does NOT match the computed series value;
-    # it is exposed for comparison, not used in any verification
-    assert c1_closed_form_candidate(7, 2) == F(7333, 19)
-    assert c1 != c1_closed_form_candidate(7, 2)
+    assert c1 == c1_closed_form(7, 2)
 
 
 def test_second_ratio_closed_form_on_grid():
     for m, n in GRID:
         form = minimal_form(ReprData(m, n), 10)
-        _, c2 = raising_constants(form)
+        c1, c2 = raising_constants(form)
         assert c2 == c2_closed_form(m, n) == F(12 * n, m + 6 * n)
+        assert c1 == c1_closed_form(m, n) == F(-144 * (5 * m + 6 * n), m + n)
 
 
 def test_raised_leadings_match_raising_constants():
