@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import forms, vvmf  # vvmf imports this module; used at call time only
 from .errors import InvalidC, InvalidParameters, RecipeInconsistent
-from .series import PuiseuxSeries, QSeries
+from .series import PuiseuxSeries, QSeries, SeriesBuilder
 
 ETA_EXPONENT = 10
 
@@ -46,11 +46,18 @@ def hypergeom_coeffs(params: HypergeomParams, n_terms: int) -> QSeries:
     """First ``n_terms`` Taylor coefficients of F(a, b; c; z)."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    a, b, c = params.a, params.b, params.c
-    out = [Fraction(1)]
+    (pa, qa), (pb, qb), (pc, qc) = (
+        x.as_integer_ratio() for x in (params.a, params.b, params.c)
+    )
+    t = SeriesBuilder()
+    t.append(1, 1)
     for n in range(n_terms - 1):
-        out.append(out[-1] * (a + n) * (b + n) / ((c + n) * (n + 1)))
-    return QSeries(out)
+        # t_{n+1} = t_n (a + n)(b + n) / ((c + n)(n + 1)) on integers
+        t.append(
+            t.nums[n] * (pa + n * qa) * (pb + n * qb) * qc,
+            t.den * qa * qb * (pc + n * qc) * (n + 1),
+        )
+    return t.series()
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,8 @@ def component_series(recipe: ComponentRecipe, order: int) -> PuiseuxSeries:
         raise ValueError("order must be >= 1")
     eta_body = forms.eta_power(ETA_EXPONENT, order).body
     jinv = forms.j_inverse(order + 1)
-    # unit part of 1728/j = 1728 q * u(q); the shift is exact, valuation is 1
-    u = QSeries(jinv.coeffs[1:]) / 1728
+    # unit part of 1728/j = 1728 q * u(q): the body once q**1 is absorbed
+    u = PuiseuxSeries(0, jinv).body / 1728
     outer_body = u.pow_rational(recipe.outer_power)
     composed = hypergeom_coeffs(recipe.params, order).compose(jinv.truncate(order))
     body = eta_body * outer_body * composed

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, copysign, floor, log2
-from typing import Any, Callable, Sequence
+from sys import float_info
+from typing import Any, Callable
 
 from . import solver
 from .errors import (
@@ -174,11 +175,13 @@ def _check_tau(tau: complex) -> complex:
     tau = complex(tau)
     if not tau.imag > 0:
         raise NotUpperHalfPlane(f"tau = {tau} has nonpositive imaginary part")
+    if not cmath.isfinite(tau):
+        raise NotUpperHalfPlane(f"tau = {tau} is not a finite point")
     return tau
 
 
-def _horner(coeffs: Sequence[Fraction], q: Any, backend: _Backend) -> Any:
-    """sum_k coeffs[k] q**k for |q| <= 1.
+def _horner(f: QSeries, q: Any, backend: _Backend) -> Any:
+    """sum_k f[k] q**k for |q| <= 1, read from f's integer numerators.
 
     At an integer precision the terms from the first nonzero coefficient on
     are summed on integers scaled by 2**shift, far cheaper than mpmath
@@ -188,25 +191,26 @@ def _horner(coeffs: Sequence[Fraction], q: Any, backend: _Backend) -> Any:
     accurate as floating-point Horner.
     """
     mp = backend._mp
+    nums, den = f.numerators, f.denominator
     if mp is None:
         acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * q + complex(c)
+        for x in reversed(nums):
+            acc = acc * q + x / den
         return acc
-    first = next((k for k, c in enumerate(coeffs) if c), len(coeffs))
+    first = next((k for k, x in enumerate(nums) if x), len(nums))
     q = mp.mpc(q)
     log_q = log2(max(abs(complex(q)), 1e-300))
-    # about log2 |c_k q**(k-1)|: what rounding q and each step can cost
+    # about log2 |c_k q**(k-1)| (the common denominator cancels in the
+    # differences): what rounding q and each step can cost
     bits = [
-        c.numerator.bit_length() - c.denominator.bit_length() + max(k - 1, 0) * log_q
-        for k, c in enumerate(coeffs[first:])
+        x.bit_length() + max(k - 1, 0) * log_q for k, x in enumerate(nums[first:])
     ] or [0]
-    shift = mp.prec + _GUARD + ceil(max(bits) - bits[0]) + 2 * len(coeffs).bit_length()
+    shift = mp.prec + _GUARD + ceil(max(bits) - bits[0]) + 2 * len(nums).bit_length()
     qr, qi = int(mp.ldexp(q.real, shift)), int(mp.ldexp(q.imag, shift))
     ar = ai = 0
-    for c in reversed(coeffs[first:]):
+    for x in reversed(nums[first:]):
         ar, ai = (
-            ((ar * qr - ai * qi) >> shift) + (c.numerator << shift) // c.denominator,
+            ((ar * qr - ai * qi) >> shift) + (x << shift) // den,
             (ar * qi + ai * qr) >> shift,
         )
     value = mp.mpc(mp.ldexp(ar, -shift), mp.ldexp(ai, -shift))
@@ -229,7 +233,7 @@ def eval_qseries(
         f = PuiseuxSeries(0, f)
     two_pi_i = backend.number(2j) * backend.pi()
     q = backend.exp(two_pi_i * backend.number(tau))
-    value = _horner(f.body.coeffs, q, backend)
+    value = _horner(f.body, q, backend)
     if not f.is_zero() and f.offset:
         value = value * backend.exp(backend.number(f.offset) * two_pi_i * backend.number(tau))
     if precision is None and (
@@ -240,21 +244,14 @@ def eval_qseries(
 
 
 @lru_cache(maxsize=16)
-def _z_coeffs(m_terms: int) -> tuple[Fraction, ...]:
+def _z_series(m_terms: int) -> QSeries:
     """The integer q-expansion of 1728/j, built once per length.
 
     The cache lives here rather than in ``forms``: the seeded-bug check
     corrupts ``forms.eisenstein`` and ``forms.eta_power`` and needs every
     ``solve`` to rebuild the base forms from them.
     """
-    return j_inverse(m_terms).coeffs
-
-
-def _eval_z(m_terms: int, tau: complex, backend: _Backend) -> Any:
-    """z = 1728/j(tau) by summing its integer q-expansion."""
-    two_pi_i = backend.number(2j) * backend.pi()
-    q = backend.exp(two_pi_i * backend.number(tau))
-    return _horner(_z_coeffs(m_terms), q, backend)
+    return j_inverse(m_terms)
 
 
 def _one_sheet(m: int, n: int) -> None:
@@ -301,10 +298,16 @@ def eval_h_hypergeometric(
     z = 1, errors in z are amplified: with 60 terms about 3e-10 at
     tau = 1.0000000001i even at 200 bits.  Doubles give about 7e-10 at
     tau = 1.00000001i; closer to i, z rounds onto the cut and the point is
-    refused.  Only 0 < n < m is meaningful here (``_one_sheet``);
-    ``component_recipe`` validates (m, n) through ``ReprData``.
+    refused.  Where q = exp(2 pi i tau) leaves the normal double range
+    (Im tau > about 112.7), z = 1728 q (1 + O(q)) has lost its bits, and in
+    doubles the value is taken as exp((n/m) 2 pi i tau), to which the
+    closed form reduces there.  Only 0 < n < m is meaningful here
+    (``_one_sheet``); ``component_recipe`` validates (m, n) through
+    ``ReprData``, and ``n_terms`` must be at least 2 (InvalidParameters).
     """
     _one_sheet(m, n)
+    if n_terms < 2:
+        raise InvalidParameters("n_terms must be >= 2")
     first = component_recipe(m, n, "first").params
     second = component_recipe(m, n, "second").params
     tau = _check_tau(tau)
@@ -317,24 +320,30 @@ def eval_h_hypergeometric(
             "branches do not represent h there"
         )
     backend = _Backend(precision)
-
-    z = _eval_z(n_terms, shifted, backend)
-    # inside F, Im z has the sign of Re tau: take that side of each cut
-    if z.real > 1 and z.imag * shifted.real < 0:
-        z = z.conjugate()
-    if abs(complex(z)) < 1 - _MARGIN:
-        f1 = _horner(hypergeom_coeffs(first, n_terms).coeffs, z, backend)
-        f2 = _horner(hypergeom_coeffs(second, n_terms).coeffs, z, backend)
-    else:
-        f1 = backend.hyp2f1(first, z)
-        f2 = backend.hyp2f1(second, z)
     two_pi_i = backend.number(2j) * backend.pi()
-    log_z = backend.log(z)
-    if z.real < 0 and (log_z.imag > 0) != (shifted.real > 0):
-        log_z += two_pi_i if shifted.real > 0 else -two_pi_i
+    q = backend.exp(two_pi_i * backend.number(shifted))
     exponent = backend.number(Fraction(n, m))
-    prefactor = backend.exp(exponent * (log_z - backend.log(backend.number(1728))))
-    value = prefactor * f1 / f2
+    if precision is None and abs(q) < float_info.min:
+        # the O(q) terms of F_first / F_second and of Log z - log 1728 - 2 pi i
+        # tau lie far below double rounding
+        value = backend.exp(exponent * two_pi_i * shifted)
+    else:
+        # z = 1728/j(tau) by summing its integer q-expansion; inside F, Im z
+        # has the sign of Re tau: take that side of each cut
+        z = _horner(_z_series(n_terms), q, backend)
+        if z.real > 1 and z.imag * shifted.real < 0:
+            z = z.conjugate()
+        if abs(complex(z)) < 1 - _MARGIN:
+            f1 = _horner(hypergeom_coeffs(first, n_terms), z, backend)
+            f2 = _horner(hypergeom_coeffs(second, n_terms), z, backend)
+        else:
+            f1 = backend.hyp2f1(first, z)
+            f2 = backend.hyp2f1(second, z)
+        log_z = backend.log(z)
+        if z.real < 0 and (log_z.imag > 0) != (shifted.real > 0):
+            log_z += two_pi_i if shifted.real > 0 else -two_pi_i
+        prefactor = backend.exp(exponent * (log_z - backend.log(backend.number(1728))))
+        value = prefactor * f1 / f2
     if shift:
         value *= backend.exp(two_pi_i * backend.number(Fraction(shift * n % m, m)))
     return value
@@ -359,10 +368,10 @@ def _tail_estimate(h: PuiseuxSeries, q_abs: float) -> float:
     by last_term * rho / (1 - rho); otherwise report the last term's
     magnitude.  A heuristic, not a certificate.
     """
-    coeffs = h.body.coeffs
-    if len(coeffs) < 2 or not coeffs[-1] or not coeffs[-2]:
+    coeffs = h.body
+    if coeffs.order < 2 or not coeffs[-1] or not coeffs[-2]:
         return 0.0
-    last = abs(float(coeffs[-1])) * q_abs ** (len(coeffs) - 1 + float(h.offset))
+    last = abs(float(coeffs[-1])) * q_abs ** (coeffs.order - 1 + float(h.offset))
     rho = abs(float(coeffs[-1]) / float(coeffs[-2])) * q_abs
     if rho < 1:
         return last * rho / (1 - rho)

@@ -3,7 +3,7 @@
 Two layers:
 
 * :class:`QSeries` is a truncated q-expansion ``sum(c[i] * q**i, 0 <= i < order)``
-  with ``fractions.Fraction`` coefficients.  The truncation order is always
+  with exact rational coefficients.  The truncation order is always
   explicit (``order == len(coeffs)``) and binary operations return a series
   truncated at the minimum of the operand orders.  Nothing is ever padded:
   a coefficient is either tracked exactly or not represented at all.
@@ -22,20 +22,21 @@ Equality on both types compares coefficients up to the common truncation
 order only; two series that agree on their shared prefix compare equal even
 if their orders differ.
 
-The API is on ``Fraction`` throughout, but the product kernels (series
-multiplication, and with it integer powers, and composition) compute on
-integer numerators over one common denominator and build a single
-``Fraction`` per output coefficient.  The classical forms all have integer
-coefficients, so their products pay for no gcd at all.  Composition
-writes the inner series as q**v (g/d) w with w an integer series of
-content 1, builds the powers of w by integer convolution, and applies the
-rational scalar f_k (g/d)**k once per power (Brent and Kung, J. ACM 1978,
-cover fast composition; this is the plain power-sum form).  Rational
-powers follow the classical power recurrence (J. C. P. Miller; Knuth,
-TAOCP vol. 2, section 4.7).  Division and rational powers solve one
-coefficient at a time, so their outputs are kept as integer numerators
-over a running common denominator that grows to the lcm whenever a new
-term needs it (``_append``): each term costs integer dot products and one
+A QSeries stores one tuple of integer numerators over one positive common
+denominator, in lowest terms; ``coeffs`` and indexing build the
+``Fraction`` view at the API edge, and ``numerators`` and ``denominator``
+are the read-only integer view.  Every operation computes on the integers.
+The classical forms all have integer coefficients, so their products pay
+for no gcd at all.  Composition writes the inner series as q**v (g/d) w
+with w an integer series of content 1, builds the powers of w by integer
+convolution, and applies the rational scalar f_k (g/d)**k once per power
+(Brent and Kung, J. ACM 1978, cover fast composition; this is the plain
+power-sum form).  Rational powers follow the classical power recurrence
+(J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7).  A series solved one
+coefficient at a time (division, rational powers, and elsewhere in the
+package the Frobenius and hypergeometric recurrences) is built by
+:class:`SeriesBuilder`, whose running common denominator grows to the lcm
+whenever a new term needs it: each term costs integer dot products and one
 gcd, where ``Fraction`` arithmetic paid a gcd per product.
 """
 
@@ -64,15 +65,6 @@ def _as_fraction(x) -> Fraction | None:
     return None
 
 
-def _common(cs) -> tuple[list[int], int]:
-    """Integer numerators of the rationals ``cs`` over their least common
-    denominator; an integer series gets denominator 1."""
-    den = lcm(*(c.denominator for c in cs))
-    if den == 1:
-        return [c.numerator for c in cs], 1
-    return [c.numerator * (den // c.denominator) for c in cs], den
-
-
 def _iconv(a: list[int], b: list[int], target: int) -> list[int]:
     """First ``target`` coefficients of the Cauchy product of integer lists."""
     rb = b[::-1]
@@ -85,66 +77,61 @@ def _iconv(a: list[int], b: list[int], target: int) -> list[int]:
     return out + [0] * (target - len(out))
 
 
-def _fractions(nums: list[int], den: int) -> list[Fraction]:
-    if den == 1:
-        return [Fraction(x) for x in nums]
-    return [Fraction(x, den) for x in nums]
+class SeriesBuilder:
+    """A series built one rational coefficient at a time.
 
-
-def _conv(a, b, target: int) -> list[Fraction]:
-    """First ``target`` coefficients of the Cauchy product of a and b."""
-    na, da = _common(a[:target])
-    nb, db = _common(b[:target])
-    return _fractions(_iconv(na, nb, target), da * db)
-
-
-def _append(nums: list[int], den: int, p: int, q: int) -> int:
-    """Append the rational p/q (q != 0) to ``nums``, integer numerators over
-    the running common denominator ``den`` > 0; return the new denominator.
-
-    p/q is first reduced to a positive denominator; when that does not divide
-    ``den``, the denominator becomes their lcm and the earlier numerators are
-    rescaled in place.
+    ``nums`` holds integer numerators over the running common denominator
+    ``den`` > 0, so a term that depends on the earlier ones reads them as
+    integers.  ``append(p, q)`` adds p/q (q != 0, of either sign): p/q is
+    reduced once, and when its denominator does not divide ``den``, ``den``
+    becomes their lcm and the earlier numerators are rescaled in place.
     """
-    g = gcd(p, q) if q > 0 else -gcd(p, q)
-    if g != 1:
-        p, q = p // g, q // g
-    if den % q:
-        scale = q // gcd(den, q)
-        nums[:] = [x * scale for x in nums]
-        den *= scale
-    nums.append(p * (den // q))
-    return den
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self) -> None:
+        self.nums: list[int] = []
+        self.den = 1
+
+    def append(self, p: int, q: int) -> None:
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        if g != 1:
+            p, q = p // g, q // g
+        if self.den % q:
+            scale = q // gcd(self.den, q)
+            self.nums[:] = [x * scale for x in self.nums]
+            self.den *= scale
+        self.nums.append(p * (self.den // q))
+
+    def series(self) -> QSeries:
+        """The coefficients appended so far (at least one)."""
+        return QSeries._make(self.nums, self.den)
 
 
-def _divide_unit(num, den, order: int) -> list[Fraction]:
-    """Long division num/den to ``order`` terms; den[0] must be nonzero and
-    both operands must hold at least ``order`` terms.
+def _divide_unit(a, da: int, b, db: int, order: int) -> QSeries:
+    """Long division (a/da) / (b/db) to ``order`` terms on integer numerators
+    a and b; b[0] must be nonzero and both hold at least ``order`` terms.
 
-    With num = a / da and den = b / db on integer numerators, and the
-    quotient so far held as numerators o over the running denominator L
-    (``_append``), term i is
+    With the quotient so far held as numerators o over the running
+    denominator L (``SeriesBuilder``), term i is
     (a_i db L - da sum_{j>=1} b_j o_{i-j}) / (da b_0 L): one integer dot
     product and one gcd per term.
     """
-    a, da = _common(num[:order])
-    b, db = _common(den[:order])
-    rb = b[::-1]
+    rb = b[:order][::-1]
     lead = da * b[0]
-    out: list[int] = []
-    dl = 1
+    out = SeriesBuilder()
     for i in range(order):
-        s = sum(map(mul, out, rb[order - 1 - i : order - 1]))
-        dl = _append(out, dl, a[i] * db * dl - da * s, lead * dl)
-    return _fractions(out, dl)
+        s = sum(map(mul, out.nums, rb[order - 1 - i : order - 1]))
+        out.append(a[i] * db * out.den - da * s, lead * out.den)
+    return out.series()
 
 
 class QSeries:
     """A power series in q truncated at an explicit order.
 
     ``QSeries(cs)`` represents ``sum(cs[i] q**i for i in range(len(cs)))``
-    plus unknown terms of exponent >= len(cs).  All coefficients are exact
-    rationals; ints are accepted and converted.
+    plus unknown terms of exponent >= len(cs).  The coefficients are ints
+    or ``Fraction``s, held as integer numerators over one denominator.
 
     >>> u = QSeries([1, -24])
     >>> (u * u).coeffs
@@ -153,105 +140,128 @@ class QSeries:
     (Fraction(0, 1), Fraction(2, 1), Fraction(6, 1))
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = []
-        for c in coeffs:
-            f = _as_fraction(c)
-            if f is None:
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficients must be rational, got {c!r}")
-            cs.append(f)
         if not cs:
             raise ValueError("a series needs at least one tracked coefficient")
-        self._coeffs = tuple(cs)
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in cs))
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
+
+    @classmethod
+    def _make(cls, nums, den: int) -> QSeries:
+        """The series nums / den (den > 0), reduced to lowest terms."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        s = cls.__new__(cls)
+        s._nums = tuple(nums)
+        s._den = den
+        return s
+
+    @classmethod
+    def _constant(cls, s: Fraction, order: int) -> QSeries:
+        """The scalar s, padded with exact zeros to ``order`` terms."""
+        return cls._make([s.numerator] + [0] * (order - 1), s.denominator)
 
     @classmethod
     def zero(cls, order: int) -> QSeries:
-        return cls((Fraction(0),) * order)
+        return cls([0] * order)
 
     @classmethod
     def one(cls, order: int) -> QSeries:
-        return cls((Fraction(1),) + (Fraction(0),) * (order - 1))
+        return cls._constant(Fraction(1), order)
 
     @property
     def order(self) -> int:
         """Exclusive truncation bound: coefficients are known for q**i, i < order."""
-        return len(self._coeffs)
+        return len(self._nums)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        d = self._den
+        return tuple(Fraction(x, d) for x in self._nums)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self._coeffs[i]
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """Integer numerators over ``denominator``, in lowest terms."""
+        return self._nums
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.coeffs[i]
+        return Fraction(self._nums[i], self._den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._nums)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if zero to this order."""
-        for i, c in enumerate(self._coeffs):
-            if c:
-                return i
-        return None
+        return next((i for i, x in enumerate(self._nums) if x), None)
 
     def truncate(self, order: int) -> QSeries:
         """Drop coefficients at index >= order.  Never extends."""
         if order < 1:
             raise ValueError("truncation order must be >= 1")
-        if order >= len(self._coeffs):
-            return self
-        return QSeries(self._coeffs[:order])
+        return QSeries._make(self._nums[:order], self._den)
 
     def shift(self, k: int) -> QSeries:
         """Multiply by q**k (k >= 0).  The k new low coefficients are exact zeros,
         so the order grows by k."""
         if k < 0:
             raise ValueError("shift exponent must be >= 0")
-        if k == 0:
-            return self
-        return QSeries((Fraction(0),) * k + self._coeffs)
+        return QSeries._make((0,) * k + self._nums, self._den)
 
     # -- ring operations (min-order truncation) --
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other, to the smaller of the two orders; a scalar is
+        known exactly at every order, so it is padded to this series' order."""
         s = _as_fraction(other)
         if s is not None:
-            return QSeries((self._coeffs[0] + s,) + self._coeffs[1:])
-        if not isinstance(other, QSeries):
+            other = QSeries._constant(s, len(self._nums))
+        elif not isinstance(other, QSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return QSeries(tuple(self._coeffs[i] + other._coeffs[i] for i in range(n)))
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        nums = [x * sa + y * sb for x, y in zip(self._nums, other._nums)]
+        return QSeries._make(nums, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> QSeries:
-        return QSeries(tuple(-c for c in self._coeffs))
+        return self * -1
 
     def __sub__(self, other):
-        s = _as_fraction(other)
-        if s is not None:
-            return QSeries((self._coeffs[0] - s,) + self._coeffs[1:])
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return QSeries(tuple(self._coeffs[i] - other._coeffs[i] for i in range(n)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        s = _as_fraction(other)
-        if s is None:
-            return NotImplemented
-        return QSeries((s - self._coeffs[0],) + tuple(-c for c in self._coeffs[1:]))
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
         s = _as_fraction(other)
         if s is not None:
-            return QSeries(tuple(c * s for c in self._coeffs))
+            nums = [x * s.numerator for x in self._nums]
+            return QSeries._make(nums, self._den * s.denominator)
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return QSeries(_conv(self._coeffs, other._coeffs, n))
+        n = min(len(self._nums), len(other._nums))
+        nums = _iconv(self._nums[:n], other._nums[:n], n)
+        return QSeries._make(nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -260,29 +270,25 @@ class QSeries:
         if s is not None:
             if s == 0:
                 raise ZeroDivisionError("scalar division by zero")
-            return QSeries(tuple(c / s for c in self._coeffs))
+            return self * (1 / s)
         if not isinstance(other, QSeries):
             return NotImplemented
         v = other.valuation()
         if v is None:
             raise DivisionByNonUnit("division by a series that is zero to its order")
-        num, den = self._coeffs, other._coeffs
-        if v > 0:
-            # cancel the common power q**v before dividing by a unit
-            uval = self.valuation()
-            have = len(self._coeffs) if uval is None else uval
-            if have < v:
-                raise DivisionByNonUnit(
-                    f"divisor valuation {v} exceeds dividend valuation {have}"
-                )
-            num = num[v:]
-            den = den[v:]
-            if not num:
-                raise DivisionByNonUnit(
-                    "dividend has too few tracked coefficients after cancelling q**%d" % v
-                )
-        order = min(len(num), len(den))
-        return QSeries(_divide_unit(num, den, order))
+        # cancel the common power q**v before dividing by a unit
+        have = self.valuation()
+        have = len(self._nums) if have is None else have
+        if have < v:
+            raise DivisionByNonUnit(
+                f"divisor valuation {v} exceeds dividend valuation {have}"
+            )
+        if v == len(self._nums):
+            raise DivisionByNonUnit(
+                "dividend has too few tracked coefficients after cancelling q**%d" % v
+            )
+        num, den = self._nums[v:], other._nums[v:]
+        return _divide_unit(num, self._den, den, other._den, min(len(num), len(den)))
 
     def __pow__(self, n: int) -> QSeries:
         if not isinstance(n, int):
@@ -307,28 +313,26 @@ class QSeries:
         k w_k = sum_{j=1..k} ((alpha + 1) j - k) u_j w_{k-j}.  For integer
         alpha the result agrees with repeated multiplication.  It runs on
         integers: u is held as numerators over one denominator, w as
-        numerators over a running one (``_append``), so each term costs two
-        integer dot products and one gcd.
+        numerators over a running one (``SeriesBuilder``), so each term
+        costs two integer dot products and one gcd.
         """
-        if self._coeffs[0] != 1:
-            raise NonUnitBase(
-                f"rational power needs constant term 1, got {self._coeffs[0]}"
-            )
+        nums, den = self._nums, self._den
+        if nums[0] != den:
+            raise NonUnitBase(f"rational power needs constant term 1, got {self[0]}")
         # u_j = nums[j] / den, alpha + 1 = p / q and w_j = o[j] / L, so
         # k w_k = (p sum_j j nums_j o_{k-j} - q k sum_j nums_j o_{k-j}) / (q den L)
-        nums, den = _common(self._coeffs)
         a1 = Fraction(alpha) + 1
         p, q = a1.numerator, a1.denominator
         n = len(nums)
         rn = nums[::-1]
         rjn = [j * x for j, x in enumerate(nums)][::-1]
-        o = [1]
-        dl = 1
+        w = SeriesBuilder()
+        w.append(1, 1)
         for k in range(1, n):
-            s1 = sum(map(mul, o, rjn[n - 1 - k : n - 1]))
-            s0 = sum(map(mul, o, rn[n - 1 - k : n - 1]))
-            dl = _append(o, dl, p * s1 - q * k * s0, q * k * den * dl)
-        return QSeries(_fractions(o, dl))
+            s1 = sum(map(mul, w.nums, rjn[n - 1 - k : n - 1]))
+            s0 = sum(map(mul, w.nums, rn[n - 1 - k : n - 1]))
+            w.append(p * s1 - q * k * s0, q * k * den * w.den)
+        return w.series()
 
     def compose(self, inner: QSeries) -> QSeries:
         """Substitute ``inner`` into this series; inner(0) must vanish.
@@ -339,22 +343,22 @@ class QSeries:
         """
         if not isinstance(inner, QSeries):
             raise TypeError("compose expects a QSeries inner argument")
-        if inner._coeffs[0] != 0:
+        if inner._nums[0]:
             raise NonvanishingInnerConstant(
-                f"inner constant term must vanish, got {inner._coeffs[0]}"
+                f"inner constant term must vanish, got {inner[0]}"
             )
         v = inner.valuation()
         if v is None:
             # inner is zero to its order: the composition is the constant term
-            return QSeries((self._coeffs[0],) + (Fraction(0),) * (inner.order - 1))
-        target = min(inner.order, len(self._coeffs) * v)
+            return QSeries._constant(self[0], inner.order)
+        target = min(inner.order, len(self._nums) * v)
         # inner = q**v * (g/d) * w with w an integer series of content 1, so
         # inner**k = q**(k v) (g/d)**k w**k and only w**k needs convolving
-        nums, d = _common(inner._coeffs[v:target])
+        nums = inner._nums[v:target]
         g = gcd(*nums)
         w = [x // g for x in nums]
-        ratio = Fraction(g, d)
-        scalars = [self._coeffs[k] * ratio**k for k in range((target - 1) // v + 1)]
+        ratio = Fraction(g, inner._den)
+        scalars = [self[k] * ratio**k for k in range((target - 1) // v + 1)]
         den = lcm(*(s.denominator for s in scalars))
         acc = [0] * target
         power = [1]
@@ -365,22 +369,22 @@ class QSeries:
                 scale = s.numerator * (den // s.denominator)
                 for i, p in enumerate(power, k * v):
                     acc[i] += scale * p
-        return QSeries(_fractions(acc, den))
+        return QSeries._make(acc, den)
 
     def derive(self) -> QSeries:
         """Apply D = q d/dq: multiply each coefficient by its exponent."""
-        return QSeries(tuple(i * c for i, c in enumerate(self._coeffs)))
+        return QSeries._make([i * x for i, x in enumerate(self._nums)], self._den)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return self._coeffs[:n] == other._coeffs[:n]
+        da, db = self._den, other._den
+        return all(x * db == y * da for x, y in zip(self._nums, other._nums))
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:6])
-        tail = ", ..." if len(self._coeffs) > 6 else ""
-        return f"QSeries([{shown}{tail}], order={len(self._coeffs)})"
+        shown = ", ".join(str(c) for c in self[:6])
+        tail = ", ..." if len(self._nums) > 6 else ""
+        return f"QSeries([{shown}{tail}], order={len(self._nums)})"
 
 
 class PuiseuxSeries:
@@ -402,7 +406,7 @@ class PuiseuxSeries:
         v = body.valuation()
         if v:
             off += v
-            body = QSeries(body.coeffs[v:])
+            body = QSeries._make(body._nums[v:], body._den)
         self._offset = off
         self._body = body
 
@@ -439,7 +443,7 @@ class PuiseuxSeries:
             # a constant is known exactly at every order, so pad it enough
             # that the min-order rule cannot eat tracked information
             pad = self._body.order + abs(int(self._offset)) + 1
-            return PuiseuxSeries(0, QSeries((s,) + (Fraction(0),) * pad))
+            return PuiseuxSeries(0, QSeries._constant(s, pad + 1))
         return None
 
     def __add__(self, other):
@@ -457,12 +461,8 @@ class PuiseuxSeries:
             )
         if d < 0:
             return rhs.__add__(self)
-        k = int(d)
-        order = min(self._body.order, k + rhs._body.order)
-        cs = list(self._body.coeffs[:order])
-        for i in range(max(0, order - k)):
-            cs[i + k] += rhs._body[i]
-        return PuiseuxSeries(self._offset, QSeries(cs))
+        # the body sum's min-order rule gives order min(self.order, d + rhs.order)
+        return PuiseuxSeries(self._offset, self._body + rhs._body.shift(int(d)))
 
     __radd__ = __add__
 
@@ -484,49 +484,32 @@ class PuiseuxSeries:
     def __mul__(self, other):
         if isinstance(other, PuiseuxSeries):
             return PuiseuxSeries(self._offset + other._offset, self._body * other._body)
-        if isinstance(other, QSeries):
-            return PuiseuxSeries(self._offset, self._body * other)
-        s = _as_fraction(other)
-        if s is not None:
-            return PuiseuxSeries(self._offset, self._body * s)
-        return NotImplemented
+        body = self._body.__mul__(other)  # a QSeries or a scalar
+        return body if body is NotImplemented else PuiseuxSeries(self._offset, body)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, QSeries):
             other = PuiseuxSeries(0, other)
-        if isinstance(other, PuiseuxSeries):
-            if other.is_zero():
-                raise DivisionByNonUnit("division by a zero Puiseux series")
-            if self.is_zero():
-                order = min(self._body.order, other._body.order)
-                return PuiseuxSeries(self._offset - other._offset, QSeries.zero(order))
-            return PuiseuxSeries(
-                self._offset - other._offset, self._body / other._body
-            )
-        s = _as_fraction(other)
-        if s is not None:
-            if s == 0:
-                raise ZeroDivisionError("scalar division by zero")
-            return PuiseuxSeries(self._offset, self._body / s)
-        return NotImplemented
+        if not isinstance(other, PuiseuxSeries):
+            body = self._body.__truediv__(other)  # a scalar
+            return body if body is NotImplemented else PuiseuxSeries(self._offset, body)
+        if other.is_zero():
+            raise DivisionByNonUnit("division by a zero Puiseux series")
+        # a nonzero body is a unit, so a zero body divides to zeros of the
+        # smaller order
+        return PuiseuxSeries(self._offset - other._offset, self._body / other._body)
 
     def __rtruediv__(self, other):
-        s = _as_fraction(other)
-        if s is None:
-            return NotImplemented
-        if self.is_zero():
-            raise DivisionByNonUnit("division by a zero Puiseux series")
-        num = QSeries((s,) + (Fraction(0),) * (self._body.order - 1))
-        return PuiseuxSeries(-self._offset, num / self._body)
+        lhs = self._coerce(other)
+        return NotImplemented if lhs is None else lhs / self
 
     def derive(self) -> PuiseuxSeries:
         """D = q d/dq on q**(offset+i): multiply by offset + i."""
-        a = self._offset
-        return PuiseuxSeries(
-            a, QSeries(tuple((a + i) * c for i, c in enumerate(self._body.coeffs)))
-        )
+        p, r, body = self._offset.numerator, self._offset.denominator, self._body
+        nums = [(p + i * r) * x for i, x in enumerate(body._nums)]
+        return PuiseuxSeries(self._offset, QSeries._make(nums, body._den * r))
 
     def sqrt(self) -> PuiseuxSeries:
         """Square root normalized to leading coefficient 1.

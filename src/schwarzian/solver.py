@@ -34,7 +34,7 @@ from .errors import (
     NotProportional,
     OdeResidualNonzero,
 )
-from .series import PuiseuxSeries, QSeries, _append, _common, _fractions
+from .series import PuiseuxSeries, QSeries, SeriesBuilder
 
 CONVENTION_NOTE = (
     "derivative convention: D = q d/dq; verified constants are "
@@ -81,22 +81,22 @@ def verify_proportionality(sd: QSeries) -> Fraction:
 def _frobenius(b: Fraction, order: int) -> PuiseuxSeries:
     """The solution q**b (1 + ...) of D(D(y)) - b**2 E4 y = 0 to ``order`` terms,
     from c_k k(k + 2b) = b**2 sum_{j>=1} E4_j c_{k-j} on integer numerators
-    (``series._append``).  InvalidParameters when 2b is an integer (resonant).
+    (``SeriesBuilder``).  InvalidParameters when 2b is an integer (resonant).
     """
     b = Fraction(b)
     if b.denominator <= 2:
         raise InvalidParameters(f"2b = {2 * b} is an integer: resonant recurrence")
-    # b = p/q, E4_j = e_j/d and c_j = o_j/L, so
+    # b = p/q, E4_j = e_j/d and c_j = o_j/L (o.nums over o.den), so
     # c_k = p^2 sum_j e_j o_{k-j} / (q d L k (k q + 2 p))
-    e, d = _common(forms.eisenstein(4, order).coeffs)
-    p, q = b.numerator, b.denominator
-    re = e[::-1]
-    o = [1]
-    dl = 1
+    e4 = forms.eisenstein(4, order)
+    p, q, d = b.numerator, b.denominator, e4.denominator
+    re = e4.numerators[::-1]
+    o = SeriesBuilder()
+    o.append(1, 1)
     for k in range(1, order):
-        acc = sum(map(mul, o, re[order - 1 - k : order - 1]))
-        dl = _append(o, dl, p * p * acc, q * d * dl * k * (k * q + 2 * p))
-    return PuiseuxSeries(b, QSeries(_fractions(o, dl)))
+        acc = sum(map(mul, o.nums, re[order - 1 - k : order - 1]))
+        o.append(p * p * acc, q * d * o.den * k * (k * q + 2 * p))
+    return PuiseuxSeries(b, o.series())
 
 
 def ode_solutions(h: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:

@@ -246,6 +246,18 @@ def test_bad_tau_is_usage_error(capsys):
     assert "tau" in err
 
 
+@pytest.mark.parametrize("tau", ["nan+2i", "0.3+nani"])
+def test_non_finite_tau_is_usage_error_before_solving(capsys, monkeypatch, tau):
+    def unreachable(*args):
+        raise AssertionError("solved for a non-finite tau")
+
+    monkeypatch.setattr(solver, "solve", unreachable)
+    code, out, err = run_cli(capsys, "eval", "--m", "7", "--n", "1", "--tau", tau)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tau = ")
+
+
 def test_eval_refuses_n_beyond_m_before_solving(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("solved a pair the closed form does not cover")

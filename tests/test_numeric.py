@@ -22,6 +22,7 @@ from schwarzian import (
     eval_h_hypergeometric,
     eval_qseries,
     j_inverse,
+    numeric,
     solve,
     solver,
 )
@@ -79,6 +80,47 @@ def test_cross_check_refuses_before_solving(monkeypatch):
     with pytest.raises(NotUpperHalfPlane, match="nonpositive imaginary part"):
         cross_check(7, 1, -2j)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "tau", [complex("nan+2j"), complex(0, float("inf")), complex(float("inf"), 2)]
+)
+def test_non_finite_tau_is_refused_before_solving(monkeypatch, tau):
+    def unreachable(*args):
+        raise AssertionError("solved for a non-finite tau")
+
+    monkeypatch.setattr(solver, "solve", unreachable)
+    with pytest.raises(NotUpperHalfPlane):
+        eval_qseries(QSeries([1, 1]), tau)
+    with pytest.raises(NotUpperHalfPlane):
+        eval_h_hypergeometric(7, 1, tau)
+    with pytest.raises(NotUpperHalfPlane):
+        cross_check(7, 1, tau)
+
+
+@pytest.mark.parametrize("n_terms", [0, 1])
+def test_eval_h_refuses_too_few_terms_before_building(monkeypatch, n_terms):
+    def unreachable(*args):
+        raise AssertionError("built a series for too few terms")
+
+    monkeypatch.setattr(numeric, "hypergeom_coeffs", unreachable)
+    monkeypatch.setattr(numeric, "_z_series", unreachable)
+    with pytest.raises(InvalidParameters, match="n_terms must be >= 2"):
+        eval_h_hypergeometric(7, 1, 2j, n_terms=n_terms)
+
+
+@pytest.mark.parametrize(
+    "tau", [0.1 + 115j, 0.1 + 150j, 0.1 + 400j, -0.5 + 400j, 0.5 + 150j, 3.2 + 400j]
+)
+def test_doubles_where_q_underflows(tau):
+    # q = exp(2 pi i tau) is subnormal in doubles from Im tau ~ 112.7 and 0
+    # from ~ 118.6, while h ~ |q|**(1/7) still fits: 1.2e-156 at Im tau = 400
+    reference = eval_h_hypergeometric(7, 1, tau, precision=200)
+    got = eval_h_hypergeometric(7, 1, tau)
+    assert got != 0
+    assert float(abs(got - reference) / abs(reference)) < 1e-12
+    h = solve(7, 1, 20).h
+    assert float(abs(eval_qseries(h, tau) - reference) / abs(reference)) < 1e-12
 
 
 def test_eval_h_parameter_validation():

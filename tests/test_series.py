@@ -6,7 +6,10 @@ helper) before being frozen, so the series engine is checked against
 arithmetic it did not produce.
 """
 
+import ast
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -479,3 +482,144 @@ def test_pow_rational_matches_exp_log_reference(rest, alpha):
     out = QSeries(u).pow_rational(alpha).coeffs
     assert all(type(c) is F for c in out)
     assert exact(out) == exact(ref_pow_rational(u, alpha))
+
+
+# The linear operations, derive, truncate, shift and == compute on integer
+# numerators over one denominator; these plain-Fraction loops are their
+# reference.
+
+scalars = st.one_of(mixed, st.integers(min_value=-50, max_value=50))
+
+
+def ref_add(a, b, sign=1):
+    return [x + sign * y for x, y in zip(a, b)]
+
+
+def padded(s, order):
+    return [F(s)] + [F(0)] * (order - 1)
+
+
+@given(kernel_coeffs(), kernel_coeffs(), scalars)
+@settings(max_examples=150, deadline=None)
+def test_add_sub_match_fraction_reference(a, b, s):
+    x, y = QSeries(a), QSeries(b)
+    assert exact((x + y).coeffs) == exact(ref_add(a, b))
+    assert exact((x - y).coeffs) == exact(ref_add(a, b, -1))
+    assert exact((x + s).coeffs) == exact(ref_add(a, padded(s, len(a))))
+    assert exact((s + x).coeffs) == exact(ref_add(a, padded(s, len(a))))
+    assert exact((x - s).coeffs) == exact(ref_add(a, padded(s, len(a)), -1))
+    assert exact((s - x).coeffs) == exact(ref_add(padded(s, len(a)), a, -1))
+    assert exact((-x).coeffs) == exact([-c for c in a])
+
+
+@given(kernel_coeffs(), scalars)
+@settings(max_examples=150, deadline=None)
+def test_scalar_mul_div_match_fraction_reference(a, s):
+    x = QSeries(a)
+    assert exact((x * s).coeffs) == exact([c * s for c in a])
+    assert exact((s * x).coeffs) == exact([s * c for c in a])
+    if s:
+        assert exact((x / s).coeffs) == exact([c / F(s) for c in a])
+
+
+@given(kernel_coeffs(), st.integers(min_value=1, max_value=30), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_derive_truncate_shift_match_fraction_reference(a, order, k):
+    x = QSeries(a)
+    assert exact(x.derive().coeffs) == exact([i * c for i, c in enumerate(a)])
+    assert exact(x.truncate(order).coeffs) == exact(a[:order])
+    assert exact(x.shift(k).coeffs) == exact([F(0)] * k + a)
+
+
+@given(kernel_coeffs(), kernel_coeffs(min_size=0), st.integers(0, 25), scalars)
+@settings(max_examples=150, deadline=None)
+def test_prefix_equality_matches_fraction_reference(a, tail, cut, s):
+    # b shares a prefix of a, then continues with other coefficients, so
+    # its common denominator generally differs from a's
+    b = a[: max(1, cut)] + tail
+    n = min(len(a), len(b))
+    assert (QSeries(a) == QSeries(b)) == (a[:n] == b[:n])
+    c = list(b)
+    c[min(cut, len(c) - 1)] += 1
+    assert (QSeries(a) == QSeries(c)) == (a[:n] == c[:n])
+    assert QSeries(a) == QSeries(a[: max(1, cut)]) == QSeries(a + [F(s)])
+
+
+@given(kernel_coeffs(), kernel_coeffs(), scalars.filter(lambda x: x != 0))
+@settings(max_examples=100, deadline=None)
+def test_results_are_stored_in_lowest_terms(a, b, s):
+    """The integer view: numerators over a positive denominator sharing no factor."""
+    x, y = QSeries(a), QSeries(b)
+    results = [x, x + y, x - y, s - x, x * s, x / s, -x, x.derive(), x * y]
+    results += [x.truncate(1 + len(a) // 2), x.shift(2)]
+    results.append(PuiseuxSeries(F(1, 3), x).derive().body)
+    for r in results:
+        assert r.denominator > 0
+        assert gcd(r.denominator, *r.numerators) == 1
+        assert r.coeffs == tuple(F(n, r.denominator) for n in r.numerators)
+
+
+def puiseux_terms(offset, body):
+    """{exponent: coefficient} of q**offset * body, and the exclusive bound."""
+    return {offset + i: c for i, c in enumerate(body)}, offset + len(body)
+
+
+def check_terms(p, terms, bound):
+    """p agrees with the reference terms (missing ones are 0) below bound."""
+    if p.is_zero():
+        assert not any(terms.values())
+        return
+    assert p.offset + p.order == bound
+    for i, c in enumerate(p.body.coeffs):
+        assert c == terms.get(p.offset + i, 0)
+    assert not any(c for e, c in terms.items() if e < p.offset)
+
+
+offsets = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+nonzero_bodies = kernel_coeffs(max_size=12).filter(any)
+
+
+@given(offsets, st.integers(-8, 8), nonzero_bodies, nonzero_bodies)
+@settings(max_examples=150, deadline=None)
+def test_puiseux_add_sub_match_fraction_reference(offset, gap, a, b):
+    x = PuiseuxSeries(offset, QSeries(a))
+    y = PuiseuxSeries(offset + gap, QSeries(b))
+    ta, ea = puiseux_terms(offset, a)
+    tb, eb = puiseux_terms(offset + gap, b)
+    bound = min(ea, eb)
+    for sign, got in ((1, x + y), (-1, x - y)):
+        terms = {e: ta.get(e, 0) + sign * tb.get(e, 0) for e in set(ta) | set(tb)}
+        check_terms(got, {e: c for e, c in terms.items() if e < bound}, bound)
+
+
+@given(offsets, nonzero_bodies)
+@settings(max_examples=150, deadline=None)
+def test_puiseux_derive_matches_fraction_reference(offset, a):
+    terms, bound = puiseux_terms(offset, a)
+    check_terms(
+        PuiseuxSeries(offset, QSeries(a)).derive(),
+        {e: e * c for e, c in terms.items()},
+        bound,
+    )
+
+
+def test_only_series_reaches_its_private_names():
+    """No module but series.py imports an underscore name from .series:
+    the integer numerators and their denominator stay its own business."""
+    package = Path(__file__).resolve().parents[1] / "src" / "schwarzian"
+    leaks = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "series"
+                and node.level == 1
+            ):
+                leaks += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert leaks == []
