@@ -40,7 +40,9 @@ def _cplx(value: complex) -> dict[str, str]:
 
 
 def _parse_tau(text: str) -> complex:
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    cleaned = text.strip().replace(" ", "")
+    if cleaned.endswith("i"):  # only the imaginary unit, so "inf" still parses
+        cleaned = cleaned[:-1] + "j"
     try:
         value = complex(cleaned)
     except ValueError:

@@ -8,7 +8,9 @@ one member of the solution pair
 
 where s is the signed residue (+n' for the first component, -n' for the
 second).  The two recipes are one parameterized formula evaluated at +-n',
-and the assembled series is q**((m+s)/2m) (1 + O(q)).
+and the assembled series is q**((m+s)/2m) (1 + O(q)).  Both components
+are series in the same 1728/j, so ``component_series`` takes that series
+as built by the caller (``vvmf.minimal_form`` builds it once per form).
 
 The scalar 1728**outer_power that a literal reading of (1728/j)**outer_power
 would contribute is dropped: components are normalized to leading
@@ -97,20 +99,23 @@ def component_recipe(m: int, n_prime: int, component: str) -> ComponentRecipe:
     return ComponentRecipe(m, n_prime if component == "first" else -n_prime)
 
 
-def component_series(recipe: ComponentRecipe, order: int) -> PuiseuxSeries:
-    """Assemble a component as a Puiseux series with ``order`` body terms.
+def component_series(recipe: ComponentRecipe, jinv: QSeries) -> PuiseuxSeries:
+    """Assemble a component from 1728/j as ``forms.j_inverse(order + 1)``,
+    as a Puiseux series with ``order = jinv.order - 1`` body terms.
 
-    RecipeInconsistent is raised if the assembled offset or leading
-    coefficient disagree with the recipe's own bookkeeping.
+    The 2F1 series is composed into ``jinv`` itself, whose min-order rule
+    gives ``order`` terms; ``QSeries.compose`` keeps the powers of 1728/j on
+    ``jinv``, so the second component composed into the same series
+    convolves none of them again.  RecipeInconsistent is raised if the
+    assembled offset or leading coefficient disagree with the recipe's own
+    bookkeeping.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = jinv.order - 1
     eta_body = forms.eta_power(ETA_EXPONENT, order).body
-    jinv = forms.j_inverse(order + 1)
     # unit part of 1728/j = 1728 q * u(q): the body once q**1 is absorbed
     u = PuiseuxSeries(0, jinv).body / 1728
     outer_body = u.pow_rational(recipe.outer_power)
-    composed = hypergeom_coeffs(recipe.params, order).compose(jinv.truncate(order))
+    composed = hypergeom_coeffs(recipe.params, order).compose(jinv)
     body = eta_body * outer_body * composed
     result = PuiseuxSeries(Fraction(ETA_EXPONENT, 24) + recipe.outer_power, body)
     if result.offset != recipe.offset:

@@ -31,10 +31,13 @@ for no gcd at all.  Composition writes the inner series as q**v (g/d) w
 with w an integer series of content 1, builds the powers of w by integer
 convolution, and applies the rational scalar f_k (g/d)**k once per power
 (Brent and Kung, J. ACM 1978, cover fast composition; this is the plain
-power-sum form).  Rational powers follow the classical power recurrence
-(J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7).  A series solved one
-coefficient at a time (division, rational powers, and elsewhere in the
-package the Frobenius and hypergeometric recurrences) is built by
+power-sum form).  The powers of w are kept on the inner instance, so a
+second series composed into the same inner one (the two components of a
+form, both series in one 1728/j) convolves no power again; they live as
+long as that instance does.  Rational powers follow the classical power
+recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7).  A series
+solved one coefficient at a time (division, rational powers, and elsewhere
+in the package the Frobenius and hypergeometric recurrences) is built by
 :class:`SeriesBuilder`, whose running common denominator grows to the lcm
 whenever a new term needs it: each term costs integer dot products and one
 gcd, where ``Fraction`` arithmetic paid a gcd per product.
@@ -140,7 +143,7 @@ class QSeries:
     (Fraction(0, 1), Fraction(2, 1), Fraction(6, 1))
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_powers")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = list(coeffs)
@@ -153,6 +156,7 @@ class QSeries:
         den = lcm(*(c.denominator for c in cs))
         self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
         self._den = den
+        self._powers = None
 
     @classmethod
     def _make(cls, nums, den: int) -> QSeries:
@@ -164,6 +168,7 @@ class QSeries:
         s = cls.__new__(cls)
         s._nums = tuple(nums)
         s._den = den
+        s._powers = None
         return s
 
     @classmethod
@@ -339,7 +344,11 @@ class QSeries:
 
         Result order is min(inner.order, self.order * val(inner)), the largest
         order at which no untracked coefficient of either operand can
-        contribute.
+        contribute.  The integer powers of w (inner = q**v (g/d) w) are kept
+        on ``inner``, keyed by (v, target) with target the result order: a
+        later composition into ``inner`` at the same target convolves no
+        power again, one at another target rebuilds them.  They are dropped
+        with ``inner``.
         """
         if not isinstance(inner, QSeries):
             raise TypeError("compose expects a QSeries inner argument")
@@ -352,19 +361,24 @@ class QSeries:
             # inner is zero to its order: the composition is the constant term
             return QSeries._constant(self[0], inner.order)
         target = min(inner.order, len(self._nums) * v)
-        # inner = q**v * (g/d) * w with w an integer series of content 1, so
-        # inner**k = q**(k v) (g/d)**k w**k and only w**k needs convolving
-        nums = inner._nums[v:target]
-        g = gcd(*nums)
-        w = [x // g for x in nums]
+        memo = inner._powers
+        if memo is None or memo[0] != (v, target):
+            # inner = q**v * (g/d) * w with w an integer series of content 1,
+            # so inner**k = q**(k v) (g/d)**k w**k and only w**k needs
+            # convolving, to target - k v terms
+            nums = inner._nums[v:target]
+            g = gcd(*nums)
+            w = [x // g for x in nums]
+            powers = [[1]]
+            for k in range(1, (target - 1) // v + 1):
+                powers.append(_iconv(powers[-1], w, target - k * v))
+            memo = inner._powers = ((v, target), g, powers)
+        _, g, powers = memo
         ratio = Fraction(g, inner._den)
-        scalars = [self[k] * ratio**k for k in range((target - 1) // v + 1)]
+        scalars = [self[k] * ratio**k for k in range(len(powers))]
         den = lcm(*(s.denominator for s in scalars))
         acc = [0] * target
-        power = [1]
-        for k, s in enumerate(scalars):
-            if k:
-                power = _iconv(power, w, target - k * v)
+        for k, (s, power) in enumerate(zip(scalars, powers)):
             if s:
                 scale = s.numerator * (den // s.denominator)
                 for i, p in enumerate(power, k * v):

@@ -100,12 +100,21 @@ class VectorForm:
 
 
 def minimal_form(rep: ReprData, order: int) -> VectorForm:
-    """The weight-5 form with unit leading coefficients for both components."""
+    """The weight-5 form with unit leading coefficients for both components.
+
+    Both components are series in one 1728/j, built here once as
+    ``forms.j_inverse(order + 1)``.  The powers of it that the first
+    component's composition convolves are kept on that series and reused by
+    the second; they are dropped with it when this returns.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    jinv = forms.j_inverse(order + 1)
     first = hypergeometric.component_series(
-        hypergeometric.component_recipe(rep.m, rep.n_prime, "first"), order
+        hypergeometric.component_recipe(rep.m, rep.n_prime, "first"), jinv
     )
     second = hypergeometric.component_series(
-        hypergeometric.component_recipe(rep.m, rep.n_prime, "second"), order
+        hypergeometric.component_recipe(rep.m, rep.n_prime, "second"), jinv
     )
     return VectorForm(first=first, second=second, weight=MINIMAL_WEIGHT, rep=rep, level=0)
 

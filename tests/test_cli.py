@@ -246,7 +246,7 @@ def test_bad_tau_is_usage_error(capsys):
     assert "tau" in err
 
 
-@pytest.mark.parametrize("tau", ["nan+2i", "0.3+nani"])
+@pytest.mark.parametrize("tau", ["nan+2i", "0.3+nani", "0+infi", "inf+2i"])
 def test_non_finite_tau_is_usage_error_before_solving(capsys, monkeypatch, tau):
     def unreachable(*args):
         raise AssertionError("solved for a non-finite tau")

@@ -17,6 +17,7 @@ from schwarzian import (
     component_recipe,
     component_series,
     hypergeom_coeffs,
+    j_inverse,
 )
 
 F = Fraction
@@ -115,7 +116,7 @@ def test_component_series_shape():
     for m, n in ((7, 1), (7, 2)):
         for which in ("first", "second"):
             rec = component_recipe(m, n, which)
-            s = component_series(rec, 10)
+            s = component_series(rec, j_inverse(11))
             assert s.offset == rec.offset
             assert s.leading == 1
             assert s.order == 10

@@ -440,6 +440,19 @@ def test_compose_kernel_matches_fraction_reference(outer, inner):
     assert exact(out) == exact(ref_compose(outer, inner))
 
 
+@given(st.lists(kernel_coeffs(), min_size=2, max_size=3, unique_by=len), inner_series())
+@settings(max_examples=100, deadline=None)
+def test_compose_into_one_inner_reuses_powers_exactly(outers, inner):
+    # compose keeps the powers of the inner series on the instance; outer
+    # series of other lengths ask for other result orders, so each later call
+    # in either order must rebuild them rather than read a stale set
+    shared = QSeries(inner)
+    for outer in outers + outers[::-1]:
+        out = exact(QSeries(outer).compose(shared).coeffs)
+        assert out == exact(ref_compose(outer, inner))
+        assert out == exact(QSeries(outer).compose(QSeries(inner)).coeffs)
+
+
 @st.composite
 def division_pairs(draw):
     """(a, b) with b = q**v (c + ...), c nonzero of either sign and often not

@@ -8,6 +8,7 @@ here by path, unchanged.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from schwarzian import solver
@@ -47,6 +48,15 @@ def test_tracer_records_a_traced_solve():
         solver.solve(7, 9, 6)
     finally:
         tracer.uninstall()
-    names = {tracer.names[span[0]] for span in tracer.spans}
-    assert {"solver.solve", "vvmf.raise_weight", "series.QSeries.pow_rational"} <= names
+    calls = Counter(tracer.names[span[0]] for span in tracer.spans)
+    assert {
+        "solver.solve",
+        "vvmf.raise_weight",
+        "series.QSeries.pow_rational",
+        "hypergeometric.component_series",
+        "series.QSeries.compose",
+    } <= set(calls)
     assert all(span[4] for span in tracer.spans)
+    assert tracer.bits["hypergeometric.component_series"] > 0
+    # one 1728/j per form, shared by both components
+    assert calls["forms.j_inverse"] == calls["vvmf.minimal_form"] == 1
