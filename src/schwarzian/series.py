@@ -34,9 +34,9 @@ convolution, and applies the rational scalar f_k (g/d)**k once per power
 power-sum form).  The powers of w are kept on the inner instance, so a
 second series composed into the same inner one (the two components of a
 form, both series in one 1728/j) convolves no power again; they live as
-long as that instance does.  Rational powers follow the classical power
+long as that instance does.  Integer and rational powers follow one power
 recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7).  A series
-solved one coefficient at a time (division, rational powers, and elsewhere
+solved one coefficient at a time (division, powers, and elsewhere
 in the package the Frobenius and hypergeometric recurrences) is built by
 :class:`SeriesBuilder`, whose running common denominator grows to the lcm
 whenever a new term needs it: each term costs integer dot products and one
@@ -296,20 +296,18 @@ class QSeries:
         return _divide_unit(num, self._den, den, other._den, min(len(num), len(den)))
 
     def __pow__(self, n: int) -> QSeries:
+        """self**n (n >= 0) as q**(n v) c**n u**n for self = q**v c u, u(0) = 1,
+        with u**n from the power recurrence of ``pow_rational``."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("integer powers must be >= 0; use pow_rational or divide")
-        result = QSeries.one(self.order)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        order, v = len(self._nums), self.valuation()
+        if n == 0 or v is None or v * n >= order:
+            return QSeries.one(order) if n == 0 else QSeries.zero(order)
+        c = Fraction(self._nums[v], self._den)
+        u = QSeries._make(self._nums[v:], self._den) / c
+        return (u.pow_rational(n) * c**n).shift(v * n).truncate(order)
 
     def pow_rational(self, alpha: Scalar) -> QSeries:
         """u**alpha for rational alpha; the base must have constant term 1.

@@ -63,19 +63,20 @@ def schwarz_derivative(h: PuiseuxSeries) -> QSeries:
 
 
 def verify_proportionality(sd: QSeries) -> Fraction:
-    """Check sd = c * E4 exactly through its order; return c.
+    """Check sd = c * E4 exactly through its order; return c = sd[0].
 
-    Raises NotProportional with the first failing index and the residual
-    value there.
+    As E4 = 1 + O(q), the first nonzero coefficient of sd - c E4 is that of
+    sd / E4; NotProportional reports its index and value.
     """
-    ratio = sd / forms.eisenstein(4, sd.order)
-    for i in range(1, sd.order):
-        if ratio[i]:
-            raise NotProportional(
-                f"sd / E4 is not constant: coefficient {ratio[i]} at q^{i}",
-                index=i,
-            )
-    return ratio[0]
+    c = sd[0]
+    residual = sd - forms.eisenstein(4, sd.order) * c
+    i = residual.valuation()
+    if i is not None:
+        raise NotProportional(
+            f"sd / E4 is not constant: coefficient {residual[i]} at q^{i}",
+            index=i,
+        )
+    return c
 
 
 def _frobenius(b: Fraction, order: int) -> PuiseuxSeries:
@@ -154,8 +155,8 @@ def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
     verification below runs to that order in exact arithmetic and raises on
     the first failure:
 
-    * Wronskian = c Delta**(level+1) with c nonzero, at every level;
-    * {h} / E4 constant, equal to -(1/2)(n/m)**2;
+    * W = c Delta**(level+1), c != 0, as D W = (level+1) E2 W, at every level;
+    * {h} - c E4 = 0 with c = {h}[0] = -(1/2)(n/m)**2;
     * D(D(y)) + s E4 y = 0 for y = h y2, s = -(n/2m)**2, with y2 the
       Frobenius solution q**(-n/2m) (1 + ...): it holds only if h = y1 / y2,
       so OdeResidualNonzero names the first coefficient of h that differs.

@@ -8,8 +8,9 @@ coefficient cancels exactly; its exponent moves up by 1 while the second
 component's exponent stays put.  Each raise adds 6 to the weight.
 
 The Wronskian W(F) = D(f1) f2 - f1 D(f2) of a form with exponents summing to
-the integer e must be a nonzero constant multiple of Delta**e; wronskian_check
-verifies that coefficient by coefficient and returns (c, e).
+the integer e must be a nonzero constant multiple of Delta**e.  As D Delta =
+E2 Delta (D_12 Delta = 0, checked by the classical-identities criterion),
+wronskian_check verifies D W = e E2 W instead, building no power of Delta.
 """
 
 from __future__ import annotations
@@ -170,8 +171,10 @@ def wronskian(form: VectorForm) -> PuiseuxSeries:
 def wronskian_check(form: VectorForm) -> tuple[Fraction, int]:
     """Verify W(F) = c Delta**e with c nonzero and e = sum of the exponents.
 
-    Returns (c, e) on success; raises NotProportionalToDeltaPower with the
-    index of the first failing coefficient otherwise.
+    Returns (c, e); raises NotProportionalToDeltaPower at the first failing
+    index otherwise.  With W = q**e wb, the residual D wb + e (1 - E2) wb is
+    D(W / Delta**e) times Delta**e's unit body, so its first nonzero
+    coefficient, at q**i, is i times the quotient's, which the message names.
     """
     e_frac = form.first.offset + form.second.offset
     if e_frac.denominator != 1 or e_frac < 1:
@@ -184,19 +187,18 @@ def wronskian_check(form: VectorForm) -> tuple[Fraction, int]:
         raise NotProportionalToDeltaPower(
             "Wronskian vanishes to working order", index=0
         )
-    delta_power = PuiseuxSeries(e, forms.eta_power(24, w.order).body ** e)
-    ratio = w / delta_power
-    if ratio.offset != 0:
+    if w.offset != e:
         raise NotProportionalToDeltaPower(
             f"Wronskian leading exponent is {w.offset}, expected {e}", index=0
         )
-    for i in range(1, ratio.order):
-        if ratio.body[i]:
-            raise NotProportionalToDeltaPower(
-                f"W / Delta**{e} has nonconstant coefficient {ratio.body[i]} at q^{i}",
-                index=i,
-            )
-    return ratio.leading, e
+    residual = w.body.derive() + w.body * (1 - forms.eisenstein(2, w.order)) * e
+    i = residual.valuation()
+    if i is not None:
+        what = f"D W - {e} E2 W has coefficient {residual[0]}"  # E2[0] != 1
+        if i:
+            what = f"W / Delta**{e} has nonconstant coefficient {residual[i] / i}"
+        raise NotProportionalToDeltaPower(f"{what} at q^{i}", index=i)
+    return w.leading, e
 
 
 def c2_closed_form(m: int, n_prime: int) -> Fraction:

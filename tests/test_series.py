@@ -475,7 +475,15 @@ def test_div_kernel_matches_fraction_reference(pair):
     assert exact(out) == exact(ref_div(a, b))
 
 
+# ** factors out q**v and the leading coefficient before the power
+# recurrence: leading zeros, a non-unit constant, a negative one, and a
+# power whose valuation passes the order
 @given(kernel_coeffs(max_size=15), st.integers(min_value=0, max_value=6))
+@example([F(0), F(2), F(1)], 3)
+@example([F(3), F(1)], 5)
+@example([F(-2, 3), F(0), F(1, 5)], 4)
+@example([F(0), F(0), F(7)], 2)
+@example([F(0), F(0)], 0)
 @settings(max_examples=100, deadline=None)
 def test_pow_kernel_matches_fraction_reference(a, k):
     assert exact((QSeries(a) ** k).coeffs) == exact(ref_pow(a, k))

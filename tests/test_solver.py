@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzian import solver, vvmf
+from schwarzian import forms, solver, vvmf
 from schwarzian import (
     DegenerateDerivative,
     InvalidParameters,
@@ -98,6 +98,8 @@ def test_verify_proportionality_reports_first_bad_index():
     with pytest.raises(NotProportional) as info:
         verify_proportionality(bad)
     assert info.value.index == 3
+    # (bad / E4)[3] = 1: the quotient's first nonconstant coefficient
+    assert str(info.value) == "sd / E4 is not constant: coefficient 1 at q^3"
 
 
 def test_solve_smallest_case():
@@ -231,6 +233,16 @@ H_SHA256 = {
     (11, 13, 30): "57834aef28f75d4a86fbd5f58ae84eb1eb54ea63a799acec4e729af684de614f",
     (7, 1, 120): "de63c8fd9fee562c58961786772116d91192733bac37a840129f6123c76c0106",
     (13, 5, 120): "43ae3efa6f82467e405bc10aad2f34ce8cded77c6388d15784a21572db71d832",
+    (9, 38, 30): "9ab162b36275dd6ad90b2409ff8e491475df38920b86310266e28f21236747b0",
+    (10, 83, 30): "853621fe39ea52fb6a6b42ea7fcdbd0ea7377dc354fa26de7e2a7e88b47665f4",
+}
+
+# sha256 of "c0:e0;c1:e1;..." for solve(m, n, order).wronskians, the (c, e)
+# of every raising level (r = 4 and r = 8), computed while the Wronskian
+# check still divided W by a power of eta**24.
+W_SHA256 = {
+    (9, 38, 30): "7ecfa0f4da3ad92440dca63714ef5a738cf9c3a0d7dd6bce9fe3c1445e48f066",
+    (10, 83, 30): "baec2803bab17eeb87d2a3e0990107deb4099e37b018836db7e3c49b84ac5f1f",
 }
 
 
@@ -239,6 +251,29 @@ def test_solution_golden_hash(m, n, order):
     h = solve(m, n, order).h
     text = ";".join(str(c) for c in (h.offset, *h.body.coeffs))
     assert hashlib.sha256(text.encode()).hexdigest() == H_SHA256[(m, n, order)]
+
+
+@pytest.mark.parametrize("m, n, order", sorted(W_SHA256))
+def test_wronskian_golden_hash(m, n, order):
+    levels = solve(m, n, order).wronskians
+    assert len(levels) == n // m + 1
+    text = ";".join(f"{c}:{e}" for c, e in levels)
+    assert hashlib.sha256(text.encode()).hexdigest() == W_SHA256[(m, n, order)]
+
+
+def test_solve_builds_eta_powers_once(monkeypatch):
+    """eta**10 once per component and eta**24 once, inside delta: the
+    Wronskian checks of the r = 4 raising levels build no power of eta."""
+    calls = []
+    original = forms.eta_power
+
+    def counted(exponent, order):
+        calls.append(exponent)
+        return original(exponent, order)
+
+    monkeypatch.setattr(forms, "eta_power", counted)
+    solve(9, 38, 30)
+    assert sorted(calls) == [10, 10, 24]
 
 
 def _e4(order):

@@ -11,12 +11,17 @@ from fractions import Fraction
 
 import pytest
 
+from schwarzian import forms, vvmf
 from schwarzian import (
     InvalidParameters,
     MINIMAL_WEIGHT,
+    NotProportionalToDeltaPower,
+    PuiseuxSeries,
+    QSeries,
     ReprData,
     c1_closed_form,
     c2_closed_form,
+    eta_power,
     minimal_form,
     raise_weight,
     raising_constants,
@@ -85,6 +90,58 @@ def test_wronskian_raw_series_leading():
     w = wronskian(form)
     assert w.offset == 1  # exp_first + exp_second
     assert w.leading == F(1, 7)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("index", [1, 2, 3, 4, 5])
+def test_wronskian_check_names_first_bad_coefficient(monkeypatch, level, index):
+    """A Wronskian bumped at q**(e + index) fails at that index, and the message
+    names the coefficient of W / Delta**e there, worked out here by dividing by
+    eta**24 raised to e."""
+    form = minimal_form(ReprData(7, 2), 16)
+    if level:
+        form = raise_weight(form)
+    original = vvmf.wronskian
+
+    def bumped(f):
+        w = original(f)
+        cs = list(w.body.coeffs)
+        cs[index] += F(-3, 7)
+        return PuiseuxSeries(w.offset, QSeries(cs))
+
+    w = bumped(form)
+    e = level + 1
+    quotient = w.body / eta_power(24, w.order).body ** e
+    monkeypatch.setattr(vvmf, "wronskian", bumped)
+    with pytest.raises(NotProportionalToDeltaPower) as info:
+        wronskian_check(form)
+    assert info.value.index == index
+    assert str(info.value) == (
+        f"W / Delta**{e} has nonconstant coefficient {quotient[index]} at q^{index}"
+    )
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_wronskian_check_catches_wrong_e2(monkeypatch, index):
+    """The check reads E2 (D Delta = E2 Delta), so an E2 bumped by 1 at q**index
+    fails the level-0 check at that index; at q**0 no quotient is named."""
+    form = minimal_form(ReprData(7, 1), 12)
+    original = forms.eisenstein
+
+    def bumped(k, order):
+        out = original(k, order)
+        if k != 2:
+            return out
+        cs = list(out.coeffs)
+        cs[index] += 1
+        return QSeries(cs)
+
+    monkeypatch.setattr(forms, "eisenstein", bumped)
+    with pytest.raises(NotProportionalToDeltaPower) as info:
+        wronskian_check(form)
+    assert info.value.index == index
+    if index == 0:
+        assert str(info.value) == "D W - 1 E2 W has coefficient -1/7 at q^0"
 
 
 def test_raising_chain_for_7_2():
