@@ -23,6 +23,7 @@ The ``schwarzian`` console script exposes the same pipeline (``solve``,
 
 from .errors import (
     DegenerateDerivative,
+    DivergentSeries,
     DivisionByNonUnit,
     IncompatibleOffsets,
     InternalMismatch,
@@ -49,6 +50,7 @@ from .forms import delta, eisenstein, eta_power, j_inverse, serre_derivative
 from .hypergeometric import (
     ComponentRecipe,
     HypergeomParams,
+    base_forms,
     component_recipe,
     component_series,
     hypergeom_coeffs,
@@ -81,6 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ComponentRecipe",
     "DegenerateDerivative",
+    "DivergentSeries",
     "DivisionByNonUnit",
     "EvalReport",
     "HypergeomParams",
@@ -110,6 +113,7 @@ __all__ = [
     "UnsupportedWeight",
     "VectorForm",
     "VerificationError",
+    "base_forms",
     "c1_closed_form",
     "c2_closed_form",
     "component_recipe",

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import forms, hypergeometric, numeric, solver, vvmf
-from .errors import OutsideDisk, VerificationError
+from .errors import DivergentSeries, OutsideDisk, VerificationError
 from .series import PuiseuxSeries, QSeries
 
 SHAPE_GRID = ((7, 1), (7, 2), (7, 3), (8, 3), (9, 2), (11, 5), (12, 5))
@@ -232,7 +232,8 @@ def check_numeric_cross_check() -> CheckResult:
 
     Every grid point lies inside the fundamental domain, where the closed
     form is defined on both sides of |1728/j| = 1; a point the evaluator
-    refuses (OutsideDisk) is reported with the reason and counts as a
+    refuses (OutsideDisk), or where the summed q-series does not converge
+    (DivergentSeries), is reported with the reason and counts as a
     failure.  Phase equivariance h(tau+1) = exp(2 pi i n/m) h(tau) is
     checked on the series route at every grid point, reusing the series
     value the cross-check summed.
@@ -249,8 +250,8 @@ def check_numeric_cross_check() -> CheckResult:
                 if not report.rel_error < NUMERIC_TOLERANCE:
                     problems.append(f"tau={tau}: rel_error exceeds {NUMERIC_TOLERANCE:g}")
                 a = report.via_series
-            except OutsideDisk as exc:
-                problems.append(f"tau={tau}: OutsideDisk ({exc})")
+            except (OutsideDisk, DivergentSeries) as exc:
+                problems.append(f"tau={tau}: {failure(exc)}")
                 a = numeric.eval_qseries(bundle.h, tau)
             # phase equivariance on the series route, all points
             b = numeric.eval_qseries(bundle.h, tau + 1)
@@ -291,8 +292,9 @@ def check_seeded_bug_sensitivity() -> CheckResult:
     """Corrupting any early coefficient of a core ingredient must be caught.
 
     For each of three ingredient series — the weight-4 Eisenstein series,
-    the 24th eta power, and the first hypergeometric component — bump one
-    of the first five coefficients by 1 and run the full solve pipeline.
+    the 24th eta power, and the first component's 2F1(1728/j) as
+    ``hypergeometric.pulled_back_2f1`` builds it — bump one of the first
+    five coefficients by 1 and run the full solve pipeline.
     The run must raise a VerificationError whose reported index is at most
     MAX_BUG_INDEX; silent success on any corruption fails this check.
     """
@@ -301,7 +303,7 @@ def check_seeded_bug_sensitivity() -> CheckResult:
     seams = [
         ("eisenstein-4", forms, "eisenstein", lambda k, order: k == 4),
         ("eta-power-24", forms, "eta_power", lambda exponent, order: exponent == 24),
-        ("hypergeometric", hypergeometric, "hypergeom_coeffs", lambda p, n: p == first),
+        ("hypergeometric", hypergeometric, "pulled_back_2f1", lambda p, base: p == first),
     ]
     for label, module, attr, hit in seams:
         for index in range(5):

@@ -22,6 +22,7 @@ from typing import Any
 from . import acceptance, numeric, solver, vvmf
 from .acceptance import CheckResult, failure, verdict
 from .errors import (
+    DivergentSeries,
     InvalidParameters,
     NotUpperHalfPlane,
     OutsideDisk,
@@ -243,7 +244,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         report = numeric.cross_check(
             args.m, args.n, tau, args.terms, precision=args.precision
         )
-    except OutsideDisk as exc:
+    except (OutsideDisk, DivergentSeries) as exc:
         return _emit(args, params, {}, [CheckResult("routes-agree", False, str(exc))])
     results = {
         "via_series": _cplx(report.via_series),

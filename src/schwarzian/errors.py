@@ -57,6 +57,15 @@ class OutsideDisk(SchwarzianError):
     """
 
 
+class DivergentSeries(SchwarzianError):
+    """The q-series route's tail estimate at tau is at least its summed value.
+
+    The truncated q-expansion of h does not represent h there (it sums to a
+    partial sum far from the closed form), so the two routes are not
+    compared.
+    """
+
+
 class NumericOverflow(SchwarzianError):
     """A floating point evaluation produced a NaN or an infinity."""
 

@@ -39,6 +39,7 @@ from typing import Any, Callable
 
 from . import solver
 from .errors import (
+    DivergentSeries,
     InvalidParameters,
     NotUpperHalfPlane,
     NumericOverflow,
@@ -391,7 +392,8 @@ def cross_check(
     the closed form from ``eval_h_hypergeometric``.  Agreement of the two
     is the end-to-end numerical check of the whole construction.  A pair
     the closed form does not cover, a tau off the upper half plane and a
-    precision below 8 bits are refused before anything is solved.
+    precision below 8 bits are refused before anything is solved; a tau
+    where the q-series does not converge, by DivergentSeries.
     """
     _one_sheet(m, n)
     _check_tau(tau)
@@ -405,9 +407,21 @@ def _cross_check_bundle(
     n_terms: int,
     precision: int | None = None,
 ) -> EvalReport:
-    """``cross_check`` on an already solved bundle of order ``n_terms``."""
+    """``cross_check`` on an already solved bundle of order ``n_terms``.
+
+    Raises DivergentSeries, before the closed form is evaluated, when the
+    tail estimate of the summed q-series is at least its value.
+    """
     tau = _check_tau(tau)
     via_series = eval_qseries(bundle.h, tau, precision=precision)
+    q_abs = abs(cmath.exp(2j * cmath.pi * tau))
+    tail = _tail_estimate(bundle.h, q_abs)
+    if tail and tail >= abs(via_series):
+        raise DivergentSeries(
+            f"the q-series route does not converge at tau = {tau}: its tail "
+            f"estimate {tail:.3g} after {n_terms} terms is at least the "
+            f"summed value's modulus {float(abs(via_series)):.3g}"
+        )
     via_hyper = eval_h_hypergeometric(
         bundle.m, bundle.n, tau, n_terms, precision=precision
     )
@@ -415,14 +429,11 @@ def _cross_check_bundle(
     # report discrepancies far below double rounding
     scale = max(abs(via_series), abs(via_hyper))
     rel = float(abs(via_series - via_hyper) / scale) if scale else 0.0
-    a = complex(via_series)
-    b = complex(via_hyper)
-    q_abs = abs(cmath.exp(2j * cmath.pi * tau))
     return EvalReport(
         tau=tau,
-        via_series=a,
-        via_hypergeom=b,
+        via_series=complex(via_series),
+        via_hypergeom=complex(via_hyper),
         rel_error=rel,
         terms_used=n_terms,
-        tail_bound=_tail_estimate(bundle.h, q_abs),
+        tail_bound=tail,
     )

@@ -27,20 +27,23 @@ denominator, in lowest terms; ``coeffs`` and indexing build the
 ``Fraction`` view at the API edge, and ``numerators`` and ``denominator``
 are the read-only integer view.  Every operation computes on the integers.
 The classical forms all have integer coefficients, so their products pay
-for no gcd at all.  Composition writes the inner series as q**v (g/d) w
-with w an integer series of content 1, builds the powers of w by integer
-convolution, and applies the rational scalar f_k (g/d)**k once per power
-(Brent and Kung, J. ACM 1978, cover fast composition; this is the plain
-power-sum form).  The powers of w are kept on the inner instance, so a
-second series composed into the same inner one (the two components of a
-form, both series in one 1728/j) convolves no power again; they live as
-long as that instance does.  Integer and rational powers follow one power
+for no gcd at all.  Integer and rational powers follow one power
 recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7).  A series
-solved one coefficient at a time (division, powers, and elsewhere
-in the package the Frobenius and hypergeometric recurrences) is built by
-:class:`SeriesBuilder`, whose running common denominator grows to the lcm
-whenever a new term needs it: each term costs integer dot products and one
-gcd, where ``Fraction`` arithmetic paid a gcd per product.
+solved one coefficient at a time (division, powers, and elsewhere in the
+package the 2F1 Taylor coefficients and, through :func:`solve_recurrence`,
+the recurrences that build the components and the Frobenius solutions) is
+built by :class:`SeriesBuilder`, whose running common denominator grows to
+the lcm whenever a new term needs it: each term costs integer dot products
+and one gcd, where ``Fraction`` arithmetic paid a gcd per product.
+
+Composition writes the inner series as q**v (g/d) w with w an integer
+series of content 1, convolves the powers of w, and applies the rational
+scalar f_k (g/d)**k once per power: one full product per power, so
+O(order**3) (Brent and Kung, J. ACM 1978, cover fast composition).
+No code in the package composes: the components of a form come from
+recurrences (``hypergeometric``).  ``compose`` stays as the substitution
+the tests check those recurrences against, and because the benchmark's
+tracer, ``perfbench/tracer.py``, wraps it by name.
 """
 
 from __future__ import annotations
@@ -111,6 +114,22 @@ class SeriesBuilder:
         return QSeries._make(self.nums, self.den)
 
 
+def solve_recurrence(order: int, term) -> QSeries:
+    """The series o = 1 + o_1 q + ... to ``order`` terms, where ``term(k)``
+    returns integers (w, d) with o_k = (w[0] o_0 + ... + w[k-1] o_{k-1}) / d.
+
+    The o_j are held as numerators over a running denominator
+    (``SeriesBuilder``), so each term costs one integer dot product and
+    one gcd.
+    """
+    o = SeriesBuilder()
+    o.append(1, 1)
+    for k in range(1, order):
+        w, d = term(k)
+        o.append(sum(map(mul, o.nums, w)), d * o.den)
+    return o.series()
+
+
 def _divide_unit(a, da: int, b, db: int, order: int) -> QSeries:
     """Long division (a/da) / (b/db) to ``order`` terms on integer numerators
     a and b; b[0] must be nonzero and both hold at least ``order`` terms.
@@ -143,7 +162,7 @@ class QSeries:
     (Fraction(0, 1), Fraction(2, 1), Fraction(6, 1))
     """
 
-    __slots__ = ("_nums", "_den", "_powers")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = list(coeffs)
@@ -156,7 +175,6 @@ class QSeries:
         den = lcm(*(c.denominator for c in cs))
         self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
         self._den = den
-        self._powers = None
 
     @classmethod
     def _make(cls, nums, den: int) -> QSeries:
@@ -168,7 +186,6 @@ class QSeries:
         s = cls.__new__(cls)
         s._nums = tuple(nums)
         s._den = den
-        s._powers = None
         return s
 
     @classmethod
@@ -315,38 +332,32 @@ class QSeries:
         With w = u**alpha, u D(w) = alpha D(u) w gives the power recurrence
         k w_k = sum_{j=1..k} ((alpha + 1) j - k) u_j w_{k-j}.  For integer
         alpha the result agrees with repeated multiplication.  It runs on
-        integers: u is held as numerators over one denominator, w as
-        numerators over a running one (``SeriesBuilder``), so each term
-        costs two integer dot products and one gcd.
+        integers (``solve_recurrence``): u is held as numerators over one
+        denominator, so each term costs one integer dot product and one gcd.
         """
         nums, den = self._nums, self._den
         if nums[0] != den:
             raise NonUnitBase(f"rational power needs constant term 1, got {self[0]}")
-        # u_j = nums[j] / den, alpha + 1 = p / q and w_j = o[j] / L, so
-        # k w_k = (p sum_j j nums_j o_{k-j} - q k sum_j nums_j o_{k-j}) / (q den L)
+        # u_j = nums[j] / den and alpha + 1 = p / q, so
+        # w_k = sum_j (p j nums_j - q k nums_j) w_{k-j} / (q k den)
         a1 = Fraction(alpha) + 1
         p, q = a1.numerator, a1.denominator
         n = len(nums)
         rn = nums[::-1]
-        rjn = [j * x for j, x in enumerate(nums)][::-1]
-        w = SeriesBuilder()
-        w.append(1, 1)
-        for k in range(1, n):
-            s1 = sum(map(mul, w.nums, rjn[n - 1 - k : n - 1]))
-            s0 = sum(map(mul, w.nums, rn[n - 1 - k : n - 1]))
-            w.append(p * s1 - q * k * s0, q * k * den * w.den)
-        return w.series()
+        rjn = [p * j * x for j, x in enumerate(nums)][::-1]
+
+        def term(k):
+            lo, qk = n - 1 - k, q * k
+            return [x - qk * y for x, y in zip(rjn[lo:-1], rn[lo:-1])], qk * den
+
+        return solve_recurrence(n, term)
 
     def compose(self, inner: QSeries) -> QSeries:
         """Substitute ``inner`` into this series; inner(0) must vanish.
 
         Result order is min(inner.order, self.order * val(inner)), the largest
         order at which no untracked coefficient of either operand can
-        contribute.  The integer powers of w (inner = q**v (g/d) w) are kept
-        on ``inner``, keyed by (v, target) with target the result order: a
-        later composition into ``inner`` at the same target convolves no
-        power again, one at another target rebuilds them.  They are dropped
-        with ``inner``.
+        contribute.
         """
         if not isinstance(inner, QSeries):
             raise TypeError("compose expects a QSeries inner argument")
@@ -359,19 +370,15 @@ class QSeries:
             # inner is zero to its order: the composition is the constant term
             return QSeries._constant(self[0], inner.order)
         target = min(inner.order, len(self._nums) * v)
-        memo = inner._powers
-        if memo is None or memo[0] != (v, target):
-            # inner = q**v * (g/d) * w with w an integer series of content 1,
-            # so inner**k = q**(k v) (g/d)**k w**k and only w**k needs
-            # convolving, to target - k v terms
-            nums = inner._nums[v:target]
-            g = gcd(*nums)
-            w = [x // g for x in nums]
-            powers = [[1]]
-            for k in range(1, (target - 1) // v + 1):
-                powers.append(_iconv(powers[-1], w, target - k * v))
-            memo = inner._powers = ((v, target), g, powers)
-        _, g, powers = memo
+        # inner = q**v * (g/d) * w with w an integer series of content 1, so
+        # inner**k = q**(k v) (g/d)**k w**k and only w**k needs convolving,
+        # to target - k v terms
+        nums = inner._nums[v:target]
+        g = gcd(*nums)
+        w = [x // g for x in nums]
+        powers = [[1]]
+        for k in range(1, (target - 1) // v + 1):
+            powers.append(_iconv(powers[-1], w, target - k * v))
         ratio = Fraction(g, inner._den)
         scalars = [self[k] * ratio**k for k in range(len(powers))]
         den = lcm(*(s.denominator for s in scalars))

@@ -103,19 +103,21 @@ class VectorForm:
 def minimal_form(rep: ReprData, order: int) -> VectorForm:
     """The weight-5 form with unit leading coefficients for both components.
 
-    Both components are series in one 1728/j, built here once as
-    ``forms.j_inverse(order + 1)``.  The powers of it that the first
-    component's composition convolves are kept on that series and reused by
-    the second; they are dropped with it when this returns.
+    ``hypergeometric.base_forms`` builds E2, E4, E6, Delta and the products
+    that the recurrences read once, and both components share it: each is
+    eta^10 (1728/j)^P F(1728/j), with F solved from the hypergeometric
+    equation pulled back along 1728/j and the prefactor from its
+    logarithmic derivative, then checked against the Frobenius series of
+    the weight-5 modular differential equation.  Nothing is composed.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    jinv = forms.j_inverse(order + 1)
+    base = hypergeometric.base_forms(order)
     first = hypergeometric.component_series(
-        hypergeometric.component_recipe(rep.m, rep.n_prime, "first"), jinv
+        hypergeometric.component_recipe(rep.m, rep.n_prime, "first"), base
     )
     second = hypergeometric.component_series(
-        hypergeometric.component_recipe(rep.m, rep.n_prime, "second"), jinv
+        hypergeometric.component_recipe(rep.m, rep.n_prime, "second"), base
     )
     return VectorForm(first=first, second=second, weight=MINIMAL_WEIGHT, rep=rep, level=0)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from schwarzian import forms, series, vvmf
+from schwarzian import forms, hypergeometric, vvmf
 from schwarzian.series import QSeries
 
 
@@ -22,31 +22,22 @@ def build_counts(monkeypatch):
 
 
 @pytest.fixture
-def compose_counts(monkeypatch):
-    """Calls of forms.j_inverse, and the series._iconv calls made inside each
-    QSeries.compose call, in call order, during the test."""
-    counts = {"j_inverse": 0, "compose_iconv": []}
-    j_inverse, iconv, compose = forms.j_inverse, series._iconv, QSeries.compose
-    composing = []
+def construction_counts(monkeypatch):
+    """Calls of hypergeometric.base_forms, forms.delta, forms.j_inverse and
+    QSeries.compose made during the test."""
+    targets = {
+        "base_forms": hypergeometric,
+        "delta": forms,
+        "j_inverse": forms,
+        "compose": QSeries,
+    }
+    calls = dict.fromkeys(targets, 0)
+    for name, owner in targets.items():
+        original = getattr(owner, name)
 
-    def counted_j_inverse(*args):
-        counts["j_inverse"] += 1
-        return j_inverse(*args)
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    def counted_iconv(*args):
-        if composing:
-            counts["compose_iconv"][-1] += 1
-        return iconv(*args)
-
-    def counted_compose(self, inner):
-        counts["compose_iconv"].append(0)
-        composing.append(self)
-        try:
-            return compose(self, inner)
-        finally:
-            composing.pop()
-
-    monkeypatch.setattr(forms, "j_inverse", counted_j_inverse)
-    monkeypatch.setattr(series, "_iconv", counted_iconv)
-    monkeypatch.setattr(QSeries, "compose", counted_compose)
-    return counts
+        monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -290,6 +290,23 @@ def test_eval_json_complex_schema(capsys):
     assert payload["checks"][0]["pass"] is True
 
 
+def test_eval_divergent_series_fails_named_check(capsys):
+    # the summed q-series does not converge at this tau, so no relative error
+    # is reported and the routes-agree check fails with the reason
+    code, out, _ = run_cli(
+        capsys,
+        "eval", "--m", "13", "--n", "12", "--tau", "0.1153+1.0044i",
+        "--terms", "60", "--format", "json",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["results"] == {}
+    check = payload["checks"][0]
+    assert check["name"] == "routes-agree"
+    assert check["pass"] is False
+    assert "the q-series route does not converge" in check["detail"]
+
+
 def test_eval_outside_disk_fails_named_check(capsys):
     # |1728/j(0.3 + 1.2i)| > 1, yet tau is inside the fundamental domain:
     # the closed form is continued there and both routes agree

@@ -1,10 +1,14 @@
-"""Gauss-series and component-recipe tests.
+"""Gauss-series, component-recipe and component-construction tests.
 
 The in-test Pochhammer oracle recomputes 2F1 coefficients from the rising
 factorial definition, independently of the package's term-ratio recurrence.
+The components' two routes are checked against references built here:
+F(1728/j) by substituting 1728/j into the 2F1 series (``QSeries.compose``),
+and the MLDE Frobenius series from its recurrence over plain ``Fraction``s.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +18,18 @@ from schwarzian import (
     HypergeomParams,
     InvalidC,
     InvalidParameters,
+    PuiseuxSeries,
+    QSeries,
+    RecipeInconsistent,
+    base_forms,
     component_recipe,
     component_series,
+    eta_power,
     hypergeom_coeffs,
+    hypergeometric,
     j_inverse,
 )
+from schwarzian.acceptance import SHAPE_GRID
 
 F = Fraction
 
@@ -116,7 +127,95 @@ def test_component_series_shape():
     for m, n in ((7, 1), (7, 2)):
         for which in ("first", "second"):
             rec = component_recipe(m, n, which)
-            s = component_series(rec, j_inverse(11))
+            s = component_series(rec, base_forms(10))
             assert s.offset == rec.offset
             assert s.leading == 1
             assert s.order == 10
+
+
+def divisor_series(power, factor, order):
+    """1 + factor sum sigma_power(n) q^n, by direct divisor enumeration."""
+    return [F(1)] + [
+        F(factor * sum(d**power for d in range(1, n + 1) if n % d == 0))
+        for n in range(1, order)
+    ]
+
+
+def mlde_reference(m, s, order):
+    """Body of the Frobenius series q^alpha (1 + ...), alpha = (m + s)/2m, of
+    D^2 f - E2 D f + (5/24) E2^2 f + (1/24 - s^2/4m^2) E4 f = 0, from
+    c_k k (k + 2 alpha - 1) = sum_{j<k} [E2_{k-j} (alpha + j)
+    - (5/24) (E2^2)_{k-j} - (1/24 - s^2/4m^2) E4_{k-j}] c_j."""
+    alpha = F(m + s, 2 * m)
+    lam = F(1, 24) - F(s * s, 4 * m * m)
+    e2 = divisor_series(1, -24, order)
+    e4 = divisor_series(3, 240, order)
+    e2sq = [sum(e2[i] * e2[k - i] for i in range(k + 1)) for k in range(order)]
+    c = [F(1)]
+    for k in range(1, order):
+        acc = sum(
+            (e2[k - j] * (alpha + j) - F(5, 24) * e2sq[k - j] - lam * e4[k - j]) * c[j]
+            for j in range(k)
+        )
+        c.append(acc / (k * (k + 2 * alpha - 1)))
+    return c
+
+
+def check_both_routes(m, n_prime, order):
+    base = base_forms(order)
+    jinv = j_inverse(order + 1)
+    for which in ("first", "second"):
+        rec = component_recipe(m, n_prime, which)
+        substituted = hypergeom_coeffs(rec.params, order).compose(jinv)
+        assert hypergeometric.pulled_back_2f1(rec.params, base) == substituted
+        component = component_series(rec, base)
+        assert component.offset == rec.offset
+        assert component.order == order
+        assert list(component.body.coeffs) == mlde_reference(m, rec.signed_residue, order)
+
+
+@pytest.mark.parametrize("m, n_prime", SHAPE_GRID)
+def test_components_match_substitution_and_mlde_on_shape_grid(m, n_prime):
+    check_both_routes(m, n_prime, 16)
+
+
+@given(st.integers(7, 40), st.data(), st.integers(2, 25))
+@settings(max_examples=40, deadline=None)
+def test_components_match_substitution_and_mlde(m, data, order):
+    n_prime = data.draw(
+        st.integers(1, m - 1).filter(lambda n: gcd(m, n) == 1), label="n_prime"
+    )
+    check_both_routes(m, n_prime, order)
+
+
+@pytest.mark.parametrize("route", ["pulled_back_2f1", "_mlde_series"])
+@pytest.mark.parametrize("index", [0, 1, 4, 11])
+def test_bumped_route_names_its_index(monkeypatch, route, index):
+    """One coefficient of either route bumped by 1/3 makes the component fail
+    the comparison of the two at exactly that index."""
+    original = getattr(hypergeometric, route)
+
+    def bumped(*args):
+        out = original(*args)
+        cs = list(out.coeffs)
+        cs[index] += F(1, 3)
+        return QSeries(cs)
+
+    monkeypatch.setattr(hypergeometric, route, bumped)
+    rec = component_recipe(9, 4, "second")
+    with pytest.raises(RecipeInconsistent) as info:
+        component_series(rec, base_forms(14))
+    assert info.value.index == index
+
+
+def test_component_equals_the_substituted_formula():
+    # the assembled body is eta^10 (1728/j)^P / 1728^P times F(1728/j), with
+    # the prefactor built here from eta^10 and 1728/j by rational powers
+    order = 20
+    jinv = j_inverse(order + 1)
+    u = PuiseuxSeries(0, jinv).body / 1728
+    for which in ("first", "second"):
+        rec = component_recipe(11, 3, which)
+        prefactor = eta_power(10, order).body * u.pow_rational(rec.outer_power)
+        want = prefactor * hypergeom_coeffs(rec.params, order).compose(jinv)
+        assert component_series(rec, base_forms(order)).body == want

@@ -12,11 +12,13 @@ import mpmath
 import pytest
 
 from schwarzian import (
+    DivergentSeries,
     InvalidParameters,
     NotUpperHalfPlane,
     OutsideDisk,
     PuiseuxSeries,
     QSeries,
+    acceptance,
     cross_check,
     delta,
     eval_h_hypergeometric,
@@ -213,6 +215,31 @@ def test_cross_check_headline_point():
     assert report.rel_error < 1e-10
     assert report.terms_used == 40
     assert report.tail_bound < 1e-100  # |q| = e^(-4 pi) makes the tail tiny
+
+
+def test_divergent_series_is_refused_by_name():
+    # near the corner rho, 60 terms of h for (13, 12) sum to |h| = 12.1 at
+    # this tau, where the closed form gives 0.0015; the tail estimate (21.4)
+    # exceeds the sum, so the cross-check refuses instead of reporting a
+    # value of the series route
+    tau = 0.1153 + 1.0044j
+    bundle = solve(13, 12, 60)
+    assert abs(eval_qseries(bundle.h, tau)) > 12
+    assert abs(eval_h_hypergeometric(13, 12, tau)) < 0.002
+    with pytest.raises(DivergentSeries) as info:
+        numeric._cross_check_bundle(bundle, tau, 60)
+    assert "the q-series route does not converge" in str(info.value)
+    with pytest.raises(DivergentSeries):
+        cross_check(13, 12, tau, 60)
+
+
+def test_numeric_taus_converge_on_the_series_route():
+    # the acceptance grid stays clear of the refusal
+    for m, n in acceptance.NUMERIC_GRID:
+        bundle = solve(m, n, acceptance.NUMERIC_TERMS)
+        for tau in acceptance.NUMERIC_TAUS:
+            report = numeric._cross_check_bundle(bundle, tau, acceptance.NUMERIC_TERMS)
+            assert report.tail_bound < abs(report.via_series)
 
 
 def test_cross_check_in_disk_grid():

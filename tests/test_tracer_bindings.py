@@ -54,9 +54,12 @@ def test_tracer_records_a_traced_solve():
         "vvmf.raise_weight",
         "series.QSeries.pow_rational",
         "hypergeometric.component_series",
-        "series.QSeries.compose",
+        "forms.delta",
     } <= set(calls)
     assert all(span[4] for span in tracer.spans)
     assert tracer.bits["hypergeometric.component_series"] > 0
-    # one 1728/j per form, shared by both components
-    assert calls["forms.j_inverse"] == calls["vvmf.minimal_form"] == 1
+    # one Delta per form, shared by both components; nothing is composed
+    # and no 1728/j is built
+    assert calls["forms.delta"] == calls["vvmf.minimal_form"] == 1
+    assert calls["hypergeometric.component_series"] == 2
+    assert calls["series.QSeries.compose"] == calls["forms.j_inverse"] == 0
