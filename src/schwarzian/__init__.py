@@ -51,7 +51,6 @@ from .hypergeometric import (
     ComponentRecipe,
     HypergeomParams,
     base_forms,
-    component_recipe,
     component_series,
     hypergeom_coeffs,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "base_forms",
     "c1_closed_form",
     "c2_closed_form",
-    "component_recipe",
     "component_series",
     "cross_check",
     "delta",

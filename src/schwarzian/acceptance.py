@@ -61,11 +61,11 @@ def failure(exc: Exception) -> str:
 
 def shape_problems(form: vvmf.VectorForm) -> list[str]:
     """How a minimal form misses weight 5, exponents (m +- n')/2m or unit leadings."""
-    rep = form.rep
+    first, second = form.rep.recipes
     checks = [
         (form.weight == 5, "weight != 5"),
-        (form.first.offset == rep.exp_first, "first exponent"),
-        (form.second.offset == rep.exp_second, "second exponent"),
+        (form.first.offset == first.offset, "first exponent"),
+        (form.second.offset == second.offset, "second exponent"),
         (form.first.leading == 1 and form.second.leading == 1, "leading coefficients"),
         (form.first.offset + form.second.offset == 1, "exponent sum"),
     ]
@@ -299,7 +299,7 @@ def check_seeded_bug_sensitivity() -> CheckResult:
     MAX_BUG_INDEX; silent success on any corruption fails this check.
     """
     problems: list[str] = []
-    first = hypergeometric.component_recipe(7, 1, "first").params
+    first = vvmf.ReprData(7, 1).recipes[0].params
     seams = [
         ("eisenstein-4", forms, "eisenstein", lambda k, order: k == 4),
         ("eta-power-24", forms, "eta_power", lambda exponent, order: exponent == 24),

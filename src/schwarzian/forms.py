@@ -100,10 +100,7 @@ def serre_derivative(f: QSeries | PuiseuxSeries, weight: Scalar):
 
     Accepts either series type and returns the same type.
     """
-    k = Fraction(weight)
-    if isinstance(f, QSeries):
-        return f.derive() - eisenstein(2, f.order) * f * (k / 12)
-    if isinstance(f, PuiseuxSeries):
-        return f.derive() - f * eisenstein(2, f.order) * (k / 12)
-    raise TypeError("serre_derivative expects a QSeries or PuiseuxSeries")
+    if not isinstance(f, (QSeries, PuiseuxSeries)):
+        raise TypeError("serre_derivative expects a QSeries or PuiseuxSeries")
+    return f.derive() - f * eisenstein(2, f.order) * (Fraction(weight) / 12)
 

@@ -56,8 +56,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import forms, vvmf  # vvmf imports this module; used at call time only
-from .errors import InvalidC, InvalidParameters, RecipeInconsistent
+from . import forms
+from .errors import InvalidC, RecipeInconsistent
 from .series import PuiseuxSeries, QSeries, SeriesBuilder, solve_recurrence
 
 ETA_EXPONENT = 10
@@ -102,7 +102,8 @@ class ComponentRecipe:
 
     ``signed_residue`` is +n' for the first component and -n' for the
     second; all derived fields are rational functions of it, so swapping
-    the sign swaps the components.
+    the sign swaps the components.  ``vvmf.ReprData.recipes`` hands out
+    both for a validated (m, n').
     """
 
     m: int
@@ -123,14 +124,6 @@ class ComponentRecipe:
     def offset(self) -> Fraction:
         """Leading exponent of the assembled component, (m + s) / 2m."""
         return Fraction(self.m + self.signed_residue, 2 * self.m)
-
-
-def component_recipe(m: int, n_prime: int, component: str) -> ComponentRecipe:
-    """Recipe for the 'first' (+n') or 'second' (-n') component."""
-    if component not in ("first", "second"):
-        raise InvalidParameters(f"component must be 'first' or 'second', got {component!r}")
-    vvmf.ReprData(m, n_prime)
-    return ComponentRecipe(m, n_prime if component == "first" else -n_prime)
 
 
 @dataclass(frozen=True)

@@ -164,11 +164,16 @@ def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
     return _verified(vvmf.minimal_form(rep, order + r), r, [])
 
 
-def _parameters(m: int, n: int, order: int) -> tuple[vvmf.ReprData, int]:
-    """``vvmf.split_n(m, n)``, after which InvalidParameters unless order >= 2."""
+def _parameters(
+    m: int, n: int, order: int, name: str = "order"
+) -> tuple[vvmf.ReprData, int]:
+    """``vvmf.split_n(m, n)``, after which InvalidParameters unless ``order``
+    (``name`` in the message) is an integer >= 2."""
     rep, r = vvmf.split_n(m, n)
+    if not isinstance(order, int):
+        raise InvalidParameters(f"{name} must be an integer, got {order!r}")
     if order < 2:
-        raise InvalidParameters("order must be >= 2")
+        raise InvalidParameters(f"{name} must be >= 2")
     return rep, r
 
 

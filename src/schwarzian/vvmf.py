@@ -26,20 +26,21 @@ from .errors import (
     NotProportionalToDeltaPower,
     PivotVanishes,
 )
+from .hypergeometric import ComponentRecipe
 from .series import PuiseuxSeries
 
 MINIMAL_WEIGHT = Fraction(5)
-_PRIMITIVE_SIXTH = (Fraction(1, 6), Fraction(5, 6))
 
 
 @dataclass(frozen=True)
 class ReprData:
     """Parameters (m, n') of the two-dimensional representation.
 
-    The component leading exponents are exp_first = (m + n')/2m and
-    exp_second = (m - n')/2m.  They are distinct, sum to 1 (so their product
-    of multipliers is a sixth root of unity trivially), and their difference
-    n'/m is never congruent to 1/6 or 5/6 mod 1 when m >= 7 and gcd = 1.
+    ``recipes`` holds the two components' recipes, at +n' and -n'; their
+    leading exponents (m +- n')/2m are distinct as n' > 0 and sum to 1 (so
+    their product of multipliers is a sixth root of unity trivially), and
+    their difference n'/m is never congruent to 1/6 or 5/6 mod 1 when
+    m >= 7 and gcd = 1.
     """
 
     m: int
@@ -58,29 +59,26 @@ class ReprData:
             raise InvalidParameters(
                 f"m={self.m} and n'={self.n_prime} must be coprime"
             )
-        ratio = Fraction(self.n_prime, self.m) % 1
-        assert ratio not in _PRIMITIVE_SIXTH, "n'/m hit a primitive sixth root"
-        assert self.exp_first != self.exp_second
-        assert self.exp_first + self.exp_second == 1
 
     @property
-    def exp_first(self) -> Fraction:
-        return Fraction(self.m + self.n_prime, 2 * self.m)
-
-    @property
-    def exp_second(self) -> Fraction:
-        return Fraction(self.m - self.n_prime, 2 * self.m)
+    def recipes(self) -> tuple[ComponentRecipe, ComponentRecipe]:
+        """The first (+n') and second (-n') component's recipes."""
+        m, n = self.m, self.n_prime
+        return ComponentRecipe(m, n), ComponentRecipe(m, -n)
 
 
 def split_n(m: int, n: int) -> tuple[ReprData, int]:
     """(ReprData(m, n'), r) for n = r m + n' with 0 < n' < m.
 
-    Raises InvalidParameters unless n >= 1 and ReprData accepts (m, n').
+    Raises InvalidParameters unless n >= 1, gcd(m, n) = 1 and ReprData
+    accepts (m, n').
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidParameters(f"n must be an integer >= 1, got {n!r}")
     if not isinstance(m, int) or m < 7:
         ReprData(m, n)  # refuses m before n % m is formed
+    if gcd(m, n) != 1:
+        raise InvalidParameters(f"m={m} and n={n} must be coprime")
     return ReprData(m, n % m), n // m
 
 
@@ -95,9 +93,10 @@ class VectorForm:
     level: int
 
     def __post_init__(self):
+        first, second = self.rep.recipes
         assert self.weight == MINIMAL_WEIGHT + 6 * self.level
-        assert self.first.offset == self.rep.exp_first + self.level
-        assert self.second.offset == self.rep.exp_second
+        assert self.first.offset == first.offset + self.level
+        assert self.second.offset == second.offset
 
 
 def minimal_form(rep: ReprData, order: int) -> VectorForm:
@@ -113,12 +112,7 @@ def minimal_form(rep: ReprData, order: int) -> VectorForm:
     if order < 1:
         raise ValueError("order must be >= 1")
     base = hypergeometric.base_forms(order)
-    first = hypergeometric.component_series(
-        hypergeometric.component_recipe(rep.m, rep.n_prime, "first"), base
-    )
-    second = hypergeometric.component_series(
-        hypergeometric.component_recipe(rep.m, rep.n_prime, "second"), base
-    )
+    first, second = (hypergeometric.component_series(r, base) for r in rep.recipes)
     return VectorForm(first=first, second=second, weight=MINIMAL_WEIGHT, rep=rep, level=0)
 
 

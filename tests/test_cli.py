@@ -238,6 +238,16 @@ def test_usage_error_is_one_line_exit_2(capsys):
     assert err.strip().count("\n") == 0
 
 
+@pytest.mark.parametrize("command", ["solve", "eval"])
+@pytest.mark.parametrize("m, n", [(6, 1), (7, 0), (8, 2), (7, 14)])
+def test_bad_pair_is_usage_error(capsys, command, m, n):
+    tau = ["--tau", "2i"] if command == "eval" else []
+    code, out, err = run_cli(capsys, command, "--m", str(m), "--n", str(n), *tau)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_bad_tau_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--m", "7", "--n", "1", "--tau", "wat"

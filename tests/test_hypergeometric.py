@@ -7,8 +7,10 @@ F(1728/j) by substituting 1728/j into the 2F1 series (``QSeries.compose``),
 and the MLDE Frobenius series from its recurrence over plain ``Fraction``s.
 """
 
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,11 @@ from hypothesis import strategies as st
 from schwarzian import (
     HypergeomParams,
     InvalidC,
-    InvalidParameters,
     PuiseuxSeries,
     QSeries,
     RecipeInconsistent,
+    ReprData,
     base_forms,
-    component_recipe,
     component_series,
     eta_power,
     hypergeom_coeffs,
@@ -87,18 +88,16 @@ def test_recurrence_matches_pochhammer_definition(a, b, c):
 
 
 def test_recipes_for_smallest_denominator():
-    first = component_recipe(7, 1, "first")
+    first, second = ReprData(7, 1).recipes
     assert first.params == HypergeomParams(F(13, 84), F(41, 84), F(8, 7))
     assert first.offset == F(4, 7)
-    second = component_recipe(7, 1, "second")
     assert second.params == HypergeomParams(F(1, 84), F(29, 84), F(6, 7))
     assert second.offset == F(3, 7)
 
 
 def test_second_recipe_is_sign_swapped_first():
     for m, n in ((7, 1), (7, 2), (9, 2), (11, 5)):
-        first = component_recipe(m, n, "first")
-        second = component_recipe(m, n, "second")
+        first, second = ReprData(m, n).recipes
         assert first.signed_residue == n
         assert second.signed_residue == -n
         assert first.offset + second.offset == 1
@@ -108,29 +107,29 @@ def test_second_recipe_is_sign_swapped_first():
         assert second.params.a == -w + F(1, 12)
 
 
-def test_recipe_validation():
-    with pytest.raises(InvalidParameters):
-        component_recipe(6, 1, "first")  # m too small
-    with pytest.raises(InvalidParameters):
-        component_recipe(7, 0, "first")
-    with pytest.raises(InvalidParameters):
-        component_recipe(7, 7, "first")
-    with pytest.raises(InvalidParameters):
-        component_recipe(8, 2, "first")  # not coprime
-    with pytest.raises(InvalidParameters):
-        component_recipe(7, 1, "third")
-
-
 def test_component_series_shape():
     # component_series itself verifies offset and unit leading, raising
     # RecipeInconsistent otherwise; these assertions re-state the contract.
     for m, n in ((7, 1), (7, 2)):
-        for which in ("first", "second"):
-            rec = component_recipe(m, n, which)
+        for rec in ReprData(m, n).recipes:
             s = component_series(rec, base_forms(10))
             assert s.offset == rec.offset
             assert s.leading == 1
             assert s.order == 10
+
+
+def test_hypergeometric_imports_nothing_from_vvmf():
+    """The recipes come from ``vvmf.ReprData``; hypergeometric, which vvmf
+    imports, reads no name of vvmf back."""
+    path = Path(hypergeometric.__file__)
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported += [f"{module}:{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [name for name in imported if "vvmf" in name]
 
 
 def divisor_series(power, factor, order):
@@ -164,8 +163,7 @@ def mlde_reference(m, s, order):
 def check_both_routes(m, n_prime, order):
     base = base_forms(order)
     jinv = j_inverse(order + 1)
-    for which in ("first", "second"):
-        rec = component_recipe(m, n_prime, which)
+    for rec in ReprData(m, n_prime).recipes:
         substituted = hypergeom_coeffs(rec.params, order).compose(jinv)
         assert hypergeometric.pulled_back_2f1(rec.params, base) == substituted
         component = component_series(rec, base)
@@ -202,7 +200,7 @@ def test_bumped_route_names_its_index(monkeypatch, route, index):
         return QSeries(cs)
 
     monkeypatch.setattr(hypergeometric, route, bumped)
-    rec = component_recipe(9, 4, "second")
+    rec = ReprData(9, 4).recipes[1]
     with pytest.raises(RecipeInconsistent) as info:
         component_series(rec, base_forms(14))
     assert info.value.index == index
@@ -214,8 +212,7 @@ def test_component_equals_the_substituted_formula():
     order = 20
     jinv = j_inverse(order + 1)
     u = PuiseuxSeries(0, jinv).body / 1728
-    for which in ("first", "second"):
-        rec = component_recipe(11, 3, which)
+    for rec in ReprData(11, 3).recipes:
         prefactor = eta_power(10, order).body * u.pow_rational(rec.outer_power)
         want = prefactor * hypergeom_coeffs(rec.params, order).compose(jinv)
         assert component_series(rec, base_forms(order)).body == want

@@ -25,7 +25,9 @@ from schwarzian import (
     OdeResidualNonzero,
     PuiseuxSeries,
     QSeries,
+    cross_check,
     eisenstein,
+    eval_h_hypergeometric,
     ode_solutions,
     schwarz_derivative,
     solve,
@@ -137,6 +139,47 @@ def test_solve_validation():
         solve(7, -1, 10)
     with pytest.raises(InvalidParameters):
         solve(7.0, 1, 10)
+
+
+def test_n_divisible_by_m_is_named_as_passed():
+    with pytest.raises(InvalidParameters, match=r"^m=7 and n=14 must be coprime$"):
+        solve(7, 14)
+
+
+# each entry point refuses (m, n) and the order alike, through vvmf.split_n
+# and solver._parameters
+ENTRY_POINTS = {
+    "solve": lambda m, n, order=30: solve(m, n, order),
+    "cross_check": lambda m, n, order=30: cross_check(m, n, 2j, order),
+    "eval_h_hypergeometric": (
+        lambda m, n, order=30: eval_h_hypergeometric(m, n, 2j, order)
+    ),
+}
+
+
+@pytest.fixture
+def no_series(monkeypatch):
+    """Make building any series fail the test."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built a series before refusing the input")
+
+    monkeypatch.setattr(QSeries, "__init__", unreachable)
+    monkeypatch.setattr(QSeries, "_make", classmethod(unreachable))
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("m, n", [(6, 1), (7, 0), (8, 2), (7, 14), (7, 1.0), (True, 1)])
+def test_bad_pair_refused_before_building(no_series, entry, m, n):
+    with pytest.raises(InvalidParameters):
+        ENTRY_POINTS[entry](m, n)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("order", [2.5, 30.0, "40", None])
+def test_non_integer_order_refused_before_building(no_series, entry, order):
+    with pytest.raises(InvalidParameters, match="must be an integer"):
+        ENTRY_POINTS[entry](7, 1, order)
 
 
 def test_ode_solutions_shape_and_ratio():

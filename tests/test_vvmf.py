@@ -49,13 +49,13 @@ def test_repr_data_validation():
 
 
 def test_exponents():
-    rep = ReprData(7, 2)
-    assert rep.exp_first == F(9, 14)
-    assert rep.exp_second == F(5, 14)
+    first, second = ReprData(7, 2).recipes
+    assert first.offset == F(9, 14)
+    assert second.offset == F(5, 14)
     for m, n in GRID:
-        rep = ReprData(m, n)
-        assert rep.exp_first + rep.exp_second == 1
-        assert rep.exp_first - rep.exp_second == F(n, m)
+        first, second = ReprData(m, n).recipes
+        assert first.offset + second.offset == 1
+        assert first.offset - second.offset == F(n, m)
 
 
 def test_minimal_form_shape_on_grid():
@@ -88,7 +88,7 @@ def test_wronskian_is_delta_on_grid():
 def test_wronskian_raw_series_leading():
     form = minimal_form(ReprData(7, 1), 10)
     w = wronskian(form)
-    assert w.offset == 1  # exp_first + exp_second
+    assert w.offset == 1  # the two recipe offsets sum to 1
     assert w.leading == F(1, 7)
 
 
