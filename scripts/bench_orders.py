@@ -6,9 +6,11 @@ Usage, from the root of a checkout:
 
 Each ``--tree NAME=PATH`` names a checkout whose ``src/`` holds the
 package.  Every round runs one fresh process per tree, in turn, so the
-trees share the machine's state; each process warms up with
-``solve(7, 1, 30)`` and then times ``--repeats`` calls of each function at
-each order.  The JSON records, per tree, function and order, the median
+trees share the machine's state; every other round runs them in reverse
+order, so no tree always runs first (with a fixed order, swapping two
+trees flipped which one read faster).  Each process warms up with
+``solve(7, 1, 30)`` and then times ``--repeats`` calls of each function
+at each order.  The JSON records, per tree, function and order, the median
 and quartiles of the pooled wall times in seconds, with the Python version
 and the platform; the ratios in ``speedup`` divide the first tree's
 medians by each other tree's.  Paths are not recorded, only the names.
@@ -59,7 +61,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], metavar="NAME=PATH")
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=4)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -70,8 +72,9 @@ def main() -> int:
         parser.error("give at least one --tree and --out")
     trees = dict(spec.split("=", 1) for spec in args.tree)
     pooled = {name: {} for name in trees}
-    for _ in range(args.rounds):
-        for name, path in trees.items():
+    for r in range(args.rounds):
+        for name in reversed(trees) if r % 2 else trees:
+            path = trees[name]
             out = subprocess.run(
                 [sys.executable, __file__, "--worker", "--repeats", str(args.repeats)],
                 env={"PYTHONPATH": str(Path(path).resolve() / "src")},

@@ -15,8 +15,9 @@ dropped: components are normalized to leading coefficient 1, and every
 consumer is scalar-invariant.
 
 No series is substituted into another.  Both factors are solved term by
-term, in O(order**2), from the level-one series of ``base_forms``, which
-``vvmf.minimal_form`` builds once for both components:
+term from linear equations in D, in O(order**2), from the level-one
+series of ``base_forms``, which ``vvmf.minimal_form`` builds once for
+both components:
 
 * F(1728/j) from the hypergeometric equation pulled back along
   z = 1728/j.  As D z = z E6/E4 and 1 - z = E6^2/E4^3, theta_z = (E4/E6) D;
@@ -27,38 +28,38 @@ term, in O(order**2), from the level-one series of ``base_forms``, which
       B = -E4 (E2 E4 E6/6 - E4^3/2 + E6^2/3) + (c-1) E4^4 - (a+b) 1728 Delta E4,
       C = -a b 1728 Delta E6.
 
-  A(0) = 1, B(0) = c - 1 and C(0) = 0 give the recurrence
-  F_k k (k + c - 1) = -sum_{j<k} (A_{k-j} j^2 + B_{k-j} j + C_{k-j}) F_j.
-  With E2 E4 = 3 D E4 + E6 the first term of B is
-  (1728 Delta - E6 D E4) E4 / 2, so F reads E4, E6 and Delta only.
+  A(0) = 1, B(0) = c - 1 and C(0) = 0, so the indicial polynomial
+  k (k + c - 1) has the root 0 and, as c is not a nonpositive integer,
+  no positive integer root.  With E2 E4 = 3 D E4 + E6 the first term
+  of B is (1728 Delta - E6 D E4) E4 / 2, so F reads E4, E6 and Delta
+  only.
 * eta^10 (1728/j)^P / 1728^P = (Delta/q)^alpha E4^beta, alpha = 5/12 + P,
   beta = -3P, from its logarithmic derivative: D Delta = E2 Delta and
   D E4 = (E2 E4 - E6)/3 give 3 E4 D g = T g with
   T = 3 alpha E4 (E2 - 1) + beta (E2 E4 - E6)
     = (15/4) D E4 + 3 alpha (E6 - E4),
-  so 3k g_k = sum_{j<k} (T_{k-j} - 3 j E4_{k-j}) g_j.
+  so g = 1 + ... solves E4 D g - (T/3) g = 0.
 
 Every assembled component is then checked against a second route: both
 solve the weight-5 modular linear differential equation
 D^2 f - E2 D f + (5/24) E2^2 f + (1/24 - n'^2/4m^2) E4 f = 0 (Kaneko and
-Zagier 1998; Franc and Mason, Ramanujan J. 2016), whose Frobenius series
-q**alpha (1 + ...), alpha = (m + s)/2m, follows from
-c_k k (k + 2 alpha - 1)
-  = sum_{j<k} [E2_{k-j} (alpha + j) - (5/24) (E2^2)_{k-j}
-               - (1/24 - n'^2/4m^2) E4_{k-j}] c_j.
-It reads E2 and E4 only; RecipeInconsistent names the first index at
-which the two routes differ.
+Zagier 1998; Franc and Mason, Ramanujan J. 2016).  Its indicial roots
+are (m +- n')/2m, and its Frobenius series q**alpha (1 + ...) at
+alpha = (m + s)/2m reads E2 and E4 only; RecipeInconsistent names the
+first index at which the two routes differ.
+
+Each of the three series is the solution 1 + ... that
+``series.solve_ode`` returns for its equation's coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import forms
 from .errors import InvalidC, RecipeInconsistent
-from .series import PuiseuxSeries, QSeries, SeriesBuilder, solve_recurrence
+from .series import PuiseuxSeries, QSeries, SeriesBuilder, solve_ode
 
 ETA_EXPONENT = 10
 
@@ -177,71 +178,31 @@ def base_forms(order: int) -> BaseForms:
     )
 
 
-def _integer_rows(*series: QSeries) -> tuple[int, list[list[int]]]:
-    """(d, rows): the numerators of each series over their common denominator d."""
-    d = lcm(*(s.denominator for s in series))
-    return d, [[x * (d // s.denominator) for x in s.numerators] for s in series]
-
-
 def pulled_back_2f1(params: HypergeomParams, base: BaseForms) -> QSeries:
-    """F(a, b; c; 1728/j) to ``base.order`` terms, from the pulled-back
-    hypergeometric equation A D^2 F + B DF + C F = 0 (module docstring)."""
-    order = base.order
+    """F(a, b; c; 1728/j) to ``base.order`` terms, the solution 1 + ... of the
+    pulled-back hypergeometric equation A D^2 F + B DF + C F = 0 (module
+    docstring)."""
     a, b, c = params.a, params.b, params.c
-    d, (ra, rb, rc) = _integer_rows(
-        base.a,
-        base.b0 + base.e4_fourth * (c - 1) - base.delta_e4 * (a + b),
-        base.delta_e6 * (-a * b),
-    )
-    # with j = k - i, A_i j^2 + B_i j + C_i is
-    # k^2 A_i + k (B_i - 2 i A_i) + (i^2 A_i - i B_i + C_i); c = pc/qc and
-    # F_k = -qc sum_j (...) F_j / (d k (k qc + pc - qc))
-    pc, qc = c.numerator, c.denominator
-    rows = [
-        (-qc * x, -qc * (y - 2 * i * x), -qc * (i * i * x - i * y + z))
-        for i, (x, y, z) in enumerate(zip(ra, rb, rc))
-    ][::-1]
-
-    def term(k):
-        w = [k * k * x + k * y + z for x, y, z in rows[order - 1 - k : order - 1]]
-        return w, d * k * (k * qc + pc - qc)
-
-    return solve_recurrence(order, term)
+    p1 = base.b0 + base.e4_fourth * (c - 1) - base.delta_e4 * (a + b)
+    return solve_ode((base.delta_e6 * (-a * b), p1, base.a), 0, base.order)
 
 
 def _prefactor(recipe: ComponentRecipe, base: BaseForms) -> QSeries:
     """(Delta/q)^alpha E4^-3P, alpha = 5/12 + P: eta^10 (1728/j)^P / 1728^P,
-    from 3k g_k = sum_{i>=1} (U_i - 3k E4_i) g_{k-i}, U_i = T_i + 3i E4_i."""
-    order, e4 = base.order, base.e4
+    the solution 1 + ... of E4 D g - (T/3) g = 0 (module docstring)."""
+    e4 = base.e4
     alpha = Fraction(ETA_EXPONENT, 24) + recipe.outer_power
-    u = e4.derive() * Fraction(27, 4) + (base.e6 - e4) * (3 * alpha)
-    d, (ru, re) = _integer_rows(u, e4)
-    ru, re = ru[::-1], re[::-1]
-
-    def term(k):
-        lo = order - 1 - k
-        return [x - 3 * k * y for x, y in zip(ru[lo:-1], re[lo:-1])], 3 * k * d
-
-    return solve_recurrence(order, term)
+    p0 = (e4 - base.e6) * alpha - e4.derive() * Fraction(5, 4)  # -T/3
+    return solve_ode((p0, e4), 0, base.order)
 
 
 def _mlde_series(recipe: ComponentRecipe, base: BaseForms) -> QSeries:
-    """Body of the weight-5 MLDE's Frobenius series at alpha = recipe.offset:
-    c_k k (k + 2 alpha - 1) = sum_{i>=1} ((alpha + k) E2_i + X_i) c_{k-i}
-    with X = -D E2 - (5/24) E2^2 - (1/24 - s^2/4m^2) E4 (module docstring)."""
-    order, e2 = base.order, base.e2
+    """Body of the weight-5 MLDE's Frobenius series at recipe.offset
+    (module docstring)."""
     lam = Fraction(1, 24) - Fraction(recipe.signed_residue, 2 * recipe.m) ** 2
-    x = -e2.derive() - base.e2_squared * Fraction(5, 24) - base.e4 * lam
-    d, (r2, rx) = _integer_rows(e2, x)
-    r2, rx = r2[::-1], rx[::-1]
-    pa, qa = recipe.offset.numerator, recipe.offset.denominator
-
-    def term(k):
-        lo, f = order - 1 - k, pa + k * qa
-        w = [f * y + qa * z for y, z in zip(r2[lo:-1], rx[lo:-1])]
-        return w, d * k * (k * qa + 2 * pa - qa)
-
-    return solve_recurrence(order, term)
+    # the equation times -1, so that E2 enters unscaled
+    p0 = base.e2_squared * Fraction(-5, 24) - base.e4 * lam
+    return solve_ode((p0, base.e2, -1), recipe.offset, base.order)
 
 
 def component_series(recipe: ComponentRecipe, base: BaseForms) -> PuiseuxSeries:

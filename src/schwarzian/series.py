@@ -27,14 +27,23 @@ denominator, in lowest terms; ``coeffs`` and indexing build the
 ``Fraction`` view at the API edge, and ``numerators`` and ``denominator``
 are the read-only integer view.  Every operation computes on the integers.
 The classical forms all have integer coefficients, so their products pay
-for no gcd at all.  Integer and rational powers follow one power
-recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7).  A series
-solved one coefficient at a time (division, powers, and elsewhere in the
-package the 2F1 Taylor coefficients and, through :func:`solve_recurrence`,
-the recurrences that build the components and the Frobenius solutions) is
-built by :class:`SeriesBuilder`, whose running common denominator grows to
-the lcm whenever a new term needs it: each term costs integer dot products
-and one gcd, where ``Fraction`` arithmetic paid a gcd per product.
+for no gcd at all.  A series solved one coefficient at a time is built by
+:class:`SeriesBuilder`, whose running common denominator grows to the lcm
+whenever a new term needs it: each term costs integer dot products and
+one gcd, where ``Fraction`` arithmetic paid a gcd per product.
+
+Apart from division and the Taylor coefficients of 2F1(z), every series
+the package solves term by term is the Frobenius solution
+q**e (1 + ...) of a linear equation
+
+    sum_p P_p D**p f = 0
+
+whose coefficients P_p are q-series or constants, and :func:`solve_ode`
+is the one place that turns such an equation into its recurrence.
+Integer and rational powers w = u**alpha solve u D(w) = alpha D(u) w,
+the power recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7);
+``hypergeometric`` states the equations of the components and ``solver``
+that of the Frobenius solutions.
 
 Composition writes the inner series as q**v (g/d) w with w an integer
 series of content 1, convolves the powers of w, and applies the rational
@@ -50,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Union
 
 from .errors import (
@@ -114,20 +123,53 @@ class SeriesBuilder:
         return QSeries._make(self.nums, self.den)
 
 
-def solve_recurrence(order: int, term) -> QSeries:
-    """The series o = 1 + o_1 q + ... to ``order`` terms, where ``term(k)``
-    returns integers (w, d) with o_k = (w[0] o_0 + ... + w[k-1] o_{k-1}) / d.
+def solve_ode(coefficients, exponent: Scalar, order: int) -> QSeries:
+    """The body g = 1 + g_1 q + ..., to ``order`` terms, of the solution
+    f = q**exponent g of sum_p P_p D**p f = 0, with P_p = ``coefficients[p]``.
 
-    The o_j are held as numerators over a running denominator
-    (``SeriesBuilder``), so each term costs one integer dot product and
-    one gcd.
+    Each P_p is a QSeries of at least ``order`` terms or a rational
+    constant, exact at every order.  ``exponent`` = a/b must be a root of
+    the indicial polynomial W(k) = sum_p P_p[0] (exponent + k)**p, so
+    W(0) = 0; a zero of W at k = 1 .. order - 1 raises ZeroDivisionError.
+    The coefficient of q**(exponent + k) gives
+
+        W(k) g_k = -sum_{j<k} sum_p P_p[k-j] (b j + a)**p b**-p g_j.
+
+    The P_p b**-p are integer rows over one denominator and the g_j
+    numerators over a running one (``SeriesBuilder``), so each term costs
+    integer dot products and one gcd.
     """
-    o = SeriesBuilder()
-    o.append(1, 1)
+    e = Fraction(exponent)
+    a, b = e.numerator, e.denominator
+    scaled = []  # P_p b**-p as (numerators, denominator)
+    for p, c in enumerate(coefficients):
+        s = _as_fraction(c)
+        if s is not None:
+            scaled.append(((s.numerator,), s.denominator * b**p))
+        elif c.order < order:
+            raise ValueError(f"coefficient P_{p} has {c.order} terms, need {order}")
+        else:
+            scaled.append((c._nums[:order], c._den * b**p))
+    d = lcm(*(den for _, den in scaled))
+    lead, rows = [], []
+    for p, (nums, den) in enumerate(scaled):
+        scale = d // den
+        lead.append(nums[0] * scale)
+        if any(nums[1:]):  # d b**-p P_p[k-j], j < k, is row[order-1-k : order-1]
+            rows.append((p, [x * scale for x in reversed(nums)]))
+    # powers[p][j] = (b j + a)**p, and W(k) d = sum_p lead[p] powers[p][k]
+    powers = [[x**p for x in range(a, a + b * order, b)] for p in range(len(lead))]
+    pivots = [sum(map(mul, lead, column)) for column in zip(*powers)]
+    g = SeriesBuilder()
+    g.append(1, 1)
     for k in range(1, order):
-        w, d = term(k)
-        o.append(sum(map(mul, o.nums, w)), d * o.den)
-    return o.series()
+        lo = order - 1 - k
+        w = None
+        for p, row in rows:
+            part = map(mul, row[lo:-1], powers[p]) if p else row[lo:-1]
+            w = part if w is None else map(add, w, part)
+        g.append(-sum(map(mul, w, g.nums)) if rows else 0, pivots[k] * g.den)
+    return g.series()
 
 
 def _divide_unit(a, da: int, b, db: int, order: int) -> QSeries:
@@ -277,8 +319,8 @@ class QSeries:
     def __mul__(self, other):
         s = _as_fraction(other)
         if s is not None:
-            nums = [x * s.numerator for x in self._nums]
-            return QSeries._make(nums, self._den * s.denominator)
+            p, q = s.as_integer_ratio()
+            return QSeries._make([x * p for x in self._nums], self._den * q)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(len(self._nums), len(other._nums))
@@ -329,28 +371,14 @@ class QSeries:
     def pow_rational(self, alpha: Scalar) -> QSeries:
         """u**alpha for rational alpha; the base must have constant term 1.
 
-        With w = u**alpha, u D(w) = alpha D(u) w gives the power recurrence
-        k w_k = sum_{j=1..k} ((alpha + 1) j - k) u_j w_{k-j}.  For integer
-        alpha the result agrees with repeated multiplication.  It runs on
-        integers (``solve_recurrence``): u is held as numerators over one
-        denominator, so each term costs one integer dot product and one gcd.
+        w = u**alpha is the solution 1 + ... of u D(w) - alpha D(u) w = 0
+        (``solve_ode``), the power recurrence (J. C. P. Miller; Knuth,
+        TAOCP vol. 2, section 4.7).  For integer alpha the result agrees
+        with repeated multiplication.
         """
-        nums, den = self._nums, self._den
-        if nums[0] != den:
+        if self._nums[0] != self._den:
             raise NonUnitBase(f"rational power needs constant term 1, got {self[0]}")
-        # u_j = nums[j] / den and alpha + 1 = p / q, so
-        # w_k = sum_j (p j nums_j - q k nums_j) w_{k-j} / (q k den)
-        a1 = Fraction(alpha) + 1
-        p, q = a1.numerator, a1.denominator
-        n = len(nums)
-        rn = nums[::-1]
-        rjn = [p * j * x for j, x in enumerate(nums)][::-1]
-
-        def term(k):
-            lo, qk = n - 1 - k, q * k
-            return [x - qk * y for x, y in zip(rjn[lo:-1], rn[lo:-1])], qk * den
-
-        return solve_recurrence(n, term)
+        return solve_ode((self.derive() * -Fraction(alpha), self), 0, len(self._nums))
 
     def compose(self, inner: QSeries) -> QSeries:
         """Substitute ``inner`` into this series; inner(0) must vanish.

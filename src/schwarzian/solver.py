@@ -33,7 +33,7 @@ from .errors import (
     NotProportional,
     OdeResidualNonzero,
 )
-from .series import PuiseuxSeries, QSeries, solve_recurrence
+from .series import PuiseuxSeries, QSeries, solve_ode
 
 CONVENTION_NOTE = (
     "derivative convention: D = q d/dq; verified constants are "
@@ -79,23 +79,15 @@ def verify_proportionality(sd: QSeries) -> Fraction:
 
 
 def _frobenius(b: Fraction, order: int) -> PuiseuxSeries:
-    """The solution q**b (1 + ...) of D(D(y)) - b**2 E4 y = 0 to ``order`` terms,
-    from c_k k(k + 2b) = b**2 sum_{j>=1} E4_j c_{k-j} (``solve_recurrence``).
-    InvalidParameters when 2b is an integer (resonant).
+    """The solution q**b (1 + ...) of D(D(y)) - b**2 E4 y = 0 to ``order`` terms
+    (``series.solve_ode``).  InvalidParameters when 2b is an integer, where
+    the indicial roots +-b differ by an integer (resonance).
     """
     b = Fraction(b)
     if b.denominator <= 2:
         raise InvalidParameters(f"2b = {2 * b} is an integer: resonant recurrence")
-    # b = p/q and E4_j = e_j/d, so
-    # c_k = p^2 sum_j e_j c_{k-j} / (q d k (k q + 2 p))
     e4 = forms.eisenstein(4, order)
-    p, q, d = b.numerator, b.denominator, e4.denominator
-    re = [p * p * x for x in e4.numerators[::-1]]
-
-    def term(k):
-        return re[order - 1 - k : order - 1], q * d * k * (k * q + 2 * p)
-
-    return PuiseuxSeries(b, solve_recurrence(order, term))
+    return PuiseuxSeries(b, solve_ode((e4 * -(b * b), 0, 1), b, order))
 
 
 def ode_solutions(h: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:

@@ -47,7 +47,7 @@ class ReprData:
     n_prime: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or not isinstance(self.n_prime, int):
+        if type(self.m) is not int or type(self.n_prime) is not int:
             raise InvalidParameters("m and n' must be integers")
         if self.m < 7:
             raise InvalidParameters(f"m must be >= 7, got {self.m}")
@@ -70,12 +70,12 @@ class ReprData:
 def split_n(m: int, n: int) -> tuple[ReprData, int]:
     """(ReprData(m, n'), r) for n = r m + n' with 0 < n' < m.
 
-    Raises InvalidParameters unless n >= 1, gcd(m, n) = 1 and ReprData
-    accepts (m, n').
+    Raises InvalidParameters unless n is an int (not a bool) >= 1,
+    gcd(m, n) = 1 and ReprData accepts (m, n').
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidParameters(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(m, int) or m < 7:
+    if type(m) is not int or m < 7:
         ReprData(m, n)  # refuses m before n % m is formed
     if gcd(m, n) != 1:
         raise InvalidParameters(f"m={m} and n={n} must be coprime")
@@ -130,10 +130,12 @@ def raise_weight(form: VectorForm) -> VectorForm:
     if pivot == 0:
         raise PivotVanishes(f"pivot vanishes at weight {form.weight}")
 
+    # one E4 and E6 at the longer order: products truncate to the shorter
+    order = max(form.first.order, form.second.order)
+    e4 = forms.eisenstein(4, order)
+    e6 = forms.eisenstein(6, order)
+
     def step(component: PuiseuxSeries) -> PuiseuxSeries:
-        order = component.order
-        e4 = forms.eisenstein(4, order)
-        e6 = forms.eisenstein(6, order)
         serre = forms.serre_derivative(component, form.weight)
         return component * e6 - serre * e4 * (1 / pivot)
 

@@ -12,7 +12,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schwarzian import (
@@ -23,6 +23,7 @@ from schwarzian import (
     PuiseuxSeries,
     QSeries,
 )
+from schwarzian.series import solve_ode
 
 F = Fraction
 
@@ -490,6 +491,82 @@ def test_pow_rational_matches_exp_log_reference(rest, alpha):
     out = QSeries(u).pow_rational(alpha).coeffs
     assert all(type(c) is F for c in out)
     assert exact(out) == exact(ref_pow_rational(u, alpha))
+
+
+def ode_term(c, i):
+    """q**i coefficient of an ODE coefficient: a list, or a constant."""
+    if isinstance(c, list):
+        return c[i]
+    return F(c) if i == 0 else F(0)
+
+
+def indicial(coefficients, x):
+    return sum(ode_term(c, 0) * x**p for p, c in enumerate(coefficients))
+
+
+def ref_solve_ode(coefficients, exponent, order):
+    """g = 1 + ... with sum_p P_p D**p (q**exponent g) = 0, from the
+    coefficient of q**(exponent + k) summed over plain Fractions."""
+    g = [F(1)]
+    for k in range(1, order):
+        rhs = sum(
+            ode_term(c, k - j) * (exponent + j) ** p * g[j]
+            for p, c in enumerate(coefficients)
+            for j in range(k)
+        )
+        g.append(-rhs / indicial(coefficients, exponent + k))
+    return g
+
+
+@st.composite
+def odes(draw):
+    """(P_0, P_1, P_2), exponent and order: each P_p a list of ``order``
+    rationals or an int or Fraction constant, and P_0[0] chosen so the
+    exponent is a root of the indicial polynomial."""
+    order = draw(st.integers(min_value=1, max_value=20))
+    constant = st.one_of(
+        st.integers(min_value=-20, max_value=20),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    )
+    series = st.lists(mixed, min_size=order, max_size=order)
+    coefficients = [draw(st.one_of(constant, series)) for _ in range(3)]
+    exponent = draw(st.fractions(min_value=-3, max_value=3, max_denominator=12))
+    c0 = coefficients[0]
+    lead = ode_term(c0, 0) - indicial(coefficients, exponent)
+    if isinstance(c0, list):
+        coefficients[0] = [lead] + c0[1:]
+    else:
+        coefficients[0] = int(lead) if lead.denominator == 1 else lead
+    return coefficients, exponent, order
+
+
+@given(odes())
+@settings(max_examples=150, deadline=None)
+def test_solve_ode_matches_fraction_reference(ode):
+    coefficients, exponent, order = ode
+    assume(all(indicial(coefficients, exponent + k) for k in range(1, order)))
+    ps = [QSeries(c) if isinstance(c, list) else c for c in coefficients]
+    g = solve_ode(ps, exponent, order)
+    assert g.order == order
+    assert exact(g.coeffs) == exact(ref_solve_ode(coefficients, exponent, order))
+    # sum_p P_p D**p f vanishes through q**(exponent + order - 1)
+    f = PuiseuxSeries(exponent, g)
+    terms = []
+    for p in ps:
+        terms.append(p * f)
+        f = f.derive()
+    residual = terms[0] + terms[1] + terms[2]
+    assert residual.is_zero()
+    assert residual.offset + residual.order == exponent + order
+
+
+def test_solve_ode_refuses_short_coefficients_and_resonance():
+    with pytest.raises(ValueError, match="P_0 has 2 terms, need 3"):
+        solve_ode((QSeries([0, 2]), 1), 0, 3)
+    # D^2 f - 2 D f = 0 has W(k) = k (k - 2), which vanishes at k = 2
+    assert solve_ode((0, -2, 1), 0, 2).coeffs == (1, 0)
+    with pytest.raises(ZeroDivisionError):
+        solve_ode((0, -2, 1), 0, 3)
 
 
 # The linear operations, derive, truncate, shift and == compute on integer

@@ -169,7 +169,9 @@ def no_series(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-@pytest.mark.parametrize("m, n", [(6, 1), (7, 0), (8, 2), (7, 14), (7, 1.0), (True, 1)])
+@pytest.mark.parametrize(
+    "m, n", [(6, 1), (7, 0), (8, 2), (7, 14), (7, 1.0), (True, 1), (7, True)]
+)
 def test_bad_pair_refused_before_building(no_series, entry, m, n):
     with pytest.raises(InvalidParameters):
         ENTRY_POINTS[entry](m, n)
@@ -318,6 +320,22 @@ def test_solve_builds_eta_powers_once(monkeypatch):
     monkeypatch.setattr(forms, "eta_power", counted)
     solve(9, 38, 30)
     assert calls == [24]
+
+
+def test_raise_weight_builds_e4_and_e6_once_per_level(monkeypatch):
+    """Each of the r = 4 raising levels builds one E4 and one E6 for both
+    components; E2 is built per component by the Serre derivative, and by
+    the checks."""
+    calls = []
+    original = forms.eisenstein
+
+    def counted(k, order):
+        calls.append(k)
+        return original(k, order)
+
+    monkeypatch.setattr(forms, "eisenstein", counted)
+    solve(9, 38, 30)
+    assert {k: calls.count(k) for k in (2, 4, 6)} == {2: 14, 4: 9, 6: 6}
 
 
 def _e4(order):

@@ -46,6 +46,8 @@ def test_repr_data_validation():
         ReprData(8, 2)  # shares a factor
     with pytest.raises(InvalidParameters):
         ReprData(7, -1)
+    with pytest.raises(InvalidParameters):
+        ReprData(7, True)  # a bool is not taken for n' = 1
 
 
 def test_exponents():
