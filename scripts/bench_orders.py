@@ -1,4 +1,5 @@
-"""Time solve(7, 1, N) and minimal_form at N = 60, 120 and 240 across checkouts.
+"""Time solve(7, 1, N), minimal_form and solve(9, 38, N) at N = 60, 120 and 240
+across checkouts.
 
 Usage, from the root of a checkout:
 
@@ -10,10 +11,15 @@ trees share the machine's state; every other round runs them in reverse
 order, so no tree always runs first (with a fixed order, swapping two
 trees flipped which one read faster).  Each process warms up with
 ``solve(7, 1, 30)`` and then times ``--repeats`` calls of each function
-at each order.  The JSON records, per tree, function and order, the median
-and quartiles of the pooled wall times in seconds, with the Python version
-and the platform; the ratios in ``speedup`` divide the first tree's
-medians by each other tree's.  Paths are not recorded, only the names.
+at each order.  ``solve_raised`` is solve(9, 38, N), which raises the
+minimal form four times.  The JSON records, per tree, function and
+order, the median and quartiles of the pooled wall times in seconds, with
+the Python version and the platform.  ``speedup`` compares the first
+tree with each other tree in two ways: ``pooled`` divides the medians of
+the pooled times, and ``paired`` gives the median and quartiles, over the
+rounds, of the first tree's median in a round divided by the other
+tree's in the same round, so a round in which the whole machine ran slow
+moves both sides of its ratio.  Paths are not recorded, only the names.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from pathlib import Path
 
 ORDERS = (60, 120, 240)
 PAIR = (7, 1)
+RAISED_PAIR = (9, 38)
 
 
 def measure(repeats: int) -> dict:
@@ -39,6 +46,7 @@ def measure(repeats: int) -> dict:
     calls = {
         "solve": lambda n: solve(*PAIR, n),
         "minimal_form": lambda n: minimal_form(ReprData(*PAIR), n),
+        "solve_raised": lambda n: solve(*RAISED_PAIR, n),
     }
     times: dict = {name: {} for name in calls}
     for name, call in calls.items():
@@ -71,7 +79,7 @@ def main() -> int:
     if not args.tree or args.out is None:
         parser.error("give at least one --tree and --out")
     trees = dict(spec.split("=", 1) for spec in args.tree)
-    pooled = {name: {} for name in trees}
+    runs: dict = {name: [] for name in trees}  # one worker's times per round
     for r in range(args.rounds):
         for name in reversed(trees) if r % 2 else trees:
             path = trees[name]
@@ -82,21 +90,33 @@ def main() -> int:
                 text=True,
                 check=True,
             ).stdout
-            for fn, by_order in json.loads(out).items():
-                for order, samples in by_order.items():
-                    pooled[name].setdefault(fn, {}).setdefault(order, []).extend(samples)
+            runs[name].append(json.loads(out))
     results = {
         name: {
-            fn: {order: summary(s) for order, s in by_order.items()}
-            for fn, by_order in fns.items()
+            fn: {
+                order: summary([t for run in tree_runs for t in run[fn][order]])
+                for order in by_order
+            }
+            for fn, by_order in tree_runs[0].items()
         }
-        for name, fns in pooled.items()
+        for name, tree_runs in runs.items()
     }
     base, *others = trees
+
+    def paired(name: str, fn: str, order: str) -> dict:
+        """Per-round ratios of the base tree's median to ``name``'s."""
+        return summary([
+            statistics.median(b[fn][order]) / statistics.median(o[fn][order])
+            for b, o in zip(runs[base], runs[name])
+        ])
+
     speedup = {
         name: {
             fn: {
-                order: results[base][fn][order]["median"] / stats["median"]
+                order: {
+                    "pooled": results[base][fn][order]["median"] / stats["median"],
+                    "paired": paired(name, fn, order),
+                }
                 for order, stats in by_order.items()
             }
             for fn, by_order in results[name].items()
@@ -106,6 +126,7 @@ def main() -> int:
     record = {
         "script": "scripts/bench_orders.py",
         "pair": list(PAIR),
+        "raised_pair": list(RAISED_PAIR),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "rounds": args.rounds,

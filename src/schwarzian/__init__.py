@@ -39,7 +39,6 @@ from .errors import (
     OddExponent,
     OdeResidualNonzero,
     OutsideDisk,
-    PivotVanishes,
     RecipeInconsistent,
     SchwarzianError,
     SeriesError,
@@ -101,7 +100,6 @@ __all__ = [
     "OddExponent",
     "OdeResidualNonzero",
     "OutsideDisk",
-    "PivotVanishes",
     "PuiseuxSeries",
     "QSeries",
     "RecipeInconsistent",

@@ -70,10 +70,6 @@ class NumericOverflow(SchwarzianError):
     """A floating point evaluation produced a NaN or an infinity."""
 
 
-class PivotVanishes(SchwarzianError):
-    """Weight raising is undefined when the first-component pivot is zero."""
-
-
 class DegenerateDerivative(SchwarzianError):
     """The Schwarzian derivative needs a series whose derivative is not zero."""
 

@@ -129,12 +129,14 @@ class ComponentRecipe:
 
 @dataclass(frozen=True)
 class BaseForms:
-    """The level-one series that both components of a minimal form read.
+    """The level-one series that both components of a minimal form read,
+    and that ``vvmf`` raises and checks every level of that form against.
 
     Each holds ``order`` terms.  ``a``, ``b0``, ``e4_fourth``, ``delta_e4``
     and ``delta_e6`` are E4^2 E6, the parameter-free first term of B,
     E4^4, 1728 Delta E4 and 1728 Delta E6: the pieces of the pulled-back
-    hypergeometric equation.  E2 and E2^2 feed the MLDE check alone.
+    hypergeometric equation.  E2 and E2^2 feed the MLDE check, E2 also the
+    Wronskian checks, and E4 and E6 the weight raising.
     """
 
     e2: QSeries

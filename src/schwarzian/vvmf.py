@@ -2,15 +2,19 @@
 
 The minimal form for parameters (m, n') has weight 5, component leading
 exponents (m + n')/2m and (m - n')/2m, and both leading coefficients 1.
-Raising multiplies by E6 and subtracts (1/pivot) E4 D_k, where the pivot
-lambda = first.offset - weight/12 is chosen so the first component's leading
+Raising at weight k is F -> E6 F - (1/pivot) E4 D_k F, where the pivot
+lambda = first.offset - k/12 is chosen so the first component's leading
 coefficient cancels exactly; its exponent moves up by 1 while the second
-component's exponent stays put.  Each raise adds 6 to the weight.
+component's exponent stays put.  Each raise adds 6 to the weight.  By
+Ramanujan's E2 E4 = 3 D E4 + E6 the step is F X - (1/pivot) E4 D F, where
+X = (1 + k/12 pivot) E6 + (k/4 pivot) D E4 reads the E4 and E6 of the
+``hypergeometric.BaseForms`` that every form keeps from its minimal form.
 
 The Wronskian W(F) = D(f1) f2 - f1 D(f2) of a form with exponents summing to
 the integer e must be a nonzero constant multiple of Delta**e.  As D Delta =
 E2 Delta (D_12 Delta = 0, checked by the classical-identities criterion),
-wronskian_check verifies D W = e E2 W instead, building no power of Delta.
+wronskian_check verifies D W = e E2 W instead, with the E2 of the form's
+base, building no power of Delta.
 """
 
 from __future__ import annotations
@@ -19,14 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import forms, hypergeometric
-from .errors import (
-    InvalidParameters,
-    LeadingCancellation,
-    NotProportionalToDeltaPower,
-    PivotVanishes,
-)
-from .hypergeometric import ComponentRecipe
+from . import hypergeometric
+from .errors import InvalidParameters, LeadingCancellation, NotProportionalToDeltaPower
+from .hypergeometric import BaseForms, ComponentRecipe
 from .series import PuiseuxSeries
 
 MINIMAL_WEIGHT = Fraction(5)
@@ -84,19 +83,23 @@ def split_n(m: int, n: int) -> tuple[ReprData, int]:
 
 @dataclass(frozen=True)
 class VectorForm:
-    """A two-component form of weight 5 + 6*level."""
+    """A two-component form of weight 5 + 6*level, with the level-one series
+    ``base`` that its minimal form was built from and every raise keeps."""
 
     first: PuiseuxSeries
     second: PuiseuxSeries
-    weight: Fraction
     rep: ReprData
     level: int
+    base: BaseForms
 
     def __post_init__(self):
         first, second = self.rep.recipes
-        assert self.weight == MINIMAL_WEIGHT + 6 * self.level
         assert self.first.offset == first.offset + self.level
         assert self.second.offset == second.offset
+
+    @property
+    def weight(self) -> Fraction:
+        return MINIMAL_WEIGHT + 6 * self.level
 
 
 def minimal_form(rep: ReprData, order: int) -> VectorForm:
@@ -109,35 +112,30 @@ def minimal_form(rep: ReprData, order: int) -> VectorForm:
     logarithmic derivative, then checked against the Frobenius series of
     the weight-5 modular differential equation.  Nothing is composed.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     base = hypergeometric.base_forms(order)
     first, second = (hypergeometric.component_series(r, base) for r in rep.recipes)
-    return VectorForm(first=first, second=second, weight=MINIMAL_WEIGHT, rep=rep, level=0)
+    return VectorForm(first=first, second=second, rep=rep, level=0, base=base)
 
 
 def raise_weight(form: VectorForm) -> VectorForm:
-    """One weight-raising step: E6 F - (1/pivot) E4 D_weight F, componentwise.
+    """One weight-raising step: E6 F - (1/pivot) E4 D_weight F, componentwise,
+    computed as F X - (1/pivot) E4 D F from ``form.base`` (module docstring).
 
-    The pivot equals the first component's exponent minus weight/12, which
-    kills that component's leading coefficient exactly; the new leading
-    exponent is first.offset + 1 and the second component's exponent is
-    unchanged.  LeadingCancellation is raised if either fails, and the
-    components are returned unnormalized so the raising constants stay
-    visible as the new leading coefficients.
+    The pivot equals the first component's exponent minus weight/12,
+    1/12 + n'/2m + level/2 > 0, which kills that component's leading
+    coefficient exactly; the new leading exponent is first.offset + 1 and
+    the second component's exponent is unchanged.  LeadingCancellation is
+    raised if either fails, and the components are returned unnormalized so
+    the raising constants stay visible as the new leading coefficients.
     """
+    base = form.base
     pivot = form.first.offset - form.weight / 12
-    if pivot == 0:
-        raise PivotVanishes(f"pivot vanishes at weight {form.weight}")
-
-    # one E4 and E6 at the longer order: products truncate to the shorter
-    order = max(form.first.order, form.second.order)
-    e4 = forms.eisenstein(4, order)
-    e6 = forms.eisenstein(6, order)
+    k_pivot = form.weight / (12 * pivot)
+    x = base.e6 * (1 + k_pivot) + base.e4.derive() * (3 * k_pivot)
+    e4_pivot = base.e4 * (1 / pivot)
 
     def step(component: PuiseuxSeries) -> PuiseuxSeries:
-        serre = forms.serre_derivative(component, form.weight)
-        return component * e6 - serre * e4 * (1 / pivot)
+        return component * x - component.derive() * e4_pivot
 
     new_first = step(form.first)
     new_second = step(form.second)
@@ -155,9 +153,9 @@ def raise_weight(form: VectorForm) -> VectorForm:
     return VectorForm(
         first=new_first,
         second=new_second,
-        weight=form.weight + 6,
         rep=form.rep,
         level=form.level + 1,
+        base=base,
     )
 
 
@@ -189,7 +187,7 @@ def wronskian_check(form: VectorForm) -> tuple[Fraction, int]:
         raise NotProportionalToDeltaPower(
             f"Wronskian leading exponent is {w.offset}, expected {e}", index=0
         )
-    residual = w.body.derive() + w.body * (1 - forms.eisenstein(2, w.order)) * e
+    residual = w.body.derive() + w.body * (1 - form.base.e2) * e
     i = residual.valuation()
     if i is not None:
         what = f"D W - {e} E2 W has coefficient {residual[0]}"  # E2[0] != 1

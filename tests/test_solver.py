@@ -322,20 +322,29 @@ def test_solve_builds_eta_powers_once(monkeypatch):
     assert calls == [24]
 
 
-def test_raise_weight_builds_e4_and_e6_once_per_level(monkeypatch):
-    """Each of the r = 4 raising levels builds one E4 and one E6 for both
-    components; E2 is built per component by the Serre derivative, and by
-    the checks."""
+def test_raising_and_checks_read_the_minimal_forms_base(monkeypatch):
+    """The r = 4 raising levels and their Wronskian checks read E2, E4 and E6
+    from the base forms built once for the minimal form: E2, E4 and E6 there,
+    E4 and E6 once more inside delta, and E4 by each of the three checks of
+    h; no level takes a Serre derivative."""
     calls = []
+    serre = []
     original = forms.eisenstein
+    original_serre = forms.serre_derivative
 
     def counted(k, order):
         calls.append(k)
         return original(k, order)
 
+    def counted_serre(f, weight):
+        serre.append(weight)
+        return original_serre(f, weight)
+
     monkeypatch.setattr(forms, "eisenstein", counted)
+    monkeypatch.setattr(forms, "serre_derivative", counted_serre)
     solve(9, 38, 30)
-    assert {k: calls.count(k) for k in (2, 4, 6)} == {2: 14, 4: 9, 6: 6}
+    assert {k: calls.count(k) for k in (2, 4, 6)} == {2: 1, 4: 5, 6: 2}
+    assert serre == []
 
 
 def _e4(order):

@@ -6,12 +6,14 @@ standalone script that assembled the same objects from scratch with plain
 list arithmetic, before this package existed.
 """
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import pytest
 
 from schwarzian import forms, vvmf
+from schwarzian.acceptance import SHAPE_GRID
 from schwarzian import (
     InvalidParameters,
     MINIMAL_WEIGHT,
@@ -48,6 +50,8 @@ def test_repr_data_validation():
         ReprData(7, -1)
     with pytest.raises(InvalidParameters):
         ReprData(7, True)  # a bool is not taken for n' = 1
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        minimal_form(ReprData(7, 1), 0)
 
 
 def test_exponents():
@@ -124,23 +128,16 @@ def test_wronskian_check_names_first_bad_coefficient(monkeypatch, level, index):
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
-def test_wronskian_check_catches_wrong_e2(monkeypatch, index):
-    """The check reads E2 (D Delta = E2 Delta), so an E2 bumped by 1 at q**index
-    fails the level-0 check at that index; at q**0 no quotient is named."""
+def test_wronskian_check_catches_wrong_e2(index):
+    """The check reads the form's E2 (D Delta = E2 Delta), so an E2 bumped by 1
+    at q**index fails the level-0 check at that index; at q**0 no quotient is
+    named."""
     form = minimal_form(ReprData(7, 1), 12)
-    original = forms.eisenstein
-
-    def bumped(k, order):
-        out = original(k, order)
-        if k != 2:
-            return out
-        cs = list(out.coeffs)
-        cs[index] += 1
-        return QSeries(cs)
-
-    monkeypatch.setattr(forms, "eisenstein", bumped)
+    cs = list(form.base.e2.coeffs)
+    cs[index] += 1
+    base = dataclasses.replace(form.base, e2=QSeries(cs))
     with pytest.raises(NotProportionalToDeltaPower) as info:
-        wronskian_check(form)
+        wronskian_check(dataclasses.replace(form, base=base))
     assert info.value.index == index
     if index == 0:
         assert str(info.value) == "D W - 1 E2 W has coefficient -1/7 at q^0"
@@ -210,16 +207,99 @@ COMPONENT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("m, n_prime, order", sorted(COMPONENT_SHA256))
-def test_minimal_form_golden_hash(m, n_prime, order):
-    form = minimal_form(ReprData(m, n_prime), order)
-    digests = tuple(
+def _digests(form):
+    return tuple(
         hashlib.sha256(
             ";".join(str(c) for c in (s.offset, *s.body.coeffs)).encode()
         ).hexdigest()
         for s in (form.first, form.second)
     )
-    assert digests == COMPONENT_SHA256[(m, n_prime, order)]
+
+
+@pytest.mark.parametrize("m, n_prime, order", sorted(COMPONENT_SHA256))
+def test_minimal_form_golden_hash(m, n_prime, order):
+    form = minimal_form(ReprData(m, n_prime), order)
+    assert _digests(form) == COMPONENT_SHA256[(m, n_prime, order)]
+
+
+def _reference_raise(form):
+    """E6 f - (1/pivot) E4 D_k f for each component f, built literally from
+    fresh Eisenstein series and forms.serre_derivative."""
+    pivot = form.first.offset - form.weight / 12
+
+    def step(f):
+        e4, e6 = forms.eisenstein(4, f.order), forms.eisenstein(6, f.order)
+        return f * e6 - forms.serre_derivative(f, form.weight) * e4 * (1 / pivot)
+
+    return step(form.first), step(form.second)
+
+
+def _terms(s):
+    return s.offset, s.body.coeffs
+
+
+@pytest.mark.parametrize(
+    "m, n, order", [(m, m + n, 20) for m, n in SHAPE_GRID] + [(9, 38, 30)]
+)
+def test_raise_weight_matches_reference_operator(m, n, order):
+    """Every level that solve(m, n, order) raises to, exactly and to the
+    same order as the reference."""
+    rep, r = vvmf.split_n(m, n)
+    form = minimal_form(rep, order + r)
+    for _ in range(r):
+        want = _reference_raise(form)
+        form = raise_weight(form)
+        assert (_terms(form.first), _terms(form.second)) == tuple(map(_terms, want))
+
+
+# sha256, as in COMPONENT_SHA256, of both components at every level 0..r of
+# the form that solve(m, n, 30) raises, computed while raise_weight still
+# built E2, E4 and E6 and took the Serre derivative at every level.
+RAISED_SHA256 = {
+    (9, 38, 30): (
+        ("c15c1b48e7fcee5114aa36ad85aa0a0deb12a9e2b6e327bf6517315b4e19929b",
+         "03cf815c2bc6d07d20148e7c62f03bdb5f555ac2b1d032fbe30e4068df352946"),
+        ("a9b31558bf4e7b0b28bfde01a15e0694103a001e85abf1c92968f95f76adeeb6",
+         "3dbc93474a28ad68ba3a07b5b2fb742ddedfd316701ea57ad3f53002e061987f"),
+        ("50f93220025bc021b933a154209f8ce8249a21e45a47b37e758c574b3f26ba33",
+         "87a5fce8dea0fa115ff0b1b6916070fcb743d902f519b7f216974d28df309da5"),
+        ("46a6c0cf6777b0721a074853a6c3d05d4641c8fa6b693deb240eaebc11a19cbe",
+         "4896c76d5ce5e2ab1b20fbbf91593e7bd10668535589e5c61ca1bc4e207fe813"),
+        ("7f40c78b40a12435da9a1cba1f5b654542d390f647d897b8f5d02125cdf363e2",
+         "d2005bdae4a02175c80c93e173ada6eed810a33e93c9624d539f547eeefa4712"),
+    ),
+    (10, 83, 30): (
+        ("df87c5122bd05ead4966fb5d23286590e84a6c04deb13ebca95b207e50b575ff",
+         "46bee96725dd0cf26eadbcb4bd7a9cc6724f81f650fddb604853aebd2f105a13"),
+        ("f86c08eeec081cbb41f6f5dbb443f17b933ddbed838e51190953c9556365f936",
+         "bdc7bb1dbaf26dd7c2da0e3f40de1778792967ba7ff3cca2cdb3431e2e3d433e"),
+        ("38ec748ea781bb3f2d4c54f992567c1149b8174bedfbb06b49fb5d6952398e8c",
+         "84c3642d695ba2c1e133ce35755a51fbaa22ae48b4006980e7847588781a781c"),
+        ("3476bee3f255e6f99aea0a2c1846252d7054103313d14ced6bc25fa52840e010",
+         "0db39db9921034d9aced017b631d0a5250e24f790949797eec4a2ca1ec099c12"),
+        ("1fe56aafad457a82ab85bf0db54f4388b09fff258e5bf307fa3889232a564bfa",
+         "59635cbe52160ec7e3d557615aae3b5147c9f0a03681486dc6af221611bac822"),
+        ("bf44932f773f016fe5896ce5c7d6a8ba61a27ad04fb8e01e09b927cb3e90a813",
+         "302bfb2749be8bcd360808c0e047479119c42d144843fac5a67fd7946a95116f"),
+        ("6ff0d277856eac3f501b70c1319dd72c8ecd127254181f5393d32a448e027301",
+         "1f7d4c02a8954c95a58eed95a9cfa52033c4dfec5560a49c9dc0ec1861755e25"),
+        ("2137f207cdb272e58cf4898056454d735506151750419be6c9a84a529e580b4f",
+         "a78f36f5f909870246b7198faf57677cb4dd7bea0b70fc73ff1138c68556dc85"),
+        ("83e1b0244b19efce05e8d5b1523c35ee35d3f0901e66a1961fd478ca00c877f6",
+         "c6aa2659e998c9ca3cede40dac902853cbc10d1fa1bdddd46a573d0dcbbda5ab"),
+    ),
+}
+
+
+@pytest.mark.parametrize("m, n, order", sorted(RAISED_SHA256))
+def test_raised_components_golden_hash(m, n, order):
+    rep, r = vvmf.split_n(m, n)
+    form = minimal_form(rep, order + r)
+    digests = [_digests(form)]
+    for _ in range(r):
+        form = raise_weight(form)
+        digests.append(_digests(form))
+    assert tuple(digests) == RAISED_SHA256[(m, n, order)]
 
 
 def test_one_base_build_per_form_and_no_composition(build_counts, construction_counts):
