@@ -12,9 +12,14 @@ order, so no tree always runs first (with a fixed order, swapping two
 trees flipped which one read faster).  Each process warms up with
 ``solve(7, 1, 30)`` and then times ``--repeats`` calls of each function
 at each order.  ``solve_raised`` is solve(9, 38, N), which raises the
-minimal form four times.  The JSON records, per tree, function and
-order, the median and quartiles of the pooled wall times in seconds, with
-the Python version and the platform.  ``speedup`` compares the first
+minimal form four times.  ``hypergeometric.base_forms`` is cached per
+order within a process, so in a tree that has the cache every timed call
+after the first at an order reads the cached base forms: the warm-up
+fills only order 30, ``solve`` and ``minimal_form`` share order N, and
+``solve_raised`` builds its own at N + 4.  The JSON records, per tree,
+function and order, the median and quartiles of the pooled wall times
+in seconds, with the Python version and the platform.  ``speedup``
+compares the first
 tree with each other tree in two ways: ``pooled`` divides the medians of
 the pooled times, and ``paired`` gives the median and quartiles, over the
 rounds, of the first tree's median in a round divided by the other

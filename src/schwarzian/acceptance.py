@@ -294,7 +294,8 @@ def check_seeded_bug_sensitivity() -> CheckResult:
     For each of three ingredient series — the weight-4 Eisenstein series,
     the 24th eta power, and the first component's 2F1(1728/j) as
     ``hypergeometric.pulled_back_2f1`` builds it — bump one of the first
-    five coefficients by 1 and run the full solve pipeline.
+    five coefficients by 1 and run the full solve pipeline, with the
+    ``hypergeometric.base_forms`` cache cleared before and after each run.
     The run must raise a VerificationError whose reported index is at most
     MAX_BUG_INDEX; silent success on any corruption fails this check.
     """
@@ -309,6 +310,8 @@ def check_seeded_bug_sensitivity() -> CheckResult:
         for index in range(5):
             original = getattr(module, attr)
             setattr(module, attr, _bumped(original, index, hit))
+            # a cold build reads the corruption, and none outlives the run
+            hypergeometric.base_forms.cache_clear()
             try:
                 solver.solve(7, 1, ORDER)
             except VerificationError as exc:
@@ -322,6 +325,7 @@ def check_seeded_bug_sensitivity() -> CheckResult:
                 problems.append(f"{label}[{index}]: corruption went undetected")
             finally:
                 setattr(module, attr, original)
+                hypergeometric.base_forms.cache_clear()
     detail = f"{5 * len(seams)} corrupted runs, each to be caught at index <= {MAX_BUG_INDEX}"
     return verdict("seeded-bug-sensitivity", detail, problems)
 
@@ -329,10 +333,11 @@ def check_seeded_bug_sensitivity() -> CheckResult:
 def run_all() -> list[CheckResult]:
     """Run every acceptance criterion in order and return the results.
 
-    Starts cold: the forms and solutions that criteria share within one
-    run are built afresh, so each run checks the code as it is now.
+    Starts cold: the ``hypergeometric.base_forms`` cache and the forms and
+    solutions that criteria share within one run are cleared and built
+    afresh, so each run checks the code as it is now.
     """
-    for cached in (_solved, _minimal, _raised):
+    for cached in (hypergeometric.base_forms, _solved, _minimal, _raised):
         cached.cache_clear()
     return [
         check_classical_identities(),

@@ -16,8 +16,7 @@ consumer is scalar-invariant.
 
 No series is substituted into another.  Both factors are solved term by
 term from linear equations in D, in O(order**2), from the level-one
-series of ``base_forms``, which ``vvmf.minimal_form`` builds once for
-both components:
+series of ``base_forms``, which both components of a minimal form read:
 
 * F(1728/j) from the hypergeometric equation pulled back along
   z = 1728/j.  As D z = z E6/E4 and 1 - z = E6^2/E4^3, theta_z = (E4/E6) D;
@@ -50,12 +49,20 @@ first index at which the two routes differ.
 
 Each of the three series is the solution 1 + ... that
 ``series.solve_ode`` returns for its equation's coefficients.
+
+``base_forms`` is cached per order: every minimal form, and so every
+``solver.solve``, at an order already built in this process reuses one
+``BaseForms``.  Sharing it is safe, as the dataclass is frozen and each
+``QSeries`` holds integer tuples.  ``acceptance`` clears the cache wherever
+a check must see a cold build: before its battery, and around each run of
+the seeded-bug check, which corrupts ``forms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import forms
 from .errors import InvalidC, RecipeInconsistent
@@ -154,11 +161,17 @@ class BaseForms:
         return self.e4.order
 
 
+@lru_cache(maxsize=16)
 def base_forms(order: int) -> BaseForms:
-    """Build E2, E4, E6, Delta and the products in A, B and C, to ``order``.
+    """Build E2, E4, E6, Delta and the products in A, B and C, to ``order``,
+    once per order per process.
 
-    ``forms.delta`` runs first: it checks eta**24 against (E4^3 - E6^2)/1728,
-    so a corrupted E4, E6 or eta**24 stops here at the index it differs.
+    ``forms.delta`` runs first on every build: it checks eta**24 against
+    (E4^3 - E6^2)/1728, so a corrupted E4, E6 or eta**24 stops here at the
+    index it differs.  Later calls at a built order return the same frozen
+    ``BaseForms`` (module docstring); an exception is not cached, so
+    ``base_forms(0)`` raises on every call.  A check that patches ``forms``
+    needs ``base_forms.cache_clear()`` first, as ``acceptance`` does.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -249,9 +249,9 @@ def eval_qseries(
 def _z_series(m_terms: int) -> QSeries:
     """The integer q-expansion of 1728/j, built once per length.
 
-    The cache lives here rather than in ``forms``: the seeded-bug check
-    corrupts ``forms.eisenstein`` and ``forms.eta_power`` and needs every
-    ``solve`` to rebuild the base forms from them.
+    Like ``hypergeometric.base_forms``, the cache sits with its reader
+    rather than in ``forms``, whose functions the seeded-bug check replaces.
+    No ``solve`` reads this one, so ``acceptance`` never needs to clear it.
     """
     return j_inverse(m_terms)
 

@@ -5,6 +5,18 @@ import pytest
 from schwarzian import forms, hypergeometric, vvmf
 from schwarzian.series import QSeries
 
+# captured before any fixture can replace the module attribute
+_BASE_FORMS = hypergeometric.base_forms
+
+
+@pytest.fixture(autouse=True)
+def cold_base_forms():
+    """Every test starts and ends with an empty base_forms cache, so a
+    test that counts or corrupts the level-one builds sees them run."""
+    _BASE_FORMS.cache_clear()
+    yield
+    _BASE_FORMS.cache_clear()
+
 
 @pytest.fixture
 def build_counts(monkeypatch):

@@ -15,7 +15,8 @@ its principal branches, and all nine points must agree to 1e-9.
 
 import pytest
 
-from schwarzian import acceptance, numeric
+from schwarzian import acceptance, numeric, solver
+from schwarzian.errors import VerificationError
 
 
 def _report(result: acceptance.CheckResult) -> None:
@@ -60,6 +61,35 @@ def test_criterion_7_numeric_cross_check():
 @pytest.mark.slow
 def test_criterion_8_seeded_bug_sensitivity():
     _report(acceptance.check_seeded_bug_sensitivity())
+
+
+# what each of the 15 corrupted solves raises, in the check's order: E4
+# and eta**24 stop at Delta's two routes, the 2F1 at the MLDE comparison
+SEEDED_RAISES = (
+    [("InternalMismatch", i) for i in range(5)]
+    + [("InternalMismatch", i) for i in range(1, 6)]
+    + [("RecipeInconsistent", i) for i in range(5)]
+)
+
+
+@pytest.mark.slow
+def test_seeded_bugs_caught_with_warm_base_forms(monkeypatch):
+    # the check clears the base_forms cache around each corrupted run, so
+    # base forms already built at its order do not hide a corruption of forms
+    solver.solve(7, 1, acceptance.ORDER)
+    raised = []
+    original = solver.solve
+
+    def recorded(*args):
+        try:
+            return original(*args)
+        except VerificationError as exc:
+            raised.append((type(exc).__name__, exc.index))
+            raise
+
+    monkeypatch.setattr(solver, "solve", recorded)
+    _report(acceptance.check_seeded_bug_sensitivity())
+    assert raised == SEEDED_RAISES
 
 
 @pytest.fixture

@@ -118,6 +118,14 @@ def test_component_series_shape():
             assert s.order == 10
 
 
+def test_base_forms_raises_on_every_call_for_order_zero():
+    # lru_cache does not cache an exception
+    for _ in range(2):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            base_forms(0)
+    assert base_forms.cache_info().currsize == 0
+
+
 def test_hypergeometric_imports_nothing_from_vvmf():
     """The recipes come from ``vvmf.ReprData``; hypergeometric, which vvmf
     imports, reads no name of vvmf back."""

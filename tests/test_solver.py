@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzian import forms, solver, vvmf
+from schwarzian import forms, hypergeometric, solver, vvmf
 from schwarzian import (
     DegenerateDerivative,
     InvalidParameters,
@@ -320,6 +320,27 @@ def test_solve_builds_eta_powers_once(monkeypatch):
     monkeypatch.setattr(forms, "eta_power", counted)
     solve(9, 38, 30)
     assert calls == [24]
+
+
+def _digests(bundle):
+    h = ";".join(str(c) for c in (bundle.h.offset, *bundle.h.body.coeffs))
+    w = ";".join(f"{c}:{e}" for c, e in bundle.wronskians)
+    return tuple(hashlib.sha256(t.encode()).hexdigest() for t in (h, w))
+
+
+def test_solves_at_one_order_share_one_delta(construction_counts):
+    # the base forms of order 60 are built, and Delta proved, once
+    solve(7, 3, 60)
+    solve(13, 6, 60)
+    assert construction_counts["base_forms"] == 2
+    assert construction_counts["delta"] == 1
+
+
+def test_warm_base_forms_give_the_cold_solution():
+    solve(7, 3, 60)
+    warm = _digests(solve(13, 6, 60))
+    hypergeometric.base_forms.cache_clear()
+    assert _digests(solve(13, 6, 60)) == warm
 
 
 def test_raising_and_checks_read_the_minimal_forms_base(monkeypatch):
