@@ -32,6 +32,7 @@ from .errors import (
     LeadingCancellation,
     NonUnitBase,
     NonvanishingInnerConstant,
+    NotAnMldeSolution,
     NotProportional,
     NotProportionalToDeltaPower,
     NotUpperHalfPlane,
@@ -93,6 +94,7 @@ __all__ = [
     "MINIMAL_WEIGHT",
     "NonUnitBase",
     "NonvanishingInnerConstant",
+    "NotAnMldeSolution",
     "NotProportional",
     "NotProportionalToDeltaPower",
     "NotUpperHalfPlane",

@@ -3,9 +3,15 @@
 Each criterion function returns a CheckResult; ``run_all`` runs the full
 battery in order.  These are the same checks the test suite and the CLI
 ``selftest`` subcommand run — one place defines what "working" means.
-Criteria 2-5 apply one per-pair predicate each (``*_problems``) over
+Criteria 2-6 apply one per-pair predicate each (``*_problems``) over
 their grids; the CLI's ``verify`` and ``vvmf`` apply the same ones to
 their own pair.
+
+``solver.solve`` proves each weight level against its own modular
+differential equation, which fixes W, {h} and h = y1 / y2 by exact
+algebra.  Criteria 3, 5 and 6 do not lean on that argument: they
+recompute the Wronskian, the Schwarzian derivative and the ODE residual
+of h y2 literally from the series.
 
 The numeric cross-check criterion evaluates the closed hypergeometric form
 on the interior of the fundamental domain (|Re tau| < 1/2, |tau| > 1),
@@ -99,11 +105,29 @@ def raising_problems(rep: vvmf.ReprData, c1: Fraction, c2: Fraction) -> list[str
 
 
 def schwarzian_problems(bundle: solver.SolutionBundle) -> list[str]:
-    """How the solved {h} / E4 misses -(1/2)(n/m)^2."""
+    """How {h} / E4, computed from the solved h, or the bundle's constant
+    misses -(1/2)(n/m)^2.  NotProportional if {h} / E4 is not constant."""
     expected = -Fraction(bundle.n, bundle.m) ** 2 / 2
-    if bundle.schwarz_constant == expected:
-        return []
-    return [f"constant {bundle.schwarz_constant} != {expected}"]
+    computed = solver.verify_proportionality(solver.schwarz_derivative(bundle.h))
+    return [
+        f"{what} constant {c} != {expected}"
+        for what, c in (("computed", computed), ("reported", bundle.schwarz_constant))
+        if c != expected
+    ]
+
+
+def ode_problems(bundle: solver.SolutionBundle) -> list[str]:
+    """How the solved s misses -(n/2m)^2.  Otherwise both Frobenius solutions
+    and h y2 must satisfy D^2 y + s E4 y = 0, by series arithmetic; the
+    last holds only if h = y1 / y2, and OdeResidualNonzero names the
+    first failing index."""
+    expected = -Fraction(bundle.n, 2 * bundle.m) ** 2
+    if bundle.ode_parameter != expected:
+        return [f"s={bundle.ode_parameter} != {expected}"]
+    y1, y2 = solver.ode_solutions(bundle.h)
+    for y in (y1, y2, bundle.h * y2):
+        solver.verify_ode(y, bundle.ode_parameter)
+    return []
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +224,8 @@ def check_raising_constants() -> CheckResult:
 
 
 def check_schwarzian_proportionality() -> CheckResult:
-    """solve() verifies {h} = -(1/2)(n/m)^2 E4 on the whole grid."""
+    """{h} = -(1/2)(n/m)^2 E4 on the whole grid, with {h} computed here from
+    each solved h by ``solver.schwarz_derivative``."""
     t0 = time.perf_counter()
     problems = _over(SOLVE_GRID, lambda m, n: schwarzian_problems(_solved(m, n, ORDER)))
     elapsed = time.perf_counter() - t0
@@ -211,20 +236,11 @@ def check_schwarzian_proportionality() -> CheckResult:
 
 
 def check_ode_solutions() -> CheckResult:
-    """Both Frobenius solutions satisfy D^2 y + s E4 y = 0 with the solved
-    s = -(n/2m)^2, by series arithmetic; solve() checked h = y1/y2."""
-
-    def problems_of(m: int, n: int) -> list[str]:
-        bundle = _solved(m, n, ORDER)
-        expected = -Fraction(n, 2 * m) ** 2
-        if bundle.ode_parameter != expected:
-            return [f"s={bundle.ode_parameter} != {expected}"]
-        for y in solver.ode_solutions(bundle.h):
-            solver.verify_ode(y, bundle.ode_parameter)
-        return []
-
+    """Both Frobenius solutions, and h y2, satisfy D^2 y + s E4 y = 0 with the
+    solved s = -(n/2m)^2, by series arithmetic here, so h = y1/y2."""
+    problems = _over(SOLVE_GRID, lambda m, n: ode_problems(_solved(m, n, ORDER)))
     detail = f"{len(SOLVE_GRID)} pairs at order {ORDER}"
-    return verdict("ode-solutions", detail, _over(SOLVE_GRID, problems_of))
+    return verdict("ode-solutions", detail, problems)
 
 
 def check_numeric_cross_check() -> CheckResult:

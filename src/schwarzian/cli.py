@@ -100,6 +100,36 @@ def _wronskian_verdict(
     return verdict("wronskian-delta-power", detail, problems)
 
 
+def _raise_and_check(
+    chain: list[vvmf.VectorForm], r: int
+) -> tuple[list[tuple[Fraction, int]], str | None]:
+    """Extend ``chain`` (levels 0, 1, ... built so far) to level r, raising
+    each missing level once, and run ``vvmf.wronskian_check`` on every level.
+
+    Returns the (c, e) of the levels checked and, if a raise or a check
+    raised a VerificationError, how it stopped.
+    """
+    wronskians: list[tuple[Fraction, int]] = []
+    try:
+        for level in range(r + 1):
+            if level == len(chain):
+                chain.append(vvmf.raise_weight(chain[-1]))
+            wronskians.append(vvmf.wronskian_check(chain[level]))
+    except VerificationError as exc:
+        return wronskians, failure(exc)
+    return wronskians, None
+
+
+def _literal(name: str, detail: str, problems_of, bundle) -> CheckResult:
+    """``verdict(name, detail, problems_of(bundle))``; a VerificationError
+    that ``problems_of`` raises is its problem."""
+    try:
+        problems = problems_of(bundle)
+    except VerificationError as exc:
+        problems = [failure(exc)]
+    return verdict(name, detail, problems)
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     params = {"m": args.m, "n": args.n, "terms": args.terms}
     try:
@@ -125,8 +155,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     check = CheckResult(
         "solution-verification",
         True,
-        f"Wronskian, Schwarzian and ODE identities verified exactly "
-        f"through order {args.terms}",
+        f"both components of each weight level solve that level's modular "
+        f"differential equation exactly through order {args.terms}, which "
+        f"fixes the Wronskian, the Schwarzian and h = y1/y2",
     )
     return _emit(args, params, results, [check])
 
@@ -147,31 +178,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     ]
 
-    # the solver raises the form built here and appends each level's
-    # Wronskian (c, e) as it passes
-    levels: list[tuple[Fraction, int]] = []
-    bundle, stopped = None, None
-    try:
-        bundle = solver._verified(form, r, levels)
-    except VerificationError as exc:
-        stopped = failure(exc)
+    # every level is raised once from the form built here; W, {h} and the
+    # ODE residual are computed literally, as the battery computes them
+    chain = [form]
+    levels, stopped = _raise_and_check(chain, r)
     checks.append(_wronskian_verdict(rep, r, levels, stopped))
-    if bundle is None:
-        checks.append(CheckResult("schwarzian-proportionality", False, stopped))
+    if len(chain) <= r:  # a raise failed, so there is no h
+        checks += [
+            CheckResult(name, False, stopped)
+            for name in ("schwarzian-proportionality", "ode-solutions")
+        ]
         return _emit(args, params, results, checks)
+    bundle = solver._bundle(chain[r], levels)
     checks.append(
-        verdict(
+        _literal(
             "schwarzian-proportionality",
             f"{{h}} = {bundle.schwarz_constant} * E4",
-            acceptance.schwarzian_problems(bundle),
+            acceptance.schwarzian_problems,
+            bundle,
         )
     )
     checks.append(
-        CheckResult(
+        _literal(
             "ode-solutions",
-            True,
             f"h y2 satisfies D^2 y + ({bundle.ode_parameter}) E4 y = 0 for the "
             f"Frobenius solution y2 = q^(-n/2m)(1 + ...), so h = y1/y2",
+            acceptance.ode_problems,
+            bundle,
         )
     )
     return _emit(args, params, results, checks)
@@ -192,14 +225,8 @@ def _cmd_vvmf(args: argparse.Namespace) -> int:
     c1_closed = vvmf.c1_closed_form(rep.m, rep.n_prime)
     c2_closed = vvmf.c2_closed_form(rep.m, rep.n_prime)
 
-    chain, wronskians, stopped = [form, lifted], [], None
-    try:
-        for level in range(r + 1):
-            if level == len(chain):
-                chain.append(vvmf.raise_weight(chain[-1]))
-            wronskians.append(vvmf.wronskian_check(chain[level]))
-    except VerificationError as exc:
-        stopped = failure(exc)
+    chain = [form, lifted]
+    wronskians, stopped = _raise_and_check(chain, r)
     checks = [
         _wronskian_verdict(rep, r, wronskians, stopped),
         verdict(

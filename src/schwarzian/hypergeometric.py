@@ -47,6 +47,18 @@ are (m +- n')/2m, and its Frobenius series q**alpha (1 + ...) at
 alpha = (m + s)/2m reads E2 and E4 only; RecipeInconsistent names the
 first index at which the two routes differ.
 
+The same equation, one per weight level, holds for every raised form.
+The level-k form (``vvmf.raise_weight`` applied k times) has weight
+5 + 6k and exponent sum e = k + 1, and with n_k = k m + n' both of its
+components solve
+
+    D^2 f - e E2 D f + ((e^2/4 - e/24) E2^2 + (e/24 - (n_k/2m)^2) E4) f = 0,
+
+whose indicial roots e/2 +- n_k/2m are the two components' exponents
+and differ by n_k/m, never an integer.  ``mlde_series`` gives its
+Frobenius series at either root; at level 0 it is the weight-5 equation
+above.
+
 Each of the three series is the solution 1 + ... that
 ``series.solve_ode`` returns for its equation's coefficients.
 
@@ -142,8 +154,9 @@ class BaseForms:
     Each holds ``order`` terms.  ``a``, ``b0``, ``e4_fourth``, ``delta_e4``
     and ``delta_e6`` are E4^2 E6, the parameter-free first term of B,
     E4^4, 1728 Delta E4 and 1728 Delta E6: the pieces of the pulled-back
-    hypergeometric equation.  E2 and E2^2 feed the MLDE check, E2 also the
-    Wronskian checks, and E4 and E6 the weight raising.
+    hypergeometric equation.  E2, E2^2 and E4 feed the MLDE check of every
+    level, E2 also the literal Wronskian checks, and E4 and E6 the weight
+    raising.
     """
 
     e2: QSeries
@@ -211,13 +224,20 @@ def _prefactor(recipe: ComponentRecipe, base: BaseForms) -> QSeries:
     return solve_ode((p0, e4), 0, base.order)
 
 
-def _mlde_series(recipe: ComponentRecipe, base: BaseForms) -> QSeries:
-    """Body of the weight-5 MLDE's Frobenius series at recipe.offset
-    (module docstring)."""
-    lam = Fraction(1, 24) - Fraction(recipe.signed_residue, 2 * recipe.m) ** 2
-    # the equation times -1, so that E2 enters unscaled
-    p0 = base.e2_squared * Fraction(-5, 24) - base.e4 * lam
-    return solve_ode((p0, base.e2, -1), recipe.offset, base.order)
+def mlde_series(level: int, recipe: ComponentRecipe, base: BaseForms) -> QSeries:
+    """Body of the level-``level`` MLDE's Frobenius series at the exponent of
+    ``recipe``'s component raised ``level`` times, to ``base.order`` terms
+    (module docstring).
+
+    That exponent is e/2 + n_k/2m for the first component (s > 0) and
+    e/2 - n_k/2m for the second, e = level + 1 and n_k = level m + |s|.
+    """
+    e = level + 1
+    w = Fraction(abs(recipe.signed_residue) + level * recipe.m, 2 * recipe.m)
+    e2_squared = Fraction(e * (6 * e - 1), 24)  # e^2/4 - e/24
+    p0 = base.e2_squared * e2_squared + base.e4 * (Fraction(e, 24) - w * w)
+    exponent = Fraction(e, 2) + (w if recipe.signed_residue > 0 else -w)
+    return solve_ode((p0, base.e2 * -e, 1), exponent, base.order)
 
 
 def component_series(recipe: ComponentRecipe, base: BaseForms) -> PuiseuxSeries:
@@ -234,7 +254,7 @@ def component_series(recipe: ComponentRecipe, base: BaseForms) -> PuiseuxSeries:
             f"assembled offset {result.offset} differs from (m+s)/2m = {recipe.offset}",
             index=0,
         )
-    mlde = _mlde_series(recipe, base)
+    mlde = mlde_series(0, recipe, base)
     i = (result.body - mlde).valuation()
     if i is not None:
         raise RecipeInconsistent(

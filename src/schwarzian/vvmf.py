@@ -15,6 +15,13 @@ the integer e must be a nonzero constant multiple of Delta**e.  As D Delta =
 E2 Delta (D_12 Delta = 0, checked by the classical-identities criterion),
 wronskian_check verifies D W = e E2 W instead, with the E2 of the form's
 base, building no power of Delta.
+
+mlde_check proves the same law, and more, from one equation per level:
+both components of the level-k form solve the MLDE of
+``hypergeometric.mlde_series``, D^2 f + p Df + q f = 0 with p = -e E2,
+e = k + 1.  By Abel's identity their Wronskian then solves D W = -p W =
+e E2 W, so W = c Delta**e, and c = (n_k/m) l1 l2 (n_k = k m + n') reads
+off the leading terms q**o1 l1 and q**o2 l2, as o1 - o2 = n_k/m.
 """
 
 from __future__ import annotations
@@ -24,7 +31,12 @@ from fractions import Fraction
 from math import gcd
 
 from . import hypergeometric
-from .errors import InvalidParameters, LeadingCancellation, NotProportionalToDeltaPower
+from .errors import (
+    InvalidParameters,
+    LeadingCancellation,
+    NotAnMldeSolution,
+    NotProportionalToDeltaPower,
+)
 from .hypergeometric import BaseForms, ComponentRecipe
 from .series import PuiseuxSeries
 
@@ -195,6 +207,39 @@ def wronskian_check(form: VectorForm) -> tuple[Fraction, int]:
             what = f"W / Delta**{e} has nonconstant coefficient {residual[i] / i}"
         raise NotProportionalToDeltaPower(f"{what} at q^{i}", index=i)
     return w.leading, e
+
+
+def mlde_wronskian(form: VectorForm) -> tuple[Fraction, int]:
+    """(c, e) of W(F) = c Delta**e for a form whose components solve the MLDE
+    of its level: e = level + 1 and c = (n_k/m) l1 l2 from the leading
+    coefficients (module docstring).  It checks nothing; ``minimal_form``
+    has checked level 0 and ``mlde_check`` checks a raised level.
+    """
+    n_k = form.level * form.rep.m + form.rep.n_prime
+    c = Fraction(n_k, form.rep.m) * form.first.leading * form.second.leading
+    return c, form.level + 1
+
+
+def mlde_check(form: VectorForm) -> tuple[Fraction, int]:
+    """Verify that each component of ``form`` is its leading coefficient times
+    ``hypergeometric.mlde_series`` at the form's level; return
+    ``mlde_wronskian(form)``.
+
+    NotAnMldeSolution names the first body index at which a component
+    differs, the first component checked first.
+    """
+    for component, recipe in zip((form.first, form.second), form.rep.recipes):
+        series = hypergeometric.mlde_series(form.level, recipe, form.base)
+        series = series * component.leading
+        i = (component.body - series).valuation()
+        if i is not None:
+            raise NotAnMldeSolution(
+                f"level {form.level}: the component at exponent {component.offset} "
+                f"has {component.body[i]} at q^{i} of its body, its MLDE series "
+                f"{series[i]}",
+                index=i,
+            )
+    return mlde_wronskian(form)
 
 
 def c2_closed_form(m: int, n_prime: int) -> Fraction:

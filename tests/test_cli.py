@@ -122,7 +122,9 @@ def test_vvmf_raises_each_level_once(capsys, build_counts):
 @pytest.mark.parametrize("command", ["verify", "vvmf"])
 def test_wronskian_verdict_is_the_battery_predicate(capsys, monkeypatch, command):
     # level 0 must give exactly n'/m, as criterion 3 requires, and a level
-    # whose check raises is named with the error
+    # whose check raises is named with the error; verify calls this literal
+    # check itself, and its literal {h} and ODE checks of the raised form
+    # still run
     original = vvmf.wronskian_check
 
     def off(form):
@@ -140,6 +142,10 @@ def test_wronskian_verdict_is_the_battery_predicate(capsys, monkeypatch, command
     assert check["pass"] is False
     assert "level 0 gave c=9/7, e=1, expected c=2/7, e=1" in check["detail"]
     assert "level 1: NotProportionalToDeltaPower: seeded" in check["detail"]
+    if command == "verify":
+        literal = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert literal["schwarzian-proportionality"] is True
+        assert literal["ode-solutions"] is True
 
 
 @pytest.mark.parametrize("command", ["verify", "vvmf"])

@@ -194,7 +194,7 @@ def test_components_match_substitution_and_mlde(m, data, order):
     check_both_routes(m, n_prime, order)
 
 
-@pytest.mark.parametrize("route", ["pulled_back_2f1", "_mlde_series"])
+@pytest.mark.parametrize("route", ["pulled_back_2f1", "mlde_series"])
 @pytest.mark.parametrize("index", [0, 1, 4, 11])
 def test_bumped_route_names_its_index(monkeypatch, route, index):
     """One coefficient of either route bumped by 1/3 makes the component fail

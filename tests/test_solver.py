@@ -21,18 +21,25 @@ from schwarzian import forms, hypergeometric, solver, vvmf
 from schwarzian import (
     DegenerateDerivative,
     InvalidParameters,
+    LeadingCancellation,
+    NotAnMldeSolution,
     NotProportional,
+    NotProportionalToDeltaPower,
     OdeResidualNonzero,
     PuiseuxSeries,
     QSeries,
+    ReprData,
     cross_check,
     eisenstein,
     eval_h_hypergeometric,
+    minimal_form,
     ode_solutions,
+    raise_weight,
     schwarz_derivative,
     solve,
     verify_ode,
     verify_proportionality,
+    wronskian_check,
 )
 
 F = Fraction
@@ -213,28 +220,41 @@ def test_ode_solutions_refuse_integer_offset():
 
 @pytest.mark.parametrize("k", [1, 4, 17])
 def test_ode_stage_names_first_wrong_coefficient_of_h(monkeypatch, k):
-    # bump the first component at q^k, so h is wrong from q^k on, and let it
-    # through the Wronskian and Schwarzian stages, which would catch it first
-    build = vvmf.minimal_form
+    """Either component of a raised form bumped at q^k of its body makes h
+    wrong from q^k on, and that level's MLDE check names index k."""
+    good = solve(11, 16, 30).h  # n' = 5, one raise
 
-    def bumped(rep, order):
-        form = build(rep, order)
-        coeffs = list(form.first.body.coeffs)
-        coeffs[k] += 1
-        return dataclasses.replace(
-            form, first=PuiseuxSeries(form.first.offset, QSeries(coeffs))
-        )
+    for which in ("first", "second"):
 
-    monkeypatch.setattr(vvmf, "minimal_form", bumped)
-    monkeypatch.setattr(vvmf, "wronskian_check", lambda form: (F(5, 11), 1))
-    monkeypatch.setattr(solver, "verify_proportionality", lambda sd: sd[0])
-    with pytest.raises(OdeResidualNonzero) as info:
-        solve(11, 5, 30)
-    assert info.value.index == k
+        def bumped(form, which=which):
+            raised = raise_weight(form)
+            component = getattr(raised, which)
+            coeffs = list(component.body.coeffs)
+            coeffs[k] += 1
+            bad = PuiseuxSeries(component.offset, QSeries(coeffs))
+            return dataclasses.replace(raised, **{which: bad})
+
+        raised = bumped(minimal_form(ReprData(11, 5), 31))
+        ratio = raised.first / raised.second
+        assert ((ratio / ratio.leading).body - good.body).valuation() == k
+
+        monkeypatch.setattr(vvmf, "raise_weight", bumped)
+        with pytest.raises(NotAnMldeSolution) as info:
+            solve(11, 16, 30)
+        assert info.value.index == k
 
 
 def test_solve_checks_the_ode_once_without_square_roots(monkeypatch):
-    calls = {"sqrt": 0, "verify_ode": 0}
+    """solve checks each level's MLDE once per component and computes no
+    literal Wronskian, Schwarzian or ODE residual, and no square root."""
+    literal = [
+        (solver, "verify_ode"),
+        (solver, "schwarz_derivative"),
+        (solver, "verify_proportionality"),
+        (vvmf, "wronskian_check"),
+    ]
+    calls = dict.fromkeys(["sqrt"] + [name for _, name in literal], 0)
+    mlde_levels = []
 
     def counted(name, original):
         def wrapper(*args):
@@ -243,10 +263,63 @@ def test_solve_checks_the_ode_once_without_square_roots(monkeypatch):
 
         return wrapper
 
+    def recorded(level, recipe, base, _original=hypergeometric.mlde_series):
+        mlde_levels.append(level)
+        return _original(level, recipe, base)
+
     monkeypatch.setattr(PuiseuxSeries, "sqrt", counted("sqrt", PuiseuxSeries.sqrt))
-    monkeypatch.setattr(solver, "verify_ode", counted("verify_ode", verify_ode))
-    solve(7, 1, 40)
-    assert calls == {"sqrt": 0, "verify_ode": 1}
+    for owner, name in literal:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    monkeypatch.setattr(hypergeometric, "mlde_series", recorded)
+    solve(7, 9, 40)  # levels 0 and 1
+    assert set(calls.values()) == {0}
+    assert mlde_levels == [0, 0, 1, 1]
+
+
+def raise_weight_with_de4_coefficient_2(form):
+    """``vvmf.raise_weight`` with the D E4 coefficient of X, 3 k/pivot,
+    mutated to 2 k/pivot."""
+    base = form.base
+    pivot = form.first.offset - form.weight / 12
+    k_pivot = form.weight / (12 * pivot)
+    x = base.e6 * (1 + k_pivot) + base.e4.derive() * (2 * k_pivot)
+    e4_pivot = base.e4 * (1 / pivot)
+
+    def step(component):
+        return component * x - component.derive() * e4_pivot
+
+    new_first = step(form.first)
+    new_second = step(form.second)
+    if new_first.is_zero() or new_first.offset != form.first.offset + 1:
+        raise LeadingCancellation("first component did not move up by 1", index=0)
+    if new_second.is_zero() or new_second.offset != form.second.offset:
+        raise LeadingCancellation("second component leading vanished", index=0)
+    return vvmf.VectorForm(
+        first=new_first,
+        second=new_second,
+        rep=form.rep,
+        level=form.level + 1,
+        base=base,
+    )
+
+
+@pytest.mark.parametrize(
+    "m, n, order", [(7, 9, 30), (9, 38, 30), (11, 13, 20), (13, 40, 12)]
+)
+def test_mutated_raising_is_caught_at_index_1(monkeypatch, m, n, order):
+    """A wrong D E4 coefficient in the raising step leaves the leading
+    exponents right, and the level-1 MLDE check stops solve at index 1,
+    where the literal Wronskian check of that level stops too."""
+    rep, r = vvmf.split_n(m, n)
+    raised = raise_weight_with_de4_coefficient_2(minimal_form(rep, order + r))
+    with pytest.raises(NotProportionalToDeltaPower) as literal:
+        wronskian_check(raised)
+    assert literal.value.index == 1
+
+    monkeypatch.setattr(vvmf, "raise_weight", raise_weight_with_de4_coefficient_2)
+    with pytest.raises(NotAnMldeSolution) as info:
+        solve(m, n, order)
+    assert info.value.index == 1
 
 
 def test_verify_ode_on_solved_pair():
@@ -344,10 +417,10 @@ def test_warm_base_forms_give_the_cold_solution():
 
 
 def test_raising_and_checks_read_the_minimal_forms_base(monkeypatch):
-    """The r = 4 raising levels and their Wronskian checks read E2, E4 and E6
-    from the base forms built once for the minimal form: E2, E4 and E6 there,
-    E4 and E6 once more inside delta, and E4 by each of the three checks of
-    h; no level takes a Serre derivative."""
+    """The r = 4 raising levels and their MLDE checks read E2, E4 and E6
+    from the base forms built once for the minimal form: E2, E4 and E6 there
+    and E4 and E6 once more inside delta; no level takes a Serre derivative
+    and nothing builds E4 again to check h."""
     calls = []
     serre = []
     original = forms.eisenstein
@@ -364,7 +437,7 @@ def test_raising_and_checks_read_the_minimal_forms_base(monkeypatch):
     monkeypatch.setattr(forms, "eisenstein", counted)
     monkeypatch.setattr(forms, "serre_derivative", counted_serre)
     solve(9, 38, 30)
-    assert {k: calls.count(k) for k in (2, 4, 6)} == {2: 1, 4: 5, 6: 2}
+    assert {k: calls.count(k) for k in (2, 4, 6)} == {2: 1, 4: 2, 6: 2}
     assert serre == []
 
 
@@ -403,3 +476,27 @@ def test_solve_matches_frobenius_ratio(m, data, order):
     h = solve(m, n, order).h
     assert h.offset == F(n, m)
     assert list(h.body.coeffs) == frobenius_ratio(m, n, order)
+
+
+@given(st.integers(7, 60), st.data(), st.integers(8, 16))
+@settings(max_examples=60, deadline=None)
+def test_solve_agrees_with_the_literal_checks(m, data, order):
+    """What solve reads off its MLDE checks is what the literal routes
+    compute: every level's Wronskian (c, e), {h} / E4 and the ODE residual
+    of h y2."""
+    n_prime = data.draw(
+        st.integers(1, m - 1).filter(lambda n: gcd(m, n) == 1), label="n_prime"
+    )
+    r = data.draw(st.integers(0, 8), label="r")
+    bundle = solve(m, r * m + n_prime, order)
+
+    form = minimal_form(ReprData(m, n_prime), order + r)
+    levels = [wronskian_check(form)]
+    for _ in range(r):
+        form = raise_weight(form)
+        levels.append(wronskian_check(form))
+    assert bundle.wronskians == tuple(levels)
+
+    h = bundle.h
+    assert bundle.schwarz_constant == verify_proportionality(schwarz_derivative(h))
+    assert verify_ode(h * ode_solutions(h)[1], bundle.ode_parameter)

@@ -17,6 +17,7 @@ from schwarzian.acceptance import SHAPE_GRID
 from schwarzian import (
     InvalidParameters,
     MINIMAL_WEIGHT,
+    NotAnMldeSolution,
     NotProportionalToDeltaPower,
     PuiseuxSeries,
     QSeries,
@@ -141,6 +142,21 @@ def test_wronskian_check_catches_wrong_e2(index):
     assert info.value.index == index
     if index == 0:
         assert str(info.value) == "D W - 1 E2 W has coefficient -1/7 at q^0"
+
+
+@pytest.mark.parametrize("field", ["e2", "e2_squared", "e4"])
+@pytest.mark.parametrize("index", [1, 3])
+def test_mlde_check_catches_wrong_base(field, index):
+    """mlde_check reads E2, E2^2 and E4 from the form's base: any of them
+    bumped by 1 at q**index after raising fails the level-1 check there."""
+    form = raise_weight(minimal_form(ReprData(7, 2), 12))
+    assert vvmf.mlde_check(form) == wronskian_check(form)
+    cs = list(getattr(form.base, field).coeffs)
+    cs[index] += 1
+    base = dataclasses.replace(form.base, **{field: QSeries(cs)})
+    with pytest.raises(NotAnMldeSolution) as info:
+        vvmf.mlde_check(dataclasses.replace(form, base=base))
+    assert info.value.index == index
 
 
 def test_raising_chain_for_7_2():
