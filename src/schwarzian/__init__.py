@@ -32,7 +32,6 @@ from .errors import (
     LeadingCancellation,
     NonUnitBase,
     NonvanishingInnerConstant,
-    NotAnMldeSolution,
     NotProportional,
     NotProportionalToDeltaPower,
     NotUpperHalfPlane,
@@ -94,7 +93,6 @@ __all__ = [
     "MINIMAL_WEIGHT",
     "NonUnitBase",
     "NonvanishingInnerConstant",
-    "NotAnMldeSolution",
     "NotProportional",
     "NotProportionalToDeltaPower",
     "NotUpperHalfPlane",

@@ -98,11 +98,6 @@ class LeadingCancellation(VerificationError):
     """Weight raising did not move the leading exponents the way it must."""
 
 
-class NotAnMldeSolution(VerificationError):
-    """A component of a raised vector form differs from the Frobenius series
-    of its weight level's modular differential equation."""
-
-
 class NotProportionalToDeltaPower(VerificationError):
     """A Wronskian is not a constant multiple of the expected power of Delta."""
 

@@ -160,7 +160,7 @@ def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
     arithmetic against the Frobenius series of that level's MLDE, to that
     order: ``hypergeometric.component_series`` checks level 0 as it builds
     it, and ``vvmf.mlde_check`` each raised level.  The first differing
-    coefficient raises (RecipeInconsistent at level 0, NotAnMldeSolution
+    coefficient raises (RecipeInconsistent at level 0, InternalMismatch
     above) with its index; a bump of a component at q^k is named at k, the
     first coefficient of h it changes.  Those equations fix W = c Delta**e
     at every level, {h} = -(1/2)(n/m)**2 E4 and h = y1 / y2 (module

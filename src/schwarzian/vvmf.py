@@ -32,9 +32,9 @@ from math import gcd
 
 from . import hypergeometric
 from .errors import (
+    InternalMismatch,
     InvalidParameters,
     LeadingCancellation,
-    NotAnMldeSolution,
     NotProportionalToDeltaPower,
 )
 from .hypergeometric import BaseForms, ComponentRecipe
@@ -225,7 +225,7 @@ def mlde_check(form: VectorForm) -> tuple[Fraction, int]:
     ``hypergeometric.mlde_series`` at the form's level; return
     ``mlde_wronskian(form)``.
 
-    NotAnMldeSolution names the first body index at which a component
+    InternalMismatch names the first body index at which a component
     differs, the first component checked first.
     """
     for component, recipe in zip((form.first, form.second), form.rep.recipes):
@@ -233,7 +233,7 @@ def mlde_check(form: VectorForm) -> tuple[Fraction, int]:
         series = series * component.leading
         i = (component.body - series).valuation()
         if i is not None:
-            raise NotAnMldeSolution(
+            raise InternalMismatch(
                 f"level {form.level}: the component at exponent {component.offset} "
                 f"has {component.body[i]} at q^{i} of its body, its MLDE series "
                 f"{series[i]}",

@@ -13,10 +13,12 @@ fundamental domain, so the evaluator continues the closed form there with
 its principal branches, and all nine points must agree to 1e-9.
 """
 
+import dataclasses
+
 import pytest
 
-from schwarzian import acceptance, numeric, solver
-from schwarzian.errors import VerificationError
+from schwarzian import PuiseuxSeries, QSeries, acceptance, numeric, solver
+from schwarzian.errors import NotProportional, OdeResidualNonzero, VerificationError
 
 
 def _report(result: acceptance.CheckResult) -> None:
@@ -47,6 +49,39 @@ def test_criterion_5_schwarzian_proportionality():
 
 def test_criterion_6_ode_solutions():
     _report(acceptance.check_ode_solutions())
+
+
+def bumped_h(bundle: solver.SolutionBundle, k: int) -> solver.SolutionBundle:
+    """``bundle`` with 1 added to the body coefficient of h at q^k."""
+    coeffs = list(bundle.h.body.coeffs)
+    coeffs[k] += 1
+    return dataclasses.replace(bundle, h=PuiseuxSeries(bundle.h.offset, QSeries(coeffs)))
+
+
+@pytest.mark.parametrize("k", [1, 4, 17])
+def test_literal_predicates_name_the_first_wrong_coefficient_of_h(k):
+    # criteria 5 and 6 recompute {h} and the h y2 residual from h itself,
+    # so an h wrong from q^k fails both at k whatever the bundle reports
+    bad = bumped_h(solver.solve(11, 16, 30), k)
+    with pytest.raises(NotProportional) as schwarzian:
+        acceptance.schwarzian_problems(bad)
+    assert schwarzian.value.index == k
+    with pytest.raises(OdeResidualNonzero) as ode:
+        acceptance.ode_problems(bad)
+    assert ode.value.index == k
+
+
+def test_literal_predicates_report_wrong_constants():
+    good = solver.solve(11, 16, 30)
+    assert acceptance.schwarzian_problems(good) == []
+    assert acceptance.ode_problems(good) == []
+    # the constant computed from another pair's h, and a misreported one
+    other_h = dataclasses.replace(good, h=solver.solve(11, 17, 30).h)
+    assert acceptance.schwarzian_problems(other_h) == ["computed constant -289/242 != -128/121"]
+    wrong = dataclasses.replace(good, schwarz_constant=good.schwarz_constant + 1)
+    assert acceptance.schwarzian_problems(wrong) == ["reported constant -7/121 != -128/121"]
+    wrong_s = dataclasses.replace(good, ode_parameter=good.ode_parameter * 2)
+    assert acceptance.ode_problems(wrong_s) == ["s=-128/121 != -64/121"]
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ end, one through ``python -m schwarzian`` on the source tree and one
 through the installed console script.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -15,7 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from schwarzian import NotProportionalToDeltaPower, QSeries, forms, solver, vvmf
+from schwarzian import (
+    NotProportionalToDeltaPower,
+    PuiseuxSeries,
+    QSeries,
+    forms,
+    solver,
+    vvmf,
+)
 from schwarzian.cli import main
 
 
@@ -146,6 +154,41 @@ def test_wronskian_verdict_is_the_battery_predicate(capsys, monkeypatch, command
         literal = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
         assert literal["schwarzian-proportionality"] is True
         assert literal["ode-solutions"] is True
+
+
+@pytest.mark.parametrize("fault", ["h", "schwarz_constant"])
+def test_verify_fails_the_literal_checks_of_a_wrong_bundle(capsys, monkeypatch, fault):
+    # verify recomputes {h} and the h y2 residual from the bundle it reads
+    # off the raised form, so a wrong h or constant fails by name
+    original = solver._bundle
+
+    def wrong(form, levels):
+        bundle = original(form, levels)
+        if fault == "schwarz_constant":
+            return dataclasses.replace(bundle, schwarz_constant=bundle.schwarz_constant + 1)
+        coeffs = list(bundle.h.body.coeffs)
+        coeffs[4] += 1
+        return dataclasses.replace(bundle, h=PuiseuxSeries(bundle.h.offset, QSeries(coeffs)))
+
+    monkeypatch.setattr(solver, "_bundle", wrong)
+    code, out, _ = run_cli(
+        capsys, "verify", "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
+    )
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["minimal-form-shape"]["pass"] is True
+    assert checks["wronskian-delta-power"]["pass"] is True
+    schwarzian, ode = checks["schwarzian-proportionality"], checks["ode-solutions"]
+    assert schwarzian["pass"] is False
+    if fault == "schwarz_constant":
+        assert "reported constant 17/98 != -81/98" in schwarzian["detail"]
+        assert ode["pass"] is True
+    else:
+        assert "NotProportional: " in schwarzian["detail"]
+        assert "q^4" in schwarzian["detail"]
+        assert ode["pass"] is False
+        assert "OdeResidualNonzero: residual" in ode["detail"]
+        assert "exponent offset 4" in ode["detail"]
 
 
 @pytest.mark.parametrize("command", ["verify", "vvmf"])

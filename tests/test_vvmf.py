@@ -15,9 +15,9 @@ import pytest
 from schwarzian import forms, vvmf
 from schwarzian.acceptance import SHAPE_GRID
 from schwarzian import (
+    InternalMismatch,
     InvalidParameters,
     MINIMAL_WEIGHT,
-    NotAnMldeSolution,
     NotProportionalToDeltaPower,
     PuiseuxSeries,
     QSeries,
@@ -154,7 +154,7 @@ def test_mlde_check_catches_wrong_base(field, index):
     cs = list(getattr(form.base, field).coeffs)
     cs[index] += 1
     base = dataclasses.replace(form.base, **{field: QSeries(cs)})
-    with pytest.raises(NotAnMldeSolution) as info:
+    with pytest.raises(InternalMismatch) as info:
         vvmf.mlde_check(dataclasses.replace(form, base=base))
     assert info.value.index == index
 
