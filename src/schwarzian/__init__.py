@@ -39,7 +39,6 @@ from .errors import (
     OddExponent,
     OdeResidualNonzero,
     OutsideDisk,
-    RecipeInconsistent,
     SchwarzianError,
     SeriesError,
     UnsupportedWeight,
@@ -102,7 +101,6 @@ __all__ = [
     "OutsideDisk",
     "PuiseuxSeries",
     "QSeries",
-    "RecipeInconsistent",
     "ReprData",
     "SchwarzianError",
     "SeriesError",

@@ -87,15 +87,19 @@ def _emit(
 def _wronskian_verdict(
     rep: vvmf.ReprData,
     r: int,
+    chain: list[vvmf.VectorForm],
     levels: list[tuple[Fraction, int]],
     stopped: str | None,
 ) -> CheckResult:
-    """wronskian-delta-power from the (c, e) of the levels before ``stopped``."""
+    """wronskian-delta-power from the (c, e) of the levels before ``stopped``,
+    each with the order its W was checked through: its shorter component's."""
     problems = acceptance.wronskian_problems(rep, levels)
     if len(levels) <= r:
         problems.append(f"level {len(levels)}: {stopped}")
     detail = f"levels 0..{r}" + "".join(
-        f"; level {lvl}: c={c}, Delta^{e}" for lvl, (c, e) in enumerate(levels)
+        f"; level {lvl}: c={c}, Delta^{e} through "
+        f"{min(chain[lvl].first.order, chain[lvl].second.order)} terms"
+        for lvl, (c, e) in enumerate(levels)
     )
     return verdict("wronskian-delta-power", detail, problems)
 
@@ -182,7 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # ODE residual are computed literally, as the battery computes them
     chain = [form]
     levels, stopped = _raise_and_check(chain, r)
-    checks.append(_wronskian_verdict(rep, r, levels, stopped))
+    checks.append(_wronskian_verdict(rep, r, chain, levels, stopped))
     if len(chain) <= r:  # a raise failed, so there is no h
         checks += [
             CheckResult(name, False, stopped)
@@ -193,7 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks.append(
         _literal(
             "schwarzian-proportionality",
-            f"{{h}} = {bundle.schwarz_constant} * E4",
+            f"{{h}} = {bundle.schwarz_constant} * E4 through {bundle.h.order} terms",
             acceptance.schwarzian_problems,
             bundle,
         )
@@ -202,7 +206,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _literal(
             "ode-solutions",
             f"h y2 satisfies D^2 y + ({bundle.ode_parameter}) E4 y = 0 for the "
-            f"Frobenius solution y2 = q^(-n/2m)(1 + ...), so h = y1/y2",
+            f"Frobenius solution y2 = q^(-n/2m)(1 + ...), so h = y1/y2, "
+            f"through {bundle.h.order} terms",
             acceptance.ode_problems,
             bundle,
         )
@@ -228,7 +233,7 @@ def _cmd_vvmf(args: argparse.Namespace) -> int:
     chain = [form, lifted]
     wronskians, stopped = _raise_and_check(chain, r)
     checks = [
-        _wronskian_verdict(rep, r, wronskians, stopped),
+        _wronskian_verdict(rep, r, chain, wronskians, stopped),
         verdict(
             "raising-ratios",
             f"computed {c1}, {c2}; closed forms -144(5m+6n')/(m+n') = {c1_closed}, "

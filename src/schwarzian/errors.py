@@ -90,10 +90,6 @@ class InternalMismatch(VerificationError):
     """Two independent formulas for the same quantity disagreed."""
 
 
-class RecipeInconsistent(VerificationError):
-    """A component recipe failed its own bookkeeping checks."""
-
-
 class LeadingCancellation(VerificationError):
     """Weight raising did not move the leading exponents the way it must."""
 

@@ -13,8 +13,8 @@ solutions y1, y2 = q**(+-n/2m) (1 + ...) of D(D(y)) + s E4 y = 0, s = -(n/2m)**2
 ``solve`` proves one equation per weight level: both components of the
 level-k form, k = 0 .. r, solve the modular linear differential equation
 of that level, D^2 f + p Df + q f = 0 with p = -(k+1) E2
-(``hypergeometric.mlde_series``; ``vvmf.mlde_check``).  Exact algebra
-takes the rest from it, for the form at level r with e = r + 1:
+(``hypergeometric.mlde_series``), each level checked by ``vvmf.mlde_check``.
+Exact algebra takes the rest from it, for the form at level r with e = r + 1:
 
 * Abel's identity, D W = -p W = e E2 W, makes the Wronskian c Delta**e;
 * {f1/f2} = 2q - p**2/2 - Dp, which the level's coefficients make
@@ -158,13 +158,12 @@ def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
     ``order`` is the number of tracked body coefficients of h.  Both
     components of every weight level, 0 to r, are checked in exact
     arithmetic against the Frobenius series of that level's MLDE, to that
-    order: ``hypergeometric.component_series`` checks level 0 as it builds
-    it, and ``vvmf.mlde_check`` each raised level.  The first differing
-    coefficient raises (RecipeInconsistent at level 0, InternalMismatch
-    above) with its index; a bump of a component at q^k is named at k, the
-    first coefficient of h it changes.  Those equations fix W = c Delta**e
-    at every level, {h} = -(1/2)(n/m)**2 E4 and h = y1 / y2 (module
-    docstring), which the bundle reports without recomputing them.
+    order, by ``vvmf.mlde_check``: ``vvmf.minimal_form`` runs it on level 0.
+    The first differing coefficient raises InternalMismatch with its index;
+    a bump of a component at q^k is named at k, the first coefficient of h
+    it changes.  Those equations fix W = c Delta**e at every level, {h} =
+    -(1/2)(n/m)**2 E4 and h = y1 / y2 (module docstring), which the bundle
+    reports without recomputing them.
     """
     rep, r = _parameters(m, n, order)
     # each raising step consumes one body coefficient of the first component

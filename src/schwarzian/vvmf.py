@@ -16,8 +16,8 @@ E2 Delta (D_12 Delta = 0, checked by the classical-identities criterion),
 wronskian_check verifies D W = e E2 W instead, with the E2 of the form's
 base, building no power of Delta.
 
-mlde_check proves the same law, and more, from one equation per level:
-both components of the level-k form solve the MLDE of
+mlde_check proves the same law, and more, from one equation per level
+(level 0 too): both components of the level-k form solve the MLDE of
 ``hypergeometric.mlde_series``, D^2 f + p Df + q f = 0 with p = -e E2,
 e = k + 1.  By Abel's identity their Wronskian then solves D W = -p W =
 e E2 W, so W = c Delta**e, and c = (n_k/m) l1 l2 (n_k = k m + n') reads
@@ -106,8 +106,13 @@ class VectorForm:
 
     def __post_init__(self):
         first, second = self.rep.recipes
-        assert self.first.offset == first.offset + self.level
-        assert self.second.offset == second.offset
+        want = (first.offset + self.level, second.offset)
+        if (self.first.offset, self.second.offset) != want:
+            raise InternalMismatch(
+                f"level {self.level}: exponents {self.first.offset}, "
+                f"{self.second.offset}, expected {want[0]}, {want[1]}",
+                index=0,
+            )
 
     @property
     def weight(self) -> Fraction:
@@ -121,12 +126,20 @@ def minimal_form(rep: ReprData, order: int) -> VectorForm:
     that the recurrences read once, and both components share it: each is
     eta^10 (1728/j)^P F(1728/j), with F solved from the hypergeometric
     equation pulled back along 1728/j and the prefactor from its
-    logarithmic derivative, then checked against the Frobenius series of
-    the weight-5 modular differential equation.  Nothing is composed.
+    logarithmic derivative.  Nothing is composed.  ``VectorForm`` checks the
+    exponents, this function the unit leading coefficients and ``mlde_check``
+    the level-0 MLDE, each with InternalMismatch at the first differing index.
     """
     base = hypergeometric.base_forms(order)
     first, second = (hypergeometric.component_series(r, base) for r in rep.recipes)
-    return VectorForm(first=first, second=second, rep=rep, level=0, base=base)
+    form = VectorForm(first=first, second=second, rep=rep, level=0, base=base)
+    if (first.leading, second.leading) != (1, 1):
+        raise InternalMismatch(
+            f"leading coefficients {first.leading}, {second.leading}, expected 1, 1",
+            index=0,
+        )
+    mlde_check(form)
+    return form
 
 
 def raise_weight(form: VectorForm) -> VectorForm:
@@ -212,8 +225,8 @@ def wronskian_check(form: VectorForm) -> tuple[Fraction, int]:
 def mlde_wronskian(form: VectorForm) -> tuple[Fraction, int]:
     """(c, e) of W(F) = c Delta**e for a form whose components solve the MLDE
     of its level: e = level + 1 and c = (n_k/m) l1 l2 from the leading
-    coefficients (module docstring).  It checks nothing; ``minimal_form``
-    has checked level 0 and ``mlde_check`` checks a raised level.
+    coefficients (module docstring).  It checks nothing; ``mlde_check``
+    checks the level, inside ``minimal_form`` at level 0.
     """
     n_k = form.level * form.rep.m + form.rep.n_prime
     c = Fraction(n_k, form.rep.m) * form.first.leading * form.second.leading
@@ -223,7 +236,7 @@ def mlde_wronskian(form: VectorForm) -> tuple[Fraction, int]:
 def mlde_check(form: VectorForm) -> tuple[Fraction, int]:
     """Verify that each component of ``form`` is its leading coefficient times
     ``hypergeometric.mlde_series`` at the form's level; return
-    ``mlde_wronskian(form)``.
+    ``mlde_wronskian(form)``.  ``minimal_form`` runs it on level 0.
 
     InternalMismatch names the first body index at which a component
     differs, the first component checked first.

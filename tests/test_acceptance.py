@@ -99,11 +99,12 @@ def test_criterion_8_seeded_bug_sensitivity():
 
 
 # what each of the 15 corrupted solves raises, in the check's order: E4
-# and eta**24 stop at Delta's two routes, the 2F1 at the MLDE comparison
+# and eta**24 stop at Delta's two routes, the 2F1 at the minimal form's
+# unit-leading check (index 0) or its MLDE comparison
 SEEDED_RAISES = (
     [("InternalMismatch", i) for i in range(5)]
     + [("InternalMismatch", i) for i in range(1, 6)]
-    + [("RecipeInconsistent", i) for i in range(5)]
+    + [("InternalMismatch", i) for i in range(5)]
 )
 
 

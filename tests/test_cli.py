@@ -115,6 +115,13 @@ def test_verify_builds_each_form_once(capsys, build_counts):
         "ode-solutions",
     ]
     assert all(c["pass"] for c in checks)
+    # each check states its order: W at level k through terms + r - k, as
+    # raising drops one term of the first component; {h} and h y2 through terms
+    _, wronskians, schwarzian, ode = (c["detail"] for c in checks)
+    assert "level 0: c=2/7, Delta^1 through 11 terms" in wronskians
+    assert "level 1: c=-162432/133, Delta^2 through 10 terms" in wronskians
+    assert schwarzian.endswith("E4 through 10 terms")
+    assert ode.endswith("so h = y1/y2, through 10 terms")
 
 
 def test_vvmf_raises_each_level_once(capsys, build_counts):
@@ -124,7 +131,11 @@ def test_vvmf_raises_each_level_once(capsys, build_counts):
     )
     assert code == 0
     assert build_counts == {"minimal_form": 1, "raise_weight": 1}
-    assert json.loads(out)["results"]["raising"]["second_ratio"] == "24/19"
+    payload = json.loads(out)
+    assert payload["results"]["raising"]["second_ratio"] == "24/19"
+    wronskians = payload["checks"][0]["detail"]
+    assert "level 0: c=2/7, Delta^1 through 11 terms" in wronskians
+    assert "level 1: c=-162432/133, Delta^2 through 10 terms" in wronskians
 
 
 @pytest.mark.parametrize("command", ["verify", "vvmf"])

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from schwarzian import (
     HypergeomParams,
+    InternalMismatch,
     InvalidC,
     PuiseuxSeries,
     QSeries,
-    RecipeInconsistent,
     ReprData,
     base_forms,
     component_series,
@@ -29,6 +29,7 @@ from schwarzian import (
     hypergeom_coeffs,
     hypergeometric,
     j_inverse,
+    minimal_form,
 )
 from schwarzian.acceptance import SHAPE_GRID
 
@@ -108,8 +109,8 @@ def test_second_recipe_is_sign_swapped_first():
 
 
 def test_component_series_shape():
-    # component_series itself verifies offset and unit leading, raising
-    # RecipeInconsistent otherwise; these assertions re-state the contract.
+    # component_series only assembles; vvmf.minimal_form checks offset and
+    # unit leading (InternalMismatch otherwise), which hold for each part.
     for m, n in ((7, 1), (7, 2)):
         for rec in ReprData(m, n).recipes:
             s = component_series(rec, base_forms(10))
@@ -126,9 +127,8 @@ def test_base_forms_raises_on_every_call_for_order_zero():
     assert base_forms.cache_info().currsize == 0
 
 
-def test_hypergeometric_imports_nothing_from_vvmf():
-    """The recipes come from ``vvmf.ReprData``; hypergeometric, which vvmf
-    imports, reads no name of vvmf back."""
+def hypergeometric_imports():
+    """Every name hypergeometric imports, as "module:name" or "module"."""
     path = Path(hypergeometric.__file__)
     imported = []
     for node in ast.walk(ast.parse(path.read_text())):
@@ -137,7 +137,21 @@ def test_hypergeometric_imports_nothing_from_vvmf():
             imported += [f"{module}:{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
+    return imported
+
+
+def test_hypergeometric_imports_nothing_from_vvmf():
+    """The recipes come from ``vvmf.ReprData``; hypergeometric, which vvmf
+    imports, reads no name of vvmf back."""
+    imported = hypergeometric_imports()
     assert imported and not [name for name in imported if "vvmf" in name]
+
+
+def test_hypergeometric_imports_no_verification_error():
+    """Assembly only: ``vvmf`` checks the components, so hypergeometric
+    raises no verification error and imports only InvalidC from errors."""
+    errors = [name for name in hypergeometric_imports() if name.startswith(".errors")]
+    assert errors == [".errors:InvalidC"]
 
 
 def divisor_series(power, factor, order):
@@ -197,8 +211,9 @@ def test_components_match_substitution_and_mlde(m, data, order):
 @pytest.mark.parametrize("route", ["pulled_back_2f1", "mlde_series"])
 @pytest.mark.parametrize("index", [0, 1, 4, 11])
 def test_bumped_route_names_its_index(monkeypatch, route, index):
-    """One coefficient of either route bumped by 1/3 makes the component fail
-    the comparison of the two at exactly that index."""
+    """One coefficient of either route bumped by 1/3 makes the minimal form
+    fail the comparison of the two at exactly that index: its unit-leading
+    check at q^0, ``vvmf.mlde_check`` above."""
     original = getattr(hypergeometric, route)
 
     def bumped(*args):
@@ -208,9 +223,8 @@ def test_bumped_route_names_its_index(monkeypatch, route, index):
         return QSeries(cs)
 
     monkeypatch.setattr(hypergeometric, route, bumped)
-    rec = ReprData(9, 4).recipes[1]
-    with pytest.raises(RecipeInconsistent) as info:
-        component_series(rec, base_forms(14))
+    with pytest.raises(InternalMismatch) as info:
+        minimal_form(ReprData(9, 4), 14)
     assert info.value.index == index
 
 

@@ -17,6 +17,7 @@ from schwarzian.acceptance import SHAPE_GRID
 from schwarzian import (
     InternalMismatch,
     InvalidParameters,
+    LeadingCancellation,
     MINIMAL_WEIGHT,
     NotProportionalToDeltaPower,
     PuiseuxSeries,
@@ -157,6 +158,38 @@ def test_mlde_check_catches_wrong_base(field, index):
     with pytest.raises(InternalMismatch) as info:
         vvmf.mlde_check(dataclasses.replace(form, base=base))
     assert info.value.index == index
+
+
+@pytest.mark.parametrize(
+    "leading, message",
+    [
+        ({"e6": 2}, "first component moved to exponent 9/14, expected 23/14"),
+        ({"e4": 0, "e6": 0}, "second component leading coefficient vanished under raising"),
+    ],
+)
+def test_raise_weight_refuses_a_wrong_leading_move(leading, message):
+    """With E6(0) = 2 the pivot no longer cancels the first component's
+    leading term; with E4(0) = E6(0) = 0 the step kills the second's.  Either
+    way raise_weight stops at index 0 before building the raised form."""
+    form = minimal_form(ReprData(7, 2), 12)
+    bad = {}
+    for field, value in leading.items():
+        cs = list(getattr(form.base, field).coeffs)
+        cs[0] = value
+        bad[field] = QSeries(cs)
+    base = dataclasses.replace(form.base, **bad)
+    with pytest.raises(LeadingCancellation, match=message) as info:
+        raise_weight(dataclasses.replace(form, base=base))
+    assert info.value.index == 0
+
+
+def test_vector_form_refuses_wrong_exponents():
+    """The exponents are checked with a typed error, not an assert that
+    python -O strips: swapped components fail at index 0."""
+    form = minimal_form(ReprData(7, 2), 8)
+    with pytest.raises(InternalMismatch, match="exponents 5/14, 9/14") as info:
+        dataclasses.replace(form, first=form.second, second=form.first)
+    assert info.value.index == 0
 
 
 def test_raising_chain_for_7_2():
