@@ -29,7 +29,6 @@ from .errors import (
     InternalMismatch,
     InvalidC,
     InvalidParameters,
-    LeadingCancellation,
     NonUnitBase,
     NonvanishingInnerConstant,
     NotProportional,
@@ -88,7 +87,6 @@ __all__ = [
     "InternalMismatch",
     "InvalidC",
     "InvalidParameters",
-    "LeadingCancellation",
     "MINIMAL_WEIGHT",
     "NonUnitBase",
     "NonvanishingInnerConstant",

@@ -3,9 +3,10 @@
 Each criterion function returns a CheckResult; ``run_all`` runs the full
 battery in order.  These are the same checks the test suite and the CLI
 ``selftest`` subcommand run — one place defines what "working" means.
-Criteria 2-6 apply one per-pair predicate each (``*_problems``) over
+Criteria 3-6 apply one per-pair predicate each (``*_problems``) over
 their grids; the CLI's ``verify`` and ``vvmf`` apply the same ones to
-their own pair.
+their own pair.  Criterion 2 builds each minimal form, which
+``vvmf.VectorForm`` checks as it is constructed.
 
 ``solver.solve`` proves each weight level against its own modular
 differential equation, which fixes W, {h} and h = y1 / y2 by exact
@@ -63,19 +64,6 @@ def verdict(name: str, detail: str, problems: list[str]) -> CheckResult:
 def failure(exc: Exception) -> str:
     """How a check reports the error that stopped it: type and message."""
     return f"{type(exc).__name__}: {exc}"
-
-
-def shape_problems(form: vvmf.VectorForm) -> list[str]:
-    """How a minimal form misses weight 5, exponents (m +- n')/2m or unit leadings."""
-    first, second = form.rep.recipes
-    checks = [
-        (form.weight == 5, "weight != 5"),
-        (form.first.offset == first.offset, "first exponent"),
-        (form.second.offset == second.offset, "second exponent"),
-        (form.first.leading == 1 and form.second.leading == 1, "leading coefficients"),
-        (form.first.offset + form.second.offset == 1, "exponent sum"),
-    ]
-    return [what for ok, what in checks if not ok]
 
 
 def wronskian_problems(
@@ -192,11 +180,17 @@ def check_classical_identities() -> CheckResult:
 
 
 def check_minimal_form_shape() -> CheckResult:
-    """Minimal vector forms have weight 5 and exponents (m +- n')/2m."""
-    problems = _over(SHAPE_GRID, lambda m, n: shape_problems(_minimal(m, n)))
-    return verdict(
-        "minimal-form-shape", f"{len(SHAPE_GRID)} pairs at order {ORDER}", problems
-    )
+    """Every SHAPE_GRID pair's minimal form builds: ``vvmf.VectorForm``
+    refuses a form whose exponents are not (m +- n')/2m or whose leading
+    coefficients are not 1, and ``vvmf.minimal_form`` one off its MLDE, so
+    the problems are the pairs whose construction raised."""
+
+    def problems_of(m: int, n_prime: int) -> list[str]:
+        _minimal(m, n_prime)
+        return []
+
+    detail = f"{len(SHAPE_GRID)} pairs at order {ORDER}"
+    return verdict("minimal-form-shape", detail, _over(SHAPE_GRID, problems_of))
 
 
 def check_wronskian_delta_power() -> CheckResult:

@@ -90,10 +90,6 @@ class InternalMismatch(VerificationError):
     """Two independent formulas for the same quantity disagreed."""
 
 
-class LeadingCancellation(VerificationError):
-    """Weight raising did not move the leading exponents the way it must."""
-
-
 class NotProportionalToDeltaPower(VerificationError):
     """A Wronskian is not a constant multiple of the expected power of Delta."""
 

@@ -90,9 +90,7 @@ def j_inverse(order: int) -> QSeries:
     """1728/j = 1728 Delta / E4^3, a series with zero constant term."""
     if order < 2:
         raise ValueError("order must be >= 2 to see the leading 1728 q")
-    out = (delta(order) * 1728) / eisenstein(4, order) ** 3
-    assert out[0] == 0 and out[1] == 1728
-    return out
+    return (delta(order) * 1728) / eisenstein(4, order) ** 3
 
 
 def serre_derivative(f: QSeries | PuiseuxSeries, weight: Scalar):

@@ -226,8 +226,9 @@ def eval_qseries(
 
     The fractional factor q**offset is computed as exp(offset * 2 pi i tau)
     — the branch every q-expansion here is defined with — rather than by
-    powering a wrapped q.  Raises NotUpperHalfPlane off the domain and
-    NumericOverflow if the result leaves the double range.
+    powering a wrapped q.  Raises NotUpperHalfPlane off the domain and, in
+    doubles, NumericOverflow if a coefficient, a term or the result leaves
+    the double range or the result is not finite.
     """
     tau = _check_tau(tau)
     backend = _Backend(precision)
@@ -235,13 +236,21 @@ def eval_qseries(
         f = PuiseuxSeries(0, f)
     two_pi_i = backend.number(2j) * backend.pi()
     q = backend.exp(two_pi_i * backend.number(tau))
-    value = _horner(f.body, q, backend)
-    if not f.is_zero() and f.offset:
-        value = value * backend.exp(backend.number(f.offset) * two_pi_i * backend.number(tau))
-    if precision is None and (
-        abs(value.real) > _OVERFLOW or abs(value.imag) > _OVERFLOW
+    try:
+        value = _horner(f.body, q, backend)
+        if not f.is_zero() and f.offset:
+            value = value * backend.exp(
+                backend.number(f.offset) * two_pi_i * backend.number(tau)
+            )
+    except OverflowError as exc:  # int / int or exp beyond the double range
+        raise NumericOverflow(f"{exc} at tau = {tau}") from exc
+    # written so that a NaN part fails it too
+    if precision is None and not (
+        abs(value.real) <= _OVERFLOW and abs(value.imag) <= _OVERFLOW
     ):
-        raise NumericOverflow(f"|value| exceeds {_OVERFLOW:g} at tau = {tau}")
+        raise NumericOverflow(
+            f"|value| exceeds {_OVERFLOW:g} or is not finite at tau = {tau}"
+        )
     return value
 
 

@@ -65,12 +65,9 @@ def schwarz_derivative(h: PuiseuxSeries) -> QSeries:
     dh = h.derive()
     if dh.is_zero():
         raise DegenerateDerivative("h has identically zero derivative")
-    g = dh.derive() / dh
-    if g.offset != 0:
-        # cannot happen for normalized input: D fixes the leading exponent
-        # whenever it is nonzero and raises it otherwise
-        raise InternalMismatch(f"log-derivative ratio has offset {g.offset}")
-    gq = g.body
+    # D fixes a nonzero leading exponent and raises a zero one to the
+    # valuation, so dh's exponent is nonzero, D keeps it, and g's is 0
+    gq = (dh.derive() / dh).body
     return gq.derive() - gq * gq / 2
 
 

@@ -9,6 +9,7 @@ component's exponent stays put.  Each raise adds 6 to the weight.  By
 Ramanujan's E2 E4 = 3 D E4 + E6 the step is F X - (1/pivot) E4 D F, where
 X = (1 + k/12 pivot) E6 + (k/4 pivot) D E4 reads the E4 and E6 of the
 ``hypergeometric.BaseForms`` that every form keeps from its minimal form.
+``VectorForm`` is the one check of that shape, for every form built.
 
 The Wronskian W(F) = D(f1) f2 - f1 D(f2) of a form with exponents summing to
 the integer e must be a nonzero constant multiple of Delta**e.  As D Delta =
@@ -21,7 +22,9 @@ mlde_check proves the same law, and more, from one equation per level
 ``hypergeometric.mlde_series``, D^2 f + p Df + q f = 0 with p = -e E2,
 e = k + 1.  By Abel's identity their Wronskian then solves D W = -p W =
 e E2 W, so W = c Delta**e, and c = (n_k/m) l1 l2 (n_k = k m + n') reads
-off the leading terms q**o1 l1 and q**o2 l2, as o1 - o2 = n_k/m.
+off the leading terms q**o1 l1 and q**o2 l2, as o1 - o2 = n_k/m.  That
+reading needs l1 and l2 nonzero and o1, o2 the level's exponents, which
+``VectorForm`` guarantees; then c != 0.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from . import hypergeometric
 from .errors import (
     InternalMismatch,
     InvalidParameters,
-    LeadingCancellation,
     NotProportionalToDeltaPower,
 )
 from .hypergeometric import BaseForms, ComponentRecipe
@@ -96,7 +98,13 @@ def split_n(m: int, n: int) -> tuple[ReprData, int]:
 @dataclass(frozen=True)
 class VectorForm:
     """A two-component form of weight 5 + 6*level, with the level-one series
-    ``base`` that its minimal form was built from and every raise keeps."""
+    ``base`` that its minimal form was built from and every raise keeps.
+
+    Construction checks the form's shape, in this order, each failure an
+    InternalMismatch at index 0: the exponents are (m + n')/2m + level and
+    (m - n')/2m, neither component is zero to working order, and at level 0
+    both leading coefficients are 1.  No other code checks them.
+    """
 
     first: PuiseuxSeries
     second: PuiseuxSeries
@@ -113,6 +121,16 @@ class VectorForm:
                 f"{self.second.offset}, expected {want[0]}, {want[1]}",
                 index=0,
             )
+        if self.first.is_zero() or self.second.is_zero():
+            raise InternalMismatch(
+                f"level {self.level}: a component vanishes to working order", index=0
+            )
+        if self.level == 0 and (self.first.leading, self.second.leading) != (1, 1):
+            raise InternalMismatch(
+                f"leading coefficients {self.first.leading}, {self.second.leading}, "
+                "expected 1, 1",
+                index=0,
+            )
 
     @property
     def weight(self) -> Fraction:
@@ -127,17 +145,12 @@ def minimal_form(rep: ReprData, order: int) -> VectorForm:
     eta^10 (1728/j)^P F(1728/j), with F solved from the hypergeometric
     equation pulled back along 1728/j and the prefactor from its
     logarithmic derivative.  Nothing is composed.  ``VectorForm`` checks the
-    exponents, this function the unit leading coefficients and ``mlde_check``
-    the level-0 MLDE, each with InternalMismatch at the first differing index.
+    exponents and the unit leading coefficients, ``mlde_check`` the level-0
+    MLDE, each with InternalMismatch at the first differing index.
     """
     base = hypergeometric.base_forms(order)
     first, second = (hypergeometric.component_series(r, base) for r in rep.recipes)
     form = VectorForm(first=first, second=second, rep=rep, level=0, base=base)
-    if (first.leading, second.leading) != (1, 1):
-        raise InternalMismatch(
-            f"leading coefficients {first.leading}, {second.leading}, expected 1, 1",
-            index=0,
-        )
     mlde_check(form)
     return form
 
@@ -149,9 +162,10 @@ def raise_weight(form: VectorForm) -> VectorForm:
     The pivot equals the first component's exponent minus weight/12,
     1/12 + n'/2m + level/2 > 0, which kills that component's leading
     coefficient exactly; the new leading exponent is first.offset + 1 and
-    the second component's exponent is unchanged.  LeadingCancellation is
-    raised if either fails, and the components are returned unnormalized so
-    the raising constants stay visible as the new leading coefficients.
+    the second component's exponent is unchanged.  ``VectorForm`` refuses
+    the raised form if either fails or a component vanishes.  The components
+    are returned unnormalized so the raising constants stay visible as the
+    new leading coefficients.
     """
     base = form.base
     pivot = form.first.offset - form.weight / 12
@@ -162,22 +176,9 @@ def raise_weight(form: VectorForm) -> VectorForm:
     def step(component: PuiseuxSeries) -> PuiseuxSeries:
         return component * x - component.derive() * e4_pivot
 
-    new_first = step(form.first)
-    new_second = step(form.second)
-    if new_first.is_zero() or new_first.offset != form.first.offset + 1:
-        raise LeadingCancellation(
-            f"first component moved to exponent "
-            f"{None if new_first.is_zero() else new_first.offset}, "
-            f"expected {form.first.offset + 1}",
-            index=0,
-        )
-    if new_second.is_zero() or new_second.offset != form.second.offset:
-        raise LeadingCancellation(
-            "second component leading coefficient vanished under raising", index=0
-        )
     return VectorForm(
-        first=new_first,
-        second=new_second,
+        first=step(form.first),
+        second=step(form.second),
         rep=form.rep,
         level=form.level + 1,
         base=base,
@@ -190,19 +191,17 @@ def wronskian(form: VectorForm) -> PuiseuxSeries:
 
 
 def wronskian_check(form: VectorForm) -> tuple[Fraction, int]:
-    """Verify W(F) = c Delta**e with c nonzero and e = sum of the exponents.
+    """Verify W(F) = c Delta**e with c nonzero and e = sum of the exponents,
+    the integer level + 1 for every form ``VectorForm`` accepts.
 
     Returns (c, e); raises NotProportionalToDeltaPower at the first failing
-    index otherwise.  With W = q**e wb, the residual D wb + e (1 - E2) wb is
-    D(W / Delta**e) times Delta**e's unit body, so its first nonzero
-    coefficient, at q**i, is i times the quotient's, which the message names.
+    index otherwise: at index 0 if W, computed here, is zero to working
+    order or does not lead with q**e.  With W = q**e wb, the residual
+    D wb + e (1 - E2) wb is D(W / Delta**e) times Delta**e's unit body, so
+    its first nonzero coefficient, at q**i, is i times the quotient's, which
+    the message names.
     """
-    e_frac = form.first.offset + form.second.offset
-    if e_frac.denominator != 1 or e_frac < 1:
-        raise NotProportionalToDeltaPower(
-            f"exponent sum {e_frac} is not a positive integer", index=0
-        )
-    e = int(e_frac)
+    e = int(form.first.offset + form.second.offset)
     w = wronskian(form)
     if w.is_zero():
         raise NotProportionalToDeltaPower(
@@ -239,7 +238,8 @@ def mlde_check(form: VectorForm) -> tuple[Fraction, int]:
     ``mlde_wronskian(form)``.  ``minimal_form`` runs it on level 0.
 
     InternalMismatch names the first body index at which a component
-    differs, the first component checked first.
+    differs, the first component checked first.  A zero component would
+    pass, with W = 0; ``VectorForm`` refuses one before it gets here.
     """
     for component, recipe in zip((form.first, form.second), form.rep.recipes):
         series = hypergeometric.mlde_series(form.level, recipe, form.base)

@@ -17,7 +17,14 @@ import dataclasses
 
 import pytest
 
-from schwarzian import PuiseuxSeries, QSeries, acceptance, numeric, solver
+from schwarzian import (
+    PuiseuxSeries,
+    QSeries,
+    acceptance,
+    hypergeometric,
+    numeric,
+    solver,
+)
 from schwarzian.errors import NotProportional, OdeResidualNonzero, VerificationError
 
 
@@ -33,6 +40,24 @@ def test_criterion_1_classical_identities():
 
 def test_criterion_2_minimal_form_shape():
     _report(acceptance.check_minimal_form_shape())
+
+
+def test_criterion_2_names_each_pair_that_fails_to_build(monkeypatch):
+    """With every 2F1 doubled, VectorForm refuses each minimal form for
+    its leading coefficients, and criterion 2 names every pair."""
+    bumped = acceptance._bumped(hypergeometric.pulled_back_2f1, 0, lambda *_: True)
+    monkeypatch.setattr(hypergeometric, "pulled_back_2f1", bumped)
+    acceptance._minimal.cache_clear()
+    try:
+        result = acceptance.check_minimal_form_shape()
+    finally:
+        acceptance._minimal.cache_clear()
+    assert not result.passed
+    for m, n in acceptance.SHAPE_GRID:
+        assert (
+            f"({m},{n}): InternalMismatch: leading coefficients 2, 2, expected 1, 1"
+            in result.detail
+        )
 
 
 def test_criterion_3_wronskian_delta_power():

@@ -15,6 +15,7 @@ from schwarzian import (
     DivergentSeries,
     InvalidParameters,
     NotUpperHalfPlane,
+    NumericOverflow,
     OutsideDisk,
     PuiseuxSeries,
     QSeries,
@@ -293,6 +294,30 @@ def test_eval_qseries_term_limit():
     s = QSeries([1] * 30)
     q = cmath.exp(2j * cmath.pi * 0.5j)
     assert abs(eval_qseries(s, 0.5j) - (1 - q**30) / (1 - q)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "f, tau",
+    [
+        # a coefficient beyond the double range: int / int overflows
+        (QSeries([10**400]), 1j),
+        # a finite double beyond the 1e300 bound
+        (QSeries([10**301]), 1j),
+        # the Horner sum overflows to inf, then to NaN
+        (QSeries([10**308] * 40), 0.001j),
+        # q**offset beyond the double range: exp overflows
+        (PuiseuxSeries(-1000, QSeries([1])), 1j),
+    ],
+    ids=["coefficient", "value", "nan", "offset"],
+)
+def test_doubles_overflow_is_typed(f, tau):
+    with pytest.raises(NumericOverflow):
+        eval_qseries(f, tau)
+
+
+def test_integer_precision_has_no_double_range():
+    value = eval_qseries(QSeries([10**400]), 1j, precision=200)
+    assert abs(value / value.context.mpf(10) ** 400 - 1) < 2.0**-190
 
 
 def test_one_mpmath_context_per_precision():

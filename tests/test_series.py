@@ -708,3 +708,16 @@ def test_only_series_reaches_its_private_names():
                     if alias.name.startswith("_")
                 ]
     assert leaks == []
+
+
+def test_package_has_no_assert_statements():
+    """Every check in the package raises a typed error; ``python -O``
+    strips assert statements, so none may carry a check."""
+    package = Path(__file__).resolve().parents[1] / "src" / "schwarzian"
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -17,7 +17,6 @@ from schwarzian.acceptance import SHAPE_GRID
 from schwarzian import (
     InternalMismatch,
     InvalidParameters,
-    LeadingCancellation,
     MINIMAL_WEIGHT,
     NotProportionalToDeltaPower,
     PuiseuxSeries,
@@ -163,14 +162,15 @@ def test_mlde_check_catches_wrong_base(field, index):
 @pytest.mark.parametrize(
     "leading, message",
     [
-        ({"e6": 2}, "first component moved to exponent 9/14, expected 23/14"),
-        ({"e4": 0, "e6": 0}, "second component leading coefficient vanished under raising"),
+        ({"e6": 2}, "level 1: exponents 9/14, 5/14, expected 23/14, 5/14"),
+        ({"e4": 0, "e6": 0}, "level 1: exponents 23/14, 19/14, expected 23/14, 5/14"),
     ],
+    ids=["first-kept", "second-killed"],
 )
 def test_raise_weight_refuses_a_wrong_leading_move(leading, message):
     """With E6(0) = 2 the pivot no longer cancels the first component's
     leading term; with E4(0) = E6(0) = 0 the step kills the second's.  Either
-    way raise_weight stops at index 0 before building the raised form."""
+    way the raised VectorForm is refused at index 0 for its exponents."""
     form = minimal_form(ReprData(7, 2), 12)
     bad = {}
     for field, value in leading.items():
@@ -178,7 +178,7 @@ def test_raise_weight_refuses_a_wrong_leading_move(leading, message):
         cs[0] = value
         bad[field] = QSeries(cs)
     base = dataclasses.replace(form.base, **bad)
-    with pytest.raises(LeadingCancellation, match=message) as info:
+    with pytest.raises(InternalMismatch, match=message) as info:
         raise_weight(dataclasses.replace(form, base=base))
     assert info.value.index == 0
 
@@ -189,6 +189,53 @@ def test_vector_form_refuses_wrong_exponents():
     form = minimal_form(ReprData(7, 2), 8)
     with pytest.raises(InternalMismatch, match="exponents 5/14, 9/14") as info:
         dataclasses.replace(form, first=form.second, second=form.first)
+    assert info.value.index == 0
+
+
+def test_vector_form_refuses_a_vanishing_component():
+    """A component zero to working order at the right exponent passes the
+    MLDE check with W = 0, so VectorForm refuses it, at every level."""
+    form = raise_weight(minimal_form(ReprData(7, 2), 12))
+    zero = PuiseuxSeries(form.second.offset, QSeries.zero(form.second.order))
+    with pytest.raises(InternalMismatch, match="level 1: a component vanishes") as info:
+        dataclasses.replace(form, second=zero)
+    assert info.value.index == 0
+
+
+def test_vector_form_refuses_non_unit_leadings_at_level_0():
+    """Only the minimal form pins its leading coefficients to 1; a raised
+    form carries the raising constants there."""
+    form = minimal_form(ReprData(7, 2), 12)
+    with pytest.raises(
+        InternalMismatch, match="^leading coefficients 2, 1, expected 1, 1$"
+    ) as info:
+        dataclasses.replace(form, first=form.first * 2)
+    assert info.value.index == 0
+    raised = raise_weight(form)
+    assert dataclasses.replace(raised, first=raised.first * 2).level == 1
+
+
+@pytest.mark.parametrize(
+    "bad_w, message",
+    [
+        (lambda w: w * 0, "Wronskian vanishes to working order"),
+        (
+            lambda w: w * PuiseuxSeries(1, QSeries([1])),
+            "Wronskian leading exponent is 3, expected 2",
+        ),
+    ],
+    ids=["zero", "shifted"],
+)
+def test_wronskian_check_refuses_a_literal_w_off_delta_power(
+    monkeypatch, bad_w, message
+):
+    """wronskian_check tests the W that ``vvmf.wronskian`` computes: a zero
+    W, or W times q, fails at index 0 even where the residual would pass."""
+    form = raise_weight(minimal_form(ReprData(7, 2), 12))
+    right = vvmf.wronskian(form)
+    monkeypatch.setattr(vvmf, "wronskian", lambda f: bad_w(right))
+    with pytest.raises(NotProportionalToDeltaPower, match=f"^{message}$") as info:
+        wronskian_check(form)
     assert info.value.index == 0
 
 
