@@ -17,7 +17,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any
+from functools import partial
+from itertools import islice
+from typing import Any, NamedTuple
 
 from . import acceptance, numeric, solver, vvmf
 from .acceptance import CheckResult, failure, verdict
@@ -84,54 +86,53 @@ def _emit(
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _wronskian_verdict(
-    rep: vvmf.ReprData,
-    r: int,
-    chain: list[vvmf.VectorForm],
-    levels: list[tuple[Fraction, int]],
-    stopped: str | None,
-) -> CheckResult:
-    """wronskian-delta-power from the (c, e) of the levels before ``stopped``,
-    each with the order its W was checked through: its shorter component's."""
-    problems = acceptance.wronskian_problems(rep, levels)
-    if len(levels) <= r:
-        problems.append(f"level {len(levels)}: {stopped}")
-    detail = f"levels 0..{r}" + "".join(
-        f"; level {lvl}: c={c}, Delta^{e} through "
-        f"{min(chain[lvl].first.order, chain[lvl].second.order)} terms"
-        for lvl, (c, e) in enumerate(levels)
-    )
-    return verdict("wronskian-delta-power", detail, problems)
+class _Walk(NamedTuple):
+    """Levels 0, 1, ... of a pair as far as ``_walk`` built them, the (c, e)
+    of W checked literally at each of levels 0..r among them, and how the
+    first refused raise or failed check stopped the walk, if one did."""
+
+    r: int
+    forms: list[vvmf.VectorForm]
+    wronskians: list[tuple[Fraction, int]]
+    stopped: str | None
+
+    def wronskian_verdict(self) -> CheckResult:
+        """wronskian-delta-power, each W with the order it was checked through."""
+        problems = acceptance.wronskian_problems(self.forms[0].rep, self.wronskians)
+        if len(self.wronskians) <= self.r:
+            problems.append(f"level {len(self.wronskians)}: {self.stopped}")
+        detail = f"levels 0..{self.r}" + "".join(
+            f"; level {lvl}: c={c}, Delta^{e} through "
+            f"{min(self.forms[lvl].first.order, self.forms[lvl].second.order)} terms"
+            for lvl, (c, e) in enumerate(self.wronskians)
+        )
+        return verdict("wronskian-delta-power", detail, problems)
 
 
-def _raise_and_check(
-    chain: list[vvmf.VectorForm], r: int
-) -> tuple[list[tuple[Fraction, int]], str | None]:
-    """Extend ``chain`` (levels 0, 1, ... built so far) to level r, raising
-    each missing level once, and run ``vvmf.wronskian_check`` on every level.
-
-    Returns the (c, e) of the levels checked and, if a raise or a check
-    raised a VerificationError, how it stopped.
+def _walk(args: argparse.Namespace, top: int, report) -> int:
+    """``verify`` and ``vvmf``: levels 0..max(r, top) of (m, n) from
+    ``vvmf.weight_levels``, the literal ``vvmf.wronskian_check`` on each of
+    0..r, up to the first VerificationError.  Only a failure of the minimal
+    form is reported as ``construction``; a raise refused or a check failed
+    at level k is reported under wronskian-delta-power as ``level k: ...``,
+    and ``report(walk, results)`` fails each check that needs a later level
+    with the same text.
     """
-    wronskians: list[tuple[Fraction, int]] = []
+    params = {"m": args.m, "n": args.n, "terms": args.terms}
+    rep, r = solver._parameters(args.m, args.n, args.terms)
+    results: dict[str, Any] = {"n_prime": rep.n_prime, "raises": r}
+    forms, wronskians, stopped = [], [], None
     try:
-        for level in range(r + 1):
-            if level == len(chain):
-                chain.append(vvmf.raise_weight(chain[-1]))
-            wronskians.append(vvmf.wronskian_check(chain[level]))
+        for form in islice(vvmf.weight_levels(rep, args.terms, r), max(r, top) + 1):
+            forms.append(form)
+            if form.level <= r:
+                wronskians.append(vvmf.wronskian_check(form))
     except VerificationError as exc:
-        return wronskians, failure(exc)
-    return wronskians, None
-
-
-def _literal(name: str, detail: str, problems_of, bundle) -> CheckResult:
-    """``verdict(name, detail, problems_of(bundle))``; a VerificationError
-    that ``problems_of`` raises is its problem."""
-    try:
-        problems = problems_of(bundle)
-    except VerificationError as exc:
-        problems = [failure(exc)]
-    return verdict(name, detail, problems)
+        stopped = failure(exc)
+    if not forms:
+        return _emit(args, params, results, [CheckResult("construction", False, stopped)])
+    checks = report(_Walk(r, forms, wronskians, stopped), results)
+    return _emit(args, params, results, checks)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -166,85 +167,50 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return _emit(args, params, results, [check])
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    params = {"m": args.m, "n": args.n, "terms": args.terms}
-    rep, r = solver._parameters(args.m, args.n, args.terms)
-    results = {"n_prime": rep.n_prime, "raises": r}
-    try:
-        form = vvmf.minimal_form(rep, args.terms + r)
-    except VerificationError as exc:
-        return _emit(args, params, results, [CheckResult("construction", False, failure(exc))])
-    # VectorForm checked the exponents and unit leading coefficients
+def _verify_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
+    """The minimal form's shape, which ``VectorForm`` checked, W at every
+    level, and {h} and h y2's ODE residual, computed literally from h by the
+    battery's predicates; no MLDE is checked past level 0."""
+    form = walk.forms[0]
     checks = [
         CheckResult(
             "minimal-form-shape",
             True,
             f"weight {form.weight}, exponents {form.first.offset}, {form.second.offset}",
-        )
+        ),
+        walk.wronskian_verdict(),
     ]
-
-    # every level is raised once from the form built here; W, {h} and the
-    # ODE residual are computed literally, as the battery computes them
-    chain = [form]
-    levels, stopped = _raise_and_check(chain, r)
-    checks.append(_wronskian_verdict(rep, r, chain, levels, stopped))
-    if len(chain) <= r:  # a raise failed, so there is no h
-        checks += [
-            CheckResult(name, False, stopped)
-            for name in ("schwarzian-proportionality", "ode-solutions")
-        ]
-        return _emit(args, params, results, checks)
-    bundle = solver._bundle(chain[r], levels)
-    checks.append(
-        _literal(
-            "schwarzian-proportionality",
+    if len(walk.forms) <= walk.r:  # there is no h
+        names = ("schwarzian-proportionality", "ode-solutions")
+        return checks + [CheckResult(name, False, walk.stopped) for name in names]
+    bundle = solver._bundle(walk.forms[walk.r], walk.wronskians)
+    literal = {
+        "schwarzian-proportionality": (
             f"{{h}} = {bundle.schwarz_constant} * E4 through {bundle.h.order} terms",
             acceptance.schwarzian_problems,
-            bundle,
-        )
-    )
-    checks.append(
-        _literal(
-            "ode-solutions",
+        ),
+        "ode-solutions": (
             f"h y2 satisfies D^2 y + ({bundle.ode_parameter}) E4 y = 0 for the "
             f"Frobenius solution y2 = q^(-n/2m)(1 + ...), so h = y1/y2, "
             f"through {bundle.h.order} terms",
             acceptance.ode_problems,
-            bundle,
-        )
-    )
-    return _emit(args, params, results, checks)
-
-
-def _cmd_vvmf(args: argparse.Namespace) -> int:
-    params = {"m": args.m, "n": args.n, "terms": args.terms}
-    rep, r = solver._parameters(args.m, args.n, args.terms)
-    results: dict[str, Any] = {"n_prime": rep.n_prime, "raises": r}
-    try:
-        form = vvmf.minimal_form(rep, args.terms + r)
-        # level 1, built once: it gives the raising constants and, when
-        # r >= 1, the first raised level of the chain below
-        lifted = vvmf.raise_weight(form)
-    except VerificationError as exc:
-        return _emit(args, params, results, [CheckResult("construction", False, failure(exc))])
-    c1, c2 = vvmf.raising_ratios(form, lifted)
-    c1_closed = vvmf.c1_closed_form(rep.m, rep.n_prime)
-    c2_closed = vvmf.c2_closed_form(rep.m, rep.n_prime)
-
-    chain = [form, lifted]
-    wronskians, stopped = _raise_and_check(chain, r)
-    checks = [
-        _wronskian_verdict(rep, r, chain, wronskians, stopped),
-        verdict(
-            "raising-ratios",
-            f"computed {c1}, {c2}; closed forms -144(5m+6n')/(m+n') = {c1_closed}, "
-            f"12n'/(m+6n') = {c2_closed}",
-            acceptance.raising_problems(rep, c1, c2),
         ),
-    ]
+    }
+    for name, (detail, problems_of) in literal.items():
+        try:
+            problems = problems_of(bundle)
+        except VerificationError as exc:
+            problems = [failure(exc)]
+        checks.append(verdict(name, detail, problems))
+    return checks
 
+
+def _vvmf_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
+    """W at every level and the raising constants from levels 0 and 1,
+    against their closed forms; the levels reached go into ``results``."""
+    rep = walk.forms[0].rep
     results.update(
-        weight=int(5 + 6 * r),
+        weight=int(5 + 6 * walk.r),
         levels=[
             {
                 "level": level,
@@ -256,19 +222,35 @@ def _cmd_vvmf(args: argparse.Namespace) -> int:
                 "wronskian_constant": _rat(c),
                 "delta_power": e,
             }
-            for level, (current, (c, e)) in enumerate(zip(chain, wronskians))
+            for level, (current, (c, e)) in enumerate(zip(walk.forms, walk.wronskians))
         ],
-        raising={
-            "second_ratio": _rat(c2),
-            "second_ratio_closed_form": _rat(c2_closed),
-            "first_ratio": _rat(c1),
-            "first_ratio_closed_form": _rat(c1_closed),
-        },
     )
-    return _emit(args, params, results, checks)
+    if len(walk.forms) < 2:
+        missing = CheckResult("raising-ratios", False, walk.stopped)
+        return [walk.wronskian_verdict(), missing]
+    c1, c2 = vvmf.raising_ratios(*walk.forms[:2])
+    c1_closed = vvmf.c1_closed_form(rep.m, rep.n_prime)
+    c2_closed = vvmf.c2_closed_form(rep.m, rep.n_prime)
+    results["raising"] = {
+        "second_ratio": _rat(c2),
+        "second_ratio_closed_form": _rat(c2_closed),
+        "first_ratio": _rat(c1),
+        "first_ratio_closed_form": _rat(c1_closed),
+    }
+    return [
+        walk.wronskian_verdict(),
+        verdict(
+            "raising-ratios",
+            f"computed {c1}, {c2}; closed forms -144(5m+6n')/(m+n') = {c1_closed}, "
+            f"12n'/(m+6n') = {c2_closed}",
+            acceptance.raising_problems(rep, c1, c2),
+        ),
+    ]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if not 0 < args.tolerance < float("inf"):
+        raise InvalidParameters(f"tolerance must be finite and > 0, got {args.tolerance}")
     tau = _parse_tau(args.tau)
     params = {"m": args.m, "n": args.n, "terms": args.terms, "tau": args.tau}
     if args.precision is not None:
@@ -337,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="re-run each identity check for n/m")
     _add_common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=partial(_walk, top=0, report=_verify_checks))
 
     p_vvmf = sub.add_parser(
         "vvmf", help="inspect the vector form: exponents, Wronskians, raising"
     )
     _add_common(p_vvmf)
-    p_vvmf.set_defaults(func=_cmd_vvmf)
+    p_vvmf.set_defaults(func=partial(_walk, top=1, report=_vvmf_checks))
 
     p_eval = sub.add_parser(
         "eval", help="evaluate h at tau by series and closed form, compare"

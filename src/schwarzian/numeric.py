@@ -33,7 +33,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, copysign, floor, log2
+from math import ceil, copysign, floor, inf, log2
 from sys import float_info
 from typing import Any, Callable
 
@@ -315,9 +315,10 @@ def eval_h_hypergeometric(
     refused.  Where q = exp(2 pi i tau) leaves the normal double range
     (Im tau > about 112.7), z = 1728 q (1 + O(q)) has lost its bits, and in
     doubles the value is taken as exp((n/m) 2 pi i tau), to which the
-    closed form reduces there.  (m, n) and ``n_terms`` are checked as
-    ``solve`` checks them, and only 0 < n < m is meaningful here
-    (InvalidParameters otherwise).
+    closed form reduces there; in doubles a coefficient of 1728/j past the
+    double range (from about q^131 on) raises NumericOverflow.  (m, n) and
+    ``n_terms`` are checked as ``solve`` checks them, and only 0 < n < m is
+    meaningful here (InvalidParameters otherwise).
     """
     first, second = (r.params for r in _closed_form_rep(m, n, n_terms).recipes)
     tau = _check_tau(tau)
@@ -340,7 +341,10 @@ def eval_h_hypergeometric(
     else:
         # z = 1728/j(tau) by summing its integer q-expansion; inside F, Im z
         # has the sign of Re tau: take that side of each cut
-        z = _horner(_z_series(n_terms), q, backend)
+        try:
+            z = _horner(_z_series(n_terms), q, backend)
+        except OverflowError as exc:  # a coefficient of 1728/j beyond doubles
+            raise NumericOverflow(f"{exc} at tau = {tau}") from exc
         if z.real > 1 and z.imag * shifted.real < 0:
             z = z.conjugate()
         if abs(complex(z)) < 1 - _MARGIN:
@@ -382,17 +386,15 @@ def _tail_estimate(h: PuiseuxSeries, q_abs: float) -> float:
     """Geometric tail heuristic from the last two tracked coefficients.
 
     If the trailing coefficient ratio times |q| is rho < 1, bound the tail
-    by last_term * rho / (1 - rho); otherwise report the last term's
-    magnitude.  A heuristic, not a certificate.
+    by last_term * rho / (1 - rho); otherwise the terms do not shrink and
+    the tail is infinite.  A heuristic, not a certificate.
     """
     coeffs = h.body
     if coeffs.order < 2 or not coeffs[-1] or not coeffs[-2]:
         return 0.0
     last = abs(float(coeffs[-1])) * q_abs ** (coeffs.order - 1 + float(h.offset))
     rho = abs(float(coeffs[-1]) / float(coeffs[-2])) * q_abs
-    if rho < 1:
-        return last * rho / (1 - rho)
-    return last
+    return last * rho / (1 - rho) if rho < 1 else inf
 
 
 def cross_check(
@@ -426,7 +428,7 @@ def _cross_check_bundle(
     """``cross_check`` on an already solved bundle of order ``n_terms``.
 
     Raises DivergentSeries, before the closed form is evaluated, when the
-    tail estimate of the summed q-series is at least its value.
+    q-series' tail estimate, infinite if its terms grow, is at least its value.
     """
     tau = _check_tau(tau)
     via_series = eval_qseries(bundle.h, tau, precision=precision)

@@ -10,10 +10,10 @@ convention,
 is exactly -(1/2) (n/m)**2 * E4.  Equivalently h = y1 / y2 for the Frobenius
 solutions y1, y2 = q**(+-n/2m) (1 + ...) of D(D(y)) + s E4 y = 0, s = -(n/2m)**2.
 
-``solve`` proves one equation per weight level: both components of the
-level-k form, k = 0 .. r, solve the modular linear differential equation
-of that level, D^2 f + p Df + q f = 0 with p = -(k+1) E2
-(``hypergeometric.mlde_series``), each level checked by ``vvmf.mlde_check``.
+``solve`` takes levels 0 .. r from ``vvmf.weight_levels`` and proves one
+equation per level: both components of the level-k form solve the modular
+linear differential equation of that level, D^2 f + p Df + q f = 0 with
+p = -(k+1) E2 (``hypergeometric.mlde_series``, ``vvmf.mlde_check``).
 Exact algebra takes the rest from it, for the form at level r with e = r + 1:
 
 * Abel's identity, D W = -p W = e E2 W, makes the Wronskian c Delta**e;
@@ -24,8 +24,8 @@ Exact algebra takes the rest from it, for the form at level r with e = r + 1:
 A coefficient that breaks an equation raises a VerificationError subclass
 naming its index.  The literal routes (``vvmf.wronskian_check``,
 ``schwarz_derivative`` with ``verify_proportionality``, and ``verify_ode``
-on h y2) stay here for ``acceptance`` and the CLI's ``verify``, which
-recompute W, {h} and the ODE residual from the series.
+on h y2) serve ``acceptance`` and the CLI's ``verify``, which recompute W,
+{h} and the ODE residual from the series of the same chain of levels.
 
 Convention note: with derivatives taken directly in tau instead of D, the
 Schwarzian picks up a fixed factor (2 pi i)^2, and other normalizations in
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import forms, vvmf
 from .errors import (
@@ -152,23 +153,20 @@ class SolutionBundle:
 def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
     """Construct and verify the solution for coprime m >= 7, n >= 1.
 
-    ``order`` is the number of tracked body coefficients of h.  Both
-    components of every weight level, 0 to r, are checked in exact
-    arithmetic against the Frobenius series of that level's MLDE, to that
-    order, by ``vvmf.mlde_check``: ``vvmf.minimal_form`` runs it on level 0.
-    The first differing coefficient raises InternalMismatch with its index;
-    a bump of a component at q^k is named at k, the first coefficient of h
-    it changes.  Those equations fix W = c Delta**e at every level, {h} =
-    -(1/2)(n/m)**2 E4 and h = y1 / y2 (module docstring), which the bundle
-    reports without recomputing them.
+    ``order`` is the number of tracked body coefficients of h.  Levels 0
+    to r come from ``vvmf.weight_levels``, one held at a time, and both
+    components of each are checked in exact arithmetic against the
+    Frobenius series of that level's MLDE by ``vvmf.mlde_check``, which
+    ``vvmf.minimal_form`` runs on level 0.  The first differing coefficient
+    raises InternalMismatch with its index; a bump of a component at q^k is
+    named at k, the first coefficient of h it changes.  Those equations fix
+    W = c Delta**e at every level, {h} = -(1/2)(n/m)**2 E4 and h = y1 / y2
+    (module docstring), which the bundle reports without recomputing them.
     """
     rep, r = _parameters(m, n, order)
-    # each raising step consumes one body coefficient of the first component
-    form = vvmf.minimal_form(rep, order + r)
-    levels = [vvmf.mlde_wronskian(form)]
-    for _ in range(r):
-        form = vvmf.raise_weight(form)
-        levels.append(vvmf.mlde_check(form))
+    levels = []
+    for form in islice(vvmf.weight_levels(rep, order, r), r + 1):
+        levels.append(vvmf.mlde_check(form) if form.level else vvmf.mlde_wronskian(form))
     return _bundle(form, levels)
 
 

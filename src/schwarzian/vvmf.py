@@ -9,7 +9,8 @@ component's exponent stays put.  Each raise adds 6 to the weight.  By
 Ramanujan's E2 E4 = 3 D E4 + E6 the step is F X - (1/pivot) E4 D F, where
 X = (1 + k/12 pivot) E6 + (k/4 pivot) D E4 reads the E4 and E6 of the
 ``hypergeometric.BaseForms`` that every form keeps from its minimal form.
-``VectorForm`` is the one check of that shape, for every form built.
+``VectorForm`` is the one check of that shape, and ``weight_levels`` the
+one chain of levels that ``solver.solve`` and the CLI read.
 
 The Wronskian W(F) = D(f1) f2 - f1 D(f2) of a form with exponents summing to
 the integer e must be a nonzero constant multiple of Delta**e.  As D Delta =
@@ -29,6 +30,7 @@ reading needs l1 and l2 nonzero and o1, o2 the level's exponents, which
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -183,6 +185,20 @@ def raise_weight(form: VectorForm) -> VectorForm:
         level=form.level + 1,
         base=base,
     )
+
+
+def weight_levels(rep: ReprData, order: int, r: int) -> Iterator[VectorForm]:
+    """Levels 0, 1, 2, ... of ``rep``'s chain, each raised only when asked for.
+
+    Each raise uses up one body coefficient of the first component, whose
+    leading term it cancels, so the minimal form is built at order + r and
+    level r, which h is read from, keeps ``order``.  ``minimal_form`` proves
+    level 0 against its MLDE; the raised levels are the caller's to prove.
+    """
+    form = minimal_form(rep, order + r)
+    while True:
+        yield form
+        form = raise_weight(form)
 
 
 def wronskian(form: VectorForm) -> PuiseuxSeries:

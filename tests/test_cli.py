@@ -6,6 +6,7 @@ end, one through ``python -m schwarzian`` on the source tree and one
 through the installed console script.
 """
 
+import ast
 import dataclasses
 import json
 import os
@@ -20,11 +21,13 @@ from schwarzian import (
     NotProportionalToDeltaPower,
     PuiseuxSeries,
     QSeries,
+    cli,
     forms,
     solver,
     vvmf,
 )
 from schwarzian.cli import main
+from test_solver import raise_weight_with_de4_coefficient_2
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +168,149 @@ def test_wronskian_verdict_is_the_battery_predicate(capsys, monkeypatch, command
         literal = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
         assert literal["schwarzian-proportionality"] is True
         assert literal["ode-solutions"] is True
+
+
+def test_solver_and_cli_build_levels_only_through_weight_levels():
+    # vvmf.weight_levels builds the one chain of levels that solve, verify
+    # and vvmf read, so neither module builds or raises a form itself
+    for module in (solver, cli):
+        called = {
+            getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            if isinstance(node, ast.Call)
+        }
+        assert "weight_levels" in called, module.__name__
+        assert not called & {"minimal_form", "raise_weight"}, module.__name__
+
+
+# verify and vvmf of (7, 9, 10) with the D E4 coefficient of the raising step
+# mutated: level 1 keeps its exponents, and its literal W fails at q^1
+MUTATED_LEVEL_1 = (
+    "levels 0..1; level 0: c=2/7, Delta^1 through 11 terms; level 1: "
+    "NotProportionalToDeltaPower: W / Delta**2 has nonconstant coefficient "
+    "58867200/361 at q^1"
+)
+MUTATED_CHECKS = {
+    "verify": [
+        {"name": "minimal-form-shape", "pass": True, "detail": "weight 5, exponents 9/14, 5/14"},
+        {"name": "wronskian-delta-power", "pass": False, "detail": MUTATED_LEVEL_1},
+        {
+            "name": "schwarzian-proportionality",
+            "pass": False,
+            "detail": "{h} = -81/98 * E4 through 10 terms; NotProportional: sd / E4 "
+            "is not constant: coefficient -374300/2127 at q^1",
+        },
+        {
+            "name": "ode-solutions",
+            "pass": False,
+            "detail": "h y2 satisfies D^2 y + (-81/196) E4 y = 0 for the Frobenius "
+            "solution y2 = q^(-n/2m)(1 + ...), so h = y1/y2, through 10 terms; "
+            "OdeResidualNonzero: residual 561450/709 at exponent offset 1",
+        },
+    ],
+    "vvmf": [
+        {"name": "wronskian-delta-power", "pass": False, "detail": MUTATED_LEVEL_1},
+        {
+            "name": "raising-ratios",
+            "pass": False,
+            "detail": "computed -22688/19, 24/19; closed forms -144(5m+6n')/(m+n') = "
+            "-752, 12n'/(m+6n') = 24/19; c1=-22688/19 != closed form -752",
+        },
+    ],
+}
+LEVEL_0 = {
+    "delta_power": 1,
+    "first_exponent": "9/14",
+    "first_leading": "1",
+    "level": 0,
+    "second_exponent": "5/14",
+    "second_leading": "1",
+    "weight": 5,
+    "wronskian_constant": "2/7",
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "vvmf"])
+def test_mutated_raising_fails_the_literal_checks(capsys, monkeypatch, command):
+    monkeypatch.setattr(vvmf, "raise_weight", raise_weight_with_de4_coefficient_2)
+    code, out, _ = run_cli(
+        capsys, command, "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["checks"] == MUTATED_CHECKS[command]
+    results = {"n_prime": 2, "raises": 1}
+    if command == "vvmf":
+        results.update(
+            levels=[LEVEL_0],
+            raising={
+                "first_ratio": "-22688/19",
+                "first_ratio_closed_form": "-752",
+                "second_ratio": "24/19",
+                "second_ratio_closed_form": "24/19",
+            },
+            weight=11,
+        )
+    assert payload["results"] == results
+
+
+def second_zeroed(form, _raise_weight=vvmf.raise_weight):
+    """``vvmf.raise_weight`` with the raised second component set to zero,
+    which ``VectorForm`` refuses."""
+    raised = _raise_weight(form)
+    zero = PuiseuxSeries(raised.second.offset, QSeries([0] * raised.second.order))
+    return dataclasses.replace(raised, second=zero)
+
+
+@pytest.mark.parametrize("command", ["verify", "vvmf"])
+def test_refused_raise_is_reported_at_its_level(capsys, monkeypatch, command):
+    # construction reports only a failed minimal form; a raise refused at
+    # level 1 is named under wronskian-delta-power, and every check that
+    # needs level 1 fails with the same text
+    monkeypatch.setattr(vvmf, "raise_weight", second_zeroed)
+    code, out, _ = run_cli(
+        capsys, command, "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    refused = "InternalMismatch: level 1: a component vanishes to working order"
+    wronskian = {
+        "name": "wronskian-delta-power",
+        "pass": False,
+        "detail": f"levels 0..1; level 0: c=2/7, Delta^1 through 11 terms; level 1: {refused}",
+    }
+    if command == "verify":
+        assert payload["checks"] == [
+            {"name": "minimal-form-shape", "pass": True, "detail": "weight 5, exponents 9/14, 5/14"},
+            wronskian,
+            {"name": "schwarzian-proportionality", "pass": False, "detail": refused},
+            {"name": "ode-solutions", "pass": False, "detail": refused},
+        ]
+        assert payload["results"] == {"n_prime": 2, "raises": 1}
+    else:
+        assert payload["checks"] == [
+            wronskian,
+            {"name": "raising-ratios", "pass": False, "detail": refused},
+        ]
+        assert payload["results"] == {
+            "n_prime": 2, "raises": 1, "weight": 11, "levels": [LEVEL_0]
+        }
+
+
+def test_vvmf_without_raises_reports_a_refused_level_1(capsys, monkeypatch):
+    # with r = 0 only the raising ratios need level 1
+    monkeypatch.setattr(vvmf, "raise_weight", second_zeroed)
+    code, out, _ = run_cli(
+        capsys, "vvmf", "--m", "7", "--n", "2", "--terms", "10", "--format", "json"
+    )
+    assert code == 1
+    wronskian, raising = json.loads(out)["checks"]
+    assert wronskian["pass"] is True
+    assert raising == {
+        "name": "raising-ratios",
+        "pass": False,
+        "detail": "InternalMismatch: level 1: a component vanishes to working order",
+    }
 
 
 @pytest.mark.parametrize("fault", ["h", "schwarz_constant"])
@@ -373,6 +519,43 @@ def test_eval_divergent_series_fails_named_check(capsys):
     assert payload["results"] == {}
     check = payload["checks"][0]
     assert check["name"] == "routes-agree"
+    assert check["pass"] is False
+    assert "the q-series route does not converge" in check["detail"]
+
+
+def test_eval_overflow_in_doubles_is_one_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--m", "7", "--n", "1", "--tau", "2i", "--terms", "150"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: NumericOverflow: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_unusable_tolerance_is_usage_error_before_solving(capsys, monkeypatch, tolerance):
+    def unreachable(*args):
+        raise AssertionError("solved for an unusable tolerance")
+
+    monkeypatch.setattr(solver, "solve", unreachable)
+    code, out, err = run_cli(
+        capsys, "eval", "--m", "7", "--n", "1", "--tau", "2i", f"--tolerance={tolerance}"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: tolerance must be finite and > 0, got {float(tolerance)}\n"
+
+
+def test_eval_growing_series_fails_named_check(capsys):
+    # the last terms of h grow at this tau, yet stay below the partial sum
+    code, out, _ = run_cli(
+        capsys,
+        "eval", "--m", "8", "--n", "7", "--tau", "0.5+0.86689i",
+        "--terms", "30", "--format", "json",
+    )
+    assert code == 1
+    [check] = json.loads(out)["checks"]
     assert check["pass"] is False
     assert "the q-series route does not converge" in check["detail"]
 

@@ -220,9 +220,9 @@ def test_cross_check_headline_point():
 
 def test_divergent_series_is_refused_by_name():
     # near the corner rho, 60 terms of h for (13, 12) sum to |h| = 12.1 at
-    # this tau, where the closed form gives 0.0015; the tail estimate (21.4)
-    # exceeds the sum, so the cross-check refuses instead of reporting a
-    # value of the series route
+    # this tau, where the closed form gives 0.0015; the last terms grow 1.16x
+    # per index, so the tail estimate is infinite and the cross-check refuses
+    # instead of reporting a value of the series route
     tau = 0.1153 + 1.0044j
     bundle = solve(13, 12, 60)
     assert abs(eval_qseries(bundle.h, tau)) > 12
@@ -232,6 +232,33 @@ def test_divergent_series_is_refused_by_name():
     assert "the q-series route does not converge" in str(info.value)
     with pytest.raises(DivergentSeries):
         cross_check(13, 12, tau, 60)
+
+
+@pytest.mark.parametrize("n_terms", [30, 60])
+def test_growing_trailing_terms_are_refused(n_terms):
+    # at this tau the last terms of h for (8, 7) grow 1.49x per index, yet
+    # the last one stays below the partial sum (about 905 against |-2539 +
+    # 1052i| with 30 terms, where the closed form gives 0.018 - 0.0075i):
+    # only the growth shows that the q-series does not converge
+    tau = 0.5 + 0.86689j
+    with pytest.raises(DivergentSeries):
+        numeric._cross_check_bundle(solve(8, 7, n_terms), tau, n_terms)
+    with pytest.raises(DivergentSeries):
+        cross_check(8, 7, tau, n_terms)
+    # h for (7, 1) converges there and is still compared
+    report = cross_check(7, 1, tau, n_terms)
+    assert 0 < report.tail_bound < 1e-70
+    assert report.rel_error < 1e-2
+
+
+def test_closed_form_in_doubles_overflows_by_type():
+    # from about q^131 on the coefficients of 1728/j pass the double range
+    with pytest.raises(NumericOverflow):
+        eval_h_hypergeometric(7, 1, 2j, 150)
+    with pytest.raises(NumericOverflow):
+        cross_check(7, 1, 2j, 140)
+    # integer precision has no double range to leave
+    assert cross_check(7, 1, 2j, 140, precision=200).rel_error < 1e-50
 
 
 def test_numeric_taus_converge_on_the_series_route():
