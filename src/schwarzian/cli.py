@@ -87,36 +87,50 @@ def _emit(
 
 
 class _Walk(NamedTuple):
-    """Levels 0, 1, ... of a pair as far as ``_walk`` built them, the (c, e)
-    of W checked literally at each of levels 0..r among them, and how the
-    first refused raise or failed check stopped the walk, if one did."""
+    """Levels 0, 1, ... of a pair as far as ``_walk`` built them; for each of
+    levels 0..r among them, the (c, e) of W checked literally or how that
+    check failed; and how a refused raise stopped the walk, if one did."""
 
     r: int
     forms: list[vvmf.VectorForm]
-    wronskians: list[tuple[Fraction, int]]
+    wronskians: list[tuple[Fraction, int] | str]
     stopped: str | None
 
+    def checked(self) -> list[tuple[int, vvmf.VectorForm, Fraction, int]]:
+        """(level, form, c, e) of every level whose W check gave (c, e)."""
+        return [
+            (lvl, self.forms[lvl], *w)
+            for lvl, w in enumerate(self.wronskians)
+            if not isinstance(w, str)
+        ]
+
     def wronskian_verdict(self) -> CheckResult:
-        """wronskian-delta-power, each W with the order it was checked through."""
-        problems = acceptance.wronskian_problems(self.forms[0].rep, self.wronskians)
-        if len(self.wronskians) <= self.r:
-            problems.append(f"level {len(self.wronskians)}: {self.stopped}")
+        """wronskian-delta-power, a verdict for each of levels 0..r and each W
+        with the order it was checked through."""
+        problems = []
+        for lvl, w in enumerate(self.wronskians):
+            if isinstance(w, str):
+                problems.append(f"level {lvl}: {w}")
+            else:
+                problems += acceptance.wronskian_problems(self.forms[0].rep, {lvl: w})
+        if len(self.forms) <= self.r:
+            problems.append(f"level {len(self.forms)}: {self.stopped}")
         detail = f"levels 0..{self.r}" + "".join(
             f"; level {lvl}: c={c}, Delta^{e} through "
-            f"{min(self.forms[lvl].first.order, self.forms[lvl].second.order)} terms"
-            for lvl, (c, e) in enumerate(self.wronskians)
+            f"{min(form.first.order, form.second.order)} terms"
+            for lvl, form, c, e in self.checked()
         )
         return verdict("wronskian-delta-power", detail, problems)
 
 
 def _walk(args: argparse.Namespace, top: int, report) -> int:
     """``verify`` and ``vvmf``: levels 0..max(r, top) of (m, n) from
-    ``vvmf.weight_levels``, the literal ``vvmf.wronskian_check`` on each of
-    0..r, up to the first VerificationError.  Only a failure of the minimal
-    form is reported as ``construction``; a raise refused or a check failed
-    at level k is reported under wronskian-delta-power as ``level k: ...``,
-    and ``report(walk, results)`` fails each check that needs a later level
-    with the same text.
+    ``vvmf.weight_levels``, and the literal ``vvmf.wronskian_check`` on each
+    of 0..r, up to the first raise that ``VectorForm`` refuses.  Only a
+    failure of the minimal form is reported as ``construction``; a failed
+    check, or a raise refused, at level k <= r is reported under
+    wronskian-delta-power as ``level k: ...``, and ``report(walk, results)``
+    fails each check that needs a level not built with the refusal's text.
     """
     params = {"m": args.m, "n": args.n, "terms": args.terms}
     rep, r = solver._parameters(args.m, args.n, args.terms)
@@ -126,7 +140,10 @@ def _walk(args: argparse.Namespace, top: int, report) -> int:
         for form in islice(vvmf.weight_levels(rep, args.terms, r), max(r, top) + 1):
             forms.append(form)
             if form.level <= r:
-                wronskians.append(vvmf.wronskian_check(form))
+                try:
+                    wronskians.append(vvmf.wronskian_check(form))
+                except VerificationError as exc:
+                    wronskians.append(failure(exc))
     except VerificationError as exc:
         stopped = failure(exc)
     if not forms:
@@ -183,7 +200,8 @@ def _verify_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
     if len(walk.forms) <= walk.r:  # there is no h
         names = ("schwarzian-proportionality", "ode-solutions")
         return checks + [CheckResult(name, False, walk.stopped) for name in names]
-    bundle = solver._bundle(walk.forms[walk.r], walk.wronskians)
+    # W is judged level by level above; only h is read from this bundle
+    bundle = solver._bundle(walk.forms[walk.r], ())
     literal = {
         "schwarzian-proportionality": (
             f"{{h}} = {bundle.schwarz_constant} * E4 through {bundle.h.order} terms",
@@ -222,7 +240,7 @@ def _vvmf_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
                 "wronskian_constant": _rat(c),
                 "delta_power": e,
             }
-            for level, (current, (c, e)) in enumerate(zip(walk.forms, walk.wronskians))
+            for level, current, c, e in walk.checked()
         ],
     )
     if len(walk.forms) < 2:
@@ -265,7 +283,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "via_series": _cplx(report.via_series),
         "via_hypergeom": _cplx(report.via_hypergeom),
         "rel_error": repr(report.rel_error),
-        "terms_used": report.terms_used,
+        "terms_used": args.terms,
         "tail_bound": repr(report.tail_bound),
     }
     check = CheckResult(

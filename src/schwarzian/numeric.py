@@ -367,18 +367,17 @@ def eval_h_hypergeometric(
 class EvalReport:
     """Side-by-side evaluation of h by its two independent routes.
 
-    ``tail_bound`` estimates the truncation of h's q-series alone
-    (``_tail_estimate``).  It says nothing of the closed form's summed
-    2F1 Taylor series, whose error near |z| = 0.95 can dominate
-    ``rel_error``: (8, 3) at tau = -0.0945 + 1.1044i reports a rel_error
-    of 6.8e-5 with a tail_bound of 2.4e-125.
+    It holds only what the evaluation computed; tau and the number of
+    terms stay with the caller.  ``tail_bound`` estimates the truncation of
+    h's q-series alone (``_tail_estimate``).  It says nothing of the closed
+    form's summed 2F1 Taylor series, whose error near |z| = 0.95 can
+    dominate ``rel_error``: (8, 3) at tau = -0.0945 + 1.1044i reports a
+    rel_error of 6.8e-5 with a tail_bound of 2.4e-125.
     """
 
-    tau: complex
     via_series: complex
     via_hypergeom: complex
     rel_error: float
-    terms_used: int
     tail_bound: float
 
 
@@ -448,10 +447,8 @@ def _cross_check_bundle(
     scale = max(abs(via_series), abs(via_hyper))
     rel = float(abs(via_series - via_hyper) / scale) if scale else 0.0
     return EvalReport(
-        tau=tau,
         via_series=complex(via_series),
         via_hypergeom=complex(via_hyper),
         rel_error=rel,
-        terms_used=n_terms,
         tail_bound=tail,
     )

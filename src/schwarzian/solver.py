@@ -132,22 +132,38 @@ def verify_ode(y: PuiseuxSeries, s: Fraction) -> bool:
 class SolutionBundle:
     """A verified solution h = q**(n/m) (1 + O(q)) and its provenance.
 
-    ``schwarz_constant`` is the proportionality constant -(1/2)(n/m)**2 of
-    {h} / E4 and ``ode_parameter`` is s = -(n/2m)**2, both fixed by the
-    MLDE that ``solve`` checks; ``wronskians`` holds the (c, e) of every
-    level's Wronskian W = c Delta**e, and ``weight`` is the weight of the
-    form h was read from.
+    It stores what ``solve`` computed: h, and the (c, e) of every level's
+    Wronskian W = c Delta**e in ``wronskians``.  The rest is fixed by
+    (m, n) and derived on reading: n = r m + n' (``vvmf.split_n``), the
+    weight 5 + 6r of the form h was read from, the proportionality
+    constant -(1/2)(n/m)**2 of {h} / E4 (``schwarz_constant``) and
+    s = -(n/2m)**2 (``ode_parameter``).
     """
 
     m: int
     n: int
-    n_prime: int
-    r: int
     h: PuiseuxSeries
-    weight: int
-    schwarz_constant: Fraction
-    ode_parameter: Fraction
     wronskians: tuple[tuple[Fraction, int], ...]
+
+    @property
+    def n_prime(self) -> int:
+        return vvmf.split_n(self.m, self.n)[0].n_prime
+
+    @property
+    def r(self) -> int:
+        return vvmf.split_n(self.m, self.n)[1]
+
+    @property
+    def weight(self) -> int:
+        return 5 + 6 * self.r
+
+    @property
+    def schwarz_constant(self) -> Fraction:
+        return -Fraction(self.n, self.m) ** 2 / 2
+
+    @property
+    def ode_parameter(self) -> Fraction:
+        return -Fraction(self.n, 2 * self.m) ** 2
 
 
 def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
@@ -189,8 +205,7 @@ def _bundle(
     """The SolutionBundle read from ``form``, raised r = form.level times,
     with ``levels`` the Wronskian (c, e) of each level.
 
-    h = first / second, normalized to leading coefficient 1; the constants
-    are the ones the MLDE fixes, -(1/2)(n/m)**2 and half of it.  Nothing
+    h = first / second, normalized to leading coefficient 1.  Nothing
     beyond h's leading exponent is checked here: ``solve`` has proved the
     equations, and the CLI's ``verify`` checks W, {h} and h y2 literally.
     """
@@ -203,15 +218,4 @@ def _bundle(
         raise InternalMismatch(
             f"h has leading exponent {h.offset}, expected n/m = {sigma}"
         )
-    constant = -(sigma**2) / 2
-    return SolutionBundle(
-        m=m,
-        n=n,
-        n_prime=rep.n_prime,
-        r=r,
-        h=h,
-        weight=int(form.weight),
-        schwarz_constant=constant,
-        ode_parameter=constant / 2,
-        wronskians=tuple(levels),
-    )
+    return SolutionBundle(m=m, n=n, h=h, wronskians=tuple(levels))

@@ -100,13 +100,10 @@ def test_literal_predicates_report_wrong_constants():
     good = solver.solve(11, 16, 30)
     assert acceptance.schwarzian_problems(good) == []
     assert acceptance.ode_problems(good) == []
-    # the constant computed from another pair's h, and a misreported one
+    # the constant computed from another pair's h; the bundle derives the
+    # constant it is compared with from (m, n), so it cannot misreport one
     other_h = dataclasses.replace(good, h=solver.solve(11, 17, 30).h)
     assert acceptance.schwarzian_problems(other_h) == ["computed constant -289/242 != -128/121"]
-    wrong = dataclasses.replace(good, schwarz_constant=good.schwarz_constant + 1)
-    assert acceptance.schwarzian_problems(wrong) == ["reported constant -7/121 != -128/121"]
-    wrong_s = dataclasses.replace(good, ode_parameter=good.ode_parameter * 2)
-    assert acceptance.ode_problems(wrong_s) == ["s=-128/121 != -64/121"]
 
 
 @pytest.mark.slow

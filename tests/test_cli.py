@@ -36,24 +36,38 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_solve_json_contract(capsys):
+@pytest.mark.parametrize(
+    "m, n, terms, n_prime, raises, weight, schwarz, ode",
+    [
+        (7, 1, 8, 1, 0, 5, "-1/98", "-1/196"),
+        (7, 9, 8, 2, 1, 11, "-81/98", "-81/196"),
+    ],
+)
+def test_solve_json_contract(
+    capsys, m, n, terms, n_prime, raises, weight, schwarz, ode
+):
     code, out, err = run_cli(
-        capsys, "solve", "--m", "7", "--n", "1", "--terms", "8", "--format", "json"
+        capsys, "solve", "--m", str(m), "--n", str(n), "--terms", str(terms),
+        "--format", "json",
     )
     assert code == 0
     assert err == ""
     payload = json.loads(out)
     assert payload["command"] == "solve"
-    assert payload["params"] == {"m": 7, "n": 1, "terms": 8}
+    assert payload["params"] == {"m": m, "n": n, "terms": terms}
     results = payload["results"]
-    assert results["offset"] == "1/7"
-    assert results["schwarz_constant"] == "-1/98"
-    assert results["ode_parameter"] == "-1/196"
+    assert results["offset"] == f"{n}/{m}"
+    assert results["n_prime"] == n_prime
+    assert results["raises"] == raises
+    assert results["weight"] == weight
+    assert results["schwarz_constant"] == schwarz
+    assert results["ode_parameter"] == ode
     assert results["h_coefficients"][0] == "1"
-    assert len(results["h_coefficients"]) == 8
-    assert results["wronskians"] == [
-        {"constant": "1/7", "delta_power": 1, "level": 0}
-    ]
+    assert len(results["h_coefficients"]) == terms
+    levels = results["wronskians"]
+    assert [lvl["level"] for lvl in levels] == list(range(raises + 1))
+    assert [lvl["delta_power"] for lvl in levels] == list(range(1, raises + 2))
+    assert levels[0] == {"constant": f"{n_prime}/{m}", "delta_power": 1, "level": 0}
     assert all(c["pass"] for c in payload["checks"])
 
 
@@ -168,6 +182,47 @@ def test_wronskian_verdict_is_the_battery_predicate(capsys, monkeypatch, command
         literal = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
         assert literal["schwarzian-proportionality"] is True
         assert literal["ode-solutions"] is True
+
+
+def test_failed_wronskian_below_r_does_not_stop_verify(capsys, monkeypatch):
+    # a failed W check at level 1 < r = 2 is that level's verdict alone:
+    # level 2 is still built and checked, and {h} and h y2 are computed
+    # literally from it
+    original = vvmf.wronskian_check
+
+    def off(form):
+        if form.level == 1:
+            raise NotProportionalToDeltaPower("seeded", index=3)
+        return original(form)
+
+    monkeypatch.setattr(vvmf, "wronskian_check", off)
+    code, out, _ = run_cli(
+        capsys, "verify", "--m", "7", "--n", "16", "--terms", "10", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["results"] == {"n_prime": 2, "raises": 2}
+    assert payload["checks"] == [
+        {"name": "minimal-form-shape", "pass": True, "detail": "weight 5, exponents 9/14, 5/14"},
+        {
+            "name": "wronskian-delta-power",
+            "pass": False,
+            "detail": "levels 0..2; level 0: c=2/7, Delta^1 through 12 terms; level 2: "
+            "c=24980742144/8113, Delta^3 through 10 terms; level 1: "
+            "NotProportionalToDeltaPower: seeded",
+        },
+        {
+            "name": "schwarzian-proportionality",
+            "pass": True,
+            "detail": "{h} = -128/49 * E4 through 10 terms",
+        },
+        {
+            "name": "ode-solutions",
+            "pass": True,
+            "detail": "h y2 satisfies D^2 y + (-64/49) E4 y = 0 for the Frobenius "
+            "solution y2 = q^(-n/2m)(1 + ...), so h = y1/y2, through 10 terms",
+        },
+    ]
 
 
 def test_solver_and_cli_build_levels_only_through_weight_levels():
@@ -313,16 +368,13 @@ def test_vvmf_without_raises_reports_a_refused_level_1(capsys, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("fault", ["h", "schwarz_constant"])
-def test_verify_fails_the_literal_checks_of_a_wrong_bundle(capsys, monkeypatch, fault):
+def test_verify_fails_the_literal_checks_of_a_wrong_bundle(capsys, monkeypatch):
     # verify recomputes {h} and the h y2 residual from the bundle it reads
-    # off the raised form, so a wrong h or constant fails by name
+    # off the raised form, so a wrong h fails both by name
     original = solver._bundle
 
     def wrong(form, levels):
         bundle = original(form, levels)
-        if fault == "schwarz_constant":
-            return dataclasses.replace(bundle, schwarz_constant=bundle.schwarz_constant + 1)
         coeffs = list(bundle.h.body.coeffs)
         coeffs[4] += 1
         return dataclasses.replace(bundle, h=PuiseuxSeries(bundle.h.offset, QSeries(coeffs)))
@@ -337,15 +389,11 @@ def test_verify_fails_the_literal_checks_of_a_wrong_bundle(capsys, monkeypatch, 
     assert checks["wronskian-delta-power"]["pass"] is True
     schwarzian, ode = checks["schwarzian-proportionality"], checks["ode-solutions"]
     assert schwarzian["pass"] is False
-    if fault == "schwarz_constant":
-        assert "reported constant 17/98 != -81/98" in schwarzian["detail"]
-        assert ode["pass"] is True
-    else:
-        assert "NotProportional: " in schwarzian["detail"]
-        assert "q^4" in schwarzian["detail"]
-        assert ode["pass"] is False
-        assert "OdeResidualNonzero: residual" in ode["detail"]
-        assert "exponent offset 4" in ode["detail"]
+    assert "NotProportional: " in schwarzian["detail"]
+    assert "q^4" in schwarzian["detail"]
+    assert ode["pass"] is False
+    assert "OdeResidualNonzero: residual" in ode["detail"]
+    assert "exponent offset 4" in ode["detail"]
 
 
 @pytest.mark.parametrize("command", ["verify", "vvmf"])

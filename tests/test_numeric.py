@@ -6,6 +6,7 @@ package's series engine.
 """
 
 import cmath
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -214,8 +215,12 @@ def test_continuation_just_above_the_arc():
 def test_cross_check_headline_point():
     report = cross_check(7, 1, 2j, 40)
     assert report.rel_error < 1e-10
-    assert report.terms_used == 40
     assert report.tail_bound < 1e-100  # |q| = e^(-4 pi) makes the tail tiny
+
+
+def test_eval_report_holds_only_what_was_computed():
+    names = [f.name for f in dataclasses.fields(numeric.EvalReport)]
+    assert names == ["via_series", "via_hypergeom", "rel_error", "tail_bound"]
 
 
 def test_divergent_series_is_refused_by_name():

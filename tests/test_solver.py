@@ -498,3 +498,23 @@ def test_solve_agrees_with_the_literal_checks(m, data, order):
     h = bundle.h
     assert bundle.schwarz_constant == verify_proportionality(schwarz_derivative(h))
     assert verify_ode(h * ode_solutions(h)[1], bundle.ode_parameter)
+
+
+def test_bundle_stores_only_what_solve_computed():
+    names = [f.name for f in dataclasses.fields(solver.SolutionBundle)]
+    assert names == ["m", "n", "h", "wronskians"]
+
+
+@given(st.integers(7, 60), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bundle_derives_its_constants_from_m_and_n(m, data):
+    n = data.draw(
+        st.integers(1, 5 * m).filter(lambda n: gcd(m, n) == 1), label="n"
+    )
+    bundle = solve(m, n, 2)
+    rep, r = vvmf.split_n(m, n)
+    assert (bundle.n_prime, bundle.r) == (rep.n_prime, r)
+    assert bundle.weight == 5 + 6 * r
+    assert len(bundle.wronskians) == r + 1
+    assert bundle.schwarz_constant == -F(n, m) ** 2 / 2
+    assert bundle.ode_parameter == -F(n, 2 * m) ** 2
