@@ -265,6 +265,28 @@ def _z_series(m_terms: int) -> QSeries:
     return j_inverse(m_terms)
 
 
+def _z_within_doubles(jinv: QSeries, q: complex) -> complex | None:
+    """1728/j in doubles, summed through its last coefficient below 2**1023,
+    for a ``jinv`` with a coefficient past the double range.
+
+    Each dropped term c_k q**k is bounded from bit lengths by
+    2**(bits(c_k) - bits(den) + 1) |q|**k.  The sum is returned when the
+    dropped terms, each at most the largest bound, add up to less than
+    double rounding of it, 2**-53 |z|; otherwise None.
+    """
+    nums, den = jinv.numerators, jinv.denominator
+    fit = next(k for k, x in enumerate(nums) if abs(x) >= den << 1023)
+    z = _horner(jinv.truncate(fit), q, _Backend(None))
+    log_q = log2(abs(q))
+    worst = max(
+        x.bit_length() - den.bit_length() + 1 + k * log_q
+        for k, x in enumerate(nums[fit:], fit)
+    )
+    if worst + log2(len(nums) - fit) < log2(abs(z)) - 53:
+        return z
+    return None
+
+
 def _closed_form_rep(m: int, n: int, n_terms: int) -> ReprData:
     """``solver._parameters`` for n_terms, then InvalidParameters unless
     n < m: the closed form covers one sheet."""
@@ -315,8 +337,10 @@ def eval_h_hypergeometric(
     refused.  Where q = exp(2 pi i tau) leaves the normal double range
     (Im tau > about 112.7), z = 1728 q (1 + O(q)) has lost its bits, and in
     doubles the value is taken as exp((n/m) 2 pi i tau), to which the
-    closed form reduces there; in doubles a coefficient of 1728/j past the
-    double range (from about q^131 on) raises NumericOverflow.  (m, n) and
+    closed form reduces there.  In doubles the coefficients of 1728/j pass
+    the double range from q^129 on; those terms are dropped where they lie
+    below double rounding of z (at tau = 2i, about 2**-1310), and otherwise
+    NumericOverflow is raised (near rho).  (m, n) and
     ``n_terms`` are checked as ``solve`` checks them, and only 0 < n < m is
     meaningful here (InvalidParameters otherwise).
     """
@@ -344,7 +368,9 @@ def eval_h_hypergeometric(
         try:
             z = _horner(_z_series(n_terms), q, backend)
         except OverflowError as exc:  # a coefficient of 1728/j beyond doubles
-            raise NumericOverflow(f"{exc} at tau = {tau}") from exc
+            z = _z_within_doubles(_z_series(n_terms), q)
+            if z is None:
+                raise NumericOverflow(f"{exc} at tau = {tau}") from exc
         if z.real > 1 and z.imag * shifted.real < 0:
             z = z.conjugate()
         if abs(complex(z)) < 1 - _MARGIN:

@@ -257,13 +257,21 @@ def test_growing_trailing_terms_are_refused(n_terms):
 
 
 def test_closed_form_in_doubles_overflows_by_type():
-    # from about q^131 on the coefficients of 1728/j pass the double range
+    # from q^129 on the coefficients of 1728/j pass the double range; near
+    # rho the terms dropped there reach about 2**-23, far above rounding
+    tau = -0.49 + 0.9j
     with pytest.raises(NumericOverflow):
-        eval_h_hypergeometric(7, 1, 2j, 150)
+        eval_h_hypergeometric(7, 1, tau, 150)
     with pytest.raises(NumericOverflow):
-        cross_check(7, 1, 2j, 140)
+        cross_check(7, 1, tau, 140)
     # integer precision has no double range to leave
+    assert cross_check(7, 1, tau, 140, precision=200).rel_error < 1e-11
     assert cross_check(7, 1, 2j, 140, precision=200).rel_error < 1e-50
+    # at 2i the dropped terms are about 2**-1310: doubles answer, to
+    # rounding of the 200-bit value 0.1660947205672964957...
+    exact = complex(eval_h_hypergeometric(7, 1, 2j, 150, precision=200))
+    assert abs(eval_h_hypergeometric(7, 1, 2j, 150) - exact) < 1e-15 * abs(exact)
+    assert cross_check(7, 1, 2j, 140).rel_error < 1e-15
 
 
 def test_numeric_taus_converge_on_the_series_route():
