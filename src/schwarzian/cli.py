@@ -200,7 +200,7 @@ def _verify_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
     if len(walk.forms) <= walk.r:  # there is no h
         names = ("schwarzian-proportionality", "ode-solutions")
         return checks + [CheckResult(name, False, walk.stopped) for name in names]
-    # W is judged level by level above; only h is read from this bundle
+    # each level's W has its own verdict above, so this bundle carries none
     bundle = solver._bundle(walk.forms[walk.r], ())
     literal = {
         "schwarzian-proportionality": (

@@ -42,6 +42,7 @@ def run_cli(capsys, *argv):
         (7, 1, 8, 1, 0, 5, "-1/98", "-1/196"),
         (7, 9, 8, 2, 1, 11, "-81/98", "-81/196"),
     ],
+    ids=["minimal", "raised"],
 )
 def test_solve_json_contract(
     capsys, m, n, terms, n_prime, raises, weight, schwarz, ode
