@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_eval)
     p_eval.add_argument(
-        "--tau", required=True, help="evaluation point, e.g. '2i' or '0.3+1.2i'"
+        "--tau", required=True, help="evaluation point, e.g. '2i' or '-0.49+0.9i'"
     )
     p_eval.add_argument(
         "--precision",
@@ -374,6 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--tau" in argv[:-1]:  # else argparse reads a leading minus as an option
+        i = argv.index("--tau")
+        argv[i : i + 2] = [f"--tau={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -39,12 +39,12 @@ series of ``base_forms``, which both components of a minimal form read:
     = (15/4) D E4 + 3 alpha (E6 - E4),
   so g = 1 + ... solves E4 D g - (T/3) g = 0.
 
-A second route gives the same components: both solve the weight-5
+A second route checks the same components: both solve the weight-5
 modular linear differential equation
 D^2 f - E2 D f + (5/24) E2^2 f + (1/24 - n'^2/4m^2) E4 f = 0 (Kaneko and
-Zagier 1998; Franc and Mason, Ramanujan J. 2016).  Its indicial roots
-are (m +- n')/2m, and its Frobenius series q**alpha (1 + ...) at
-alpha = (m + s)/2m reads E2 and E4 only; ``vvmf.mlde_check`` compares them.
+Zagier 1998; Franc and Mason, Ramanujan J. 2016), which reads E2 and E4
+only and whose indicial roots (m +- n')/2m are their exponents;
+``vvmf.mlde_check`` applies the equation to them.
 
 The same equation, one per weight level, holds for every raised form.
 The level-k form (``vvmf.raise_weight`` applied k times) has weight
@@ -54,12 +54,11 @@ components solve
     D^2 f - e E2 D f + ((e^2/4 - e/24) E2^2 + (e/24 - (n_k/2m)^2) E4) f = 0,
 
 whose indicial roots e/2 +- n_k/2m are the two components' exponents
-and differ by n_k/m, never an integer.  ``mlde_series`` gives its
-Frobenius series at either root; at level 0 it is the weight-5 equation
-above.
+and differ by n_k/m, never an integer.  ``mlde_coefficients`` gives its
+coefficients; at level 0 it is the weight-5 equation above.
 
-Each of the three series is the solution 1 + ... that
-``series.solve_ode`` returns for its equation's coefficients.
+F(1728/j) and the prefactor are the solutions 1 + ... that
+``series.solve_ode`` returns for their equations' coefficients.
 
 ``base_forms`` is cached per order: every minimal form, and so every
 ``solver.solve``, at an order already built in this process reuses one
@@ -223,20 +222,15 @@ def _prefactor(recipe: ComponentRecipe, base: BaseForms) -> QSeries:
     return solve_ode((p0, e4), 0, base.order)
 
 
-def mlde_series(level: int, recipe: ComponentRecipe, base: BaseForms) -> QSeries:
-    """Body of the level-``level`` MLDE's Frobenius series at the exponent of
-    ``recipe``'s component raised ``level`` times, to ``base.order`` terms
-    (module docstring).
-
-    That exponent is e/2 + n_k/2m for the first component (s > 0) and
-    e/2 - n_k/2m for the second, e = level + 1 and n_k = level m + |s|.
-    """
+def mlde_coefficients(level: int, recipe: ComponentRecipe, base: BaseForms):
+    """(P0, P1, 1), to ``base.order`` terms, of the MLDE that ``recipe``'s
+    component raised ``level`` times solves (module docstring), with
+    e = level + 1 and n_k = level m + |s|, for ``series.apply_ode``."""
     e = level + 1
     w = Fraction(abs(recipe.signed_residue) + level * recipe.m, 2 * recipe.m)
     e2_squared = Fraction(e * (6 * e - 1), 24)  # e^2/4 - e/24
     p0 = base.e2_squared * e2_squared + base.e4 * (Fraction(e, 24) - w * w)
-    exponent = Fraction(e, 2) + (w if recipe.signed_residue > 0 else -w)
-    return solve_ode((p0, base.e2 * -e, 1), exponent, base.order)
+    return p0, base.e2 * -e, 1
 
 
 def component_series(recipe: ComponentRecipe, base: BaseForms) -> PuiseuxSeries:

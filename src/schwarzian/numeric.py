@@ -389,7 +389,7 @@ def eval_h_hypergeometric(
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalReport:
     """Side-by-side evaluation of h by its two independent routes.
 

@@ -38,8 +38,9 @@ q**e (1 + ...) of a linear equation
 
     sum_p P_p D**p f = 0
 
-whose coefficients P_p are q-series or constants, and :func:`solve_ode`
-is the one place that turns such an equation into its recurrence.
+whose coefficients P_p are q-series or constants; one recurrence serves
+:func:`solve_ode`, which solves such an equation, and :func:`apply_ode`,
+which applies one to a given series (the checks and weight raising).
 Integer and rational powers w = u**alpha solve u D(w) = alpha D(u) w,
 the power recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7);
 ``hypergeometric`` states the equations of the components and ``solver``
@@ -123,21 +124,12 @@ class SeriesBuilder:
         return QSeries._make(self.nums, self.den)
 
 
-def solve_ode(coefficients, exponent: Scalar, order: int) -> QSeries:
-    """The body g = 1 + g_1 q + ..., to ``order`` terms, of the solution
-    f = q**exponent g of sum_p P_p D**p f = 0, with P_p = ``coefficients[p]``.
-
-    Each P_p is a QSeries of at least ``order`` terms or a rational
-    constant, exact at every order.  ``exponent`` = a/b must be a root of
-    the indicial polynomial W(k) = sum_p P_p[0] (exponent + k)**p, so
-    W(0) = 0; a zero of W at k = 1 .. order - 1 raises ZeroDivisionError.
-    The coefficient of q**(exponent + k) gives
-
-        W(k) g_k = -sum_{j<k} sum_p P_p[k-j] (b j + a)**p b**-p g_j.
-
-    The P_p b**-p are integer rows over one denominator and the g_j
-    numerators over a running one (``SeriesBuilder``), so each term costs
-    integer dot products and one gcd.
+def _recurrence(coefficients, exponent: Scalar, order: int):
+    """(d, terms) for sum_p P_p D**p f, f = q**(a/b) sum_{j<order} g_j q**j,
+    a/b = ``exponent``, P_p = ``coefficients[p]`` a QSeries of at least
+    ``order`` terms or a rational constant.  Times d, the q**(a/b + k) term
+    W(k) g_k + sum_{j<k} sum_p P_p[k-j] (b j + a)**p b**-p g_j, W indicial,
+    is item k of ``terms``: d W(k) and the k integers that multiply g_j.
     """
     e = Fraction(exponent)
     a, b = e.numerator, e.denominator
@@ -159,17 +151,41 @@ def solve_ode(coefficients, exponent: Scalar, order: int) -> QSeries:
             rows.append((p, [x * scale for x in reversed(nums)]))
     # powers[p][j] = (b j + a)**p, and W(k) d = sum_p lead[p] powers[p][k]
     powers = [[x**p for x in range(a, a + b * order, b)] for p in range(len(lead))]
-    pivots = [sum(map(mul, lead, column)) for column in zip(*powers)]
+
+    def terms():
+        for k, column in enumerate(zip(*powers)):
+            lo, w = order - 1 - k, ()  # () when every P_p is constant
+            for p, row in rows:
+                part = map(mul, row[lo:-1], powers[p]) if p else row[lo:-1]
+                w = map(add, w, part) if w else part
+            yield sum(map(mul, lead, column)), w
+
+    return d, terms()
+
+
+def solve_ode(coefficients, exponent: Scalar, order: int) -> QSeries:
+    """The body g = 1 + g_1 q + ..., to ``order`` terms, of the solution
+    f = q**exponent g of sum_p P_p D**p f = 0 (``_recurrence``), with
+    ``exponent`` a root of the indicial polynomial W; a zero of W at
+    k = 1 .. order - 1 raises ZeroDivisionError.  Each g_k costs one
+    integer dot product and one gcd (``SeriesBuilder``).
+    """
+    _, terms = _recurrence(coefficients, exponent, order)
+    next(terms)  # W(0) = 0 leaves g_0 free
     g = SeriesBuilder()
     g.append(1, 1)
-    for k in range(1, order):
-        lo = order - 1 - k
-        w = None
-        for p, row in rows:
-            part = map(mul, row[lo:-1], powers[p]) if p else row[lo:-1]
-            w = part if w is None else map(add, w, part)
-        g.append(-sum(map(mul, w, g.nums)) if rows else 0, pivots[k] * g.den)
+    for pivot, w in terms:
+        g.append(-sum(map(mul, w, g.nums)), pivot * g.den)
     return g.series()
+
+
+def apply_ode(coefficients, f: PuiseuxSeries) -> QSeries:
+    """The body of sum_p P_p D**p f (``_recurrence``) at f's offset, to f's
+    order: zero exactly when f solves the equation through its order."""
+    nums = f.body.numerators
+    d, terms = _recurrence(coefficients, f.offset, len(nums))
+    out = [pivot * x + sum(map(mul, w, nums)) for (pivot, w), x in zip(terms, nums)]
+    return QSeries._make(out, d * f.body.denominator)
 
 
 def _divide_unit(a, da: int, b, db: int, order: int) -> QSeries:

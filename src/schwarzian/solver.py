@@ -13,7 +13,7 @@ solutions y1, y2 = q**(+-n/2m) (1 + ...) of D(D(y)) + s E4 y = 0, s = -(n/2m)**2
 ``solve`` takes levels 0 .. r from ``vvmf.weight_levels`` and proves one
 equation per level: both components of the level-k form solve the modular
 linear differential equation of that level, D^2 f + p Df + q f = 0 with
-p = -(k+1) E2 (``hypergeometric.mlde_series``, ``vvmf.mlde_check``).
+p = -(k+1) E2 (``hypergeometric.mlde_coefficients``, ``vvmf.mlde_check``).
 Exact algebra takes the rest from it, for the form at level r with e = r + 1:
 
 * Abel's identity, D W = -p W = e E2 W, makes the Wronskian c Delta**e;
@@ -47,7 +47,7 @@ from .errors import (
     NotProportional,
     OdeResidualNonzero,
 )
-from .series import PuiseuxSeries, QSeries, solve_ode
+from .series import PuiseuxSeries, QSeries, apply_ode, solve_ode
 
 CONVENTION_NOTE = (
     "derivative convention: D = q d/dq; verified constants are "
@@ -118,17 +118,16 @@ def verify_ode(y: PuiseuxSeries, s: Fraction) -> bool:
     """
     if y.is_zero():
         raise InvalidParameters("cannot verify the ODE for the zero series")
-    residual = y.derive().derive() + y * forms.eisenstein(4, y.order) * Fraction(s)
-    if residual.is_zero():
+    residual = apply_ode((forms.eisenstein(4, y.order) * Fraction(s), 0, 1), y)
+    where = residual.valuation()
+    if where is None:
         return True
-    where = residual.offset - y.offset
     raise OdeResidualNonzero(
-        f"residual {residual.leading} at exponent offset {where}",
-        index=int(where),
+        f"residual {residual[where]} at exponent offset {where}", index=where
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionBundle:
     """A verified solution h = q**(n/m) (1 + O(q)) and its provenance.
 

@@ -6,9 +6,9 @@ Raising at weight k is F -> E6 F - (1/pivot) E4 D_k F, where the pivot
 lambda = first.offset - k/12 is chosen so the first component's leading
 coefficient cancels exactly; its exponent moves up by 1 while the second
 component's exponent stays put.  Each raise adds 6 to the weight.  By
-Ramanujan's E2 E4 = 3 D E4 + E6 the step is F X - (1/pivot) E4 D F, where
-X = (1 + k/12 pivot) E6 + (k/4 pivot) D E4 reads the E4 and E6 of the
-``hypergeometric.BaseForms`` that every form keeps from its minimal form.
+Ramanujan's E2 E4 = 3 D E4 + E6 the step applies X - (1/pivot) E4 D to F
+(``series.apply_ode``), X = (1 + k/12 pivot) E6 + (k/4 pivot) D E4 from
+the E4 and E6 of the ``BaseForms`` every form keeps from its minimal form.
 ``VectorForm`` is the one check of that shape, and ``weight_levels`` the
 one chain of levels that ``solver.solve`` and the CLI read.
 
@@ -20,12 +20,12 @@ base, building no power of Delta.
 
 mlde_check proves the same law, and more, from one equation per level
 (level 0 too): both components of the level-k form solve the MLDE of
-``hypergeometric.mlde_series``, D^2 f + p Df + q f = 0 with p = -e E2,
-e = k + 1.  By Abel's identity their Wronskian then solves D W = -p W =
-e E2 W, so W = c Delta**e, and c = (n_k/m) l1 l2 (n_k = k m + n') reads
-off the leading terms q**o1 l1 and q**o2 l2, as o1 - o2 = n_k/m.  That
-reading needs l1 and l2 nonzero and o1, o2 the level's exponents, which
-``VectorForm`` guarantees; then c != 0.
+``hypergeometric.mlde_coefficients``, D^2 f + p Df + q f = 0 with
+p = -e E2, e = k + 1.  By Abel's identity their Wronskian then solves
+D W = -p W = e E2 W, so W = c Delta**e, and c = (n_k/m) l1 l2
+(n_k = k m + n') reads off the leading terms q**o1 l1 and q**o2 l2, as
+o1 - o2 = n_k/m.  That reading needs l1 and l2 nonzero and o1, o2 the
+level's exponents, which ``VectorForm`` guarantees; then c != 0.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     NotProportionalToDeltaPower,
 )
 from .hypergeometric import BaseForms, ComponentRecipe
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, QSeries, apply_ode
 
 MINIMAL_WEIGHT = Fraction(5)
 
@@ -173,10 +173,10 @@ def raise_weight(form: VectorForm) -> VectorForm:
     pivot = form.first.offset - form.weight / 12
     k_pivot = form.weight / (12 * pivot)
     x = base.e6 * (1 + k_pivot) + base.e4.derive() * (3 * k_pivot)
-    e4_pivot = base.e4 * (1 / pivot)
+    coefficients = (x, base.e4 * (-1 / pivot))
 
     def step(component: PuiseuxSeries) -> PuiseuxSeries:
-        return component * x - component.derive() * e4_pivot
+        return PuiseuxSeries(component.offset, apply_ode(coefficients, component))
 
     return VectorForm(
         first=step(form.first),
@@ -249,23 +249,25 @@ def mlde_wronskian(form: VectorForm) -> tuple[Fraction, int]:
 
 
 def mlde_check(form: VectorForm) -> tuple[Fraction, int]:
-    """Verify that each component of ``form`` is its leading coefficient times
-    ``hypergeometric.mlde_series`` at the form's level; return
-    ``mlde_wronskian(form)``.  ``minimal_form`` runs it on level 0.
+    """Verify that each component of ``form`` solves the MLDE of its level
+    through its own order; return ``mlde_wronskian(form)``.
 
-    InternalMismatch names the first body index at which a component
-    differs, the first component checked first.  A zero component would
-    pass, with W = 0; ``VectorForm`` refuses one before it gets here.
+    InternalMismatch names the first index i of a nonzero residual, the
+    first component first.  With the exponents ``VectorForm`` pinned,
+    W(i) != 0 for i >= 1, so there the body first leaves its leading
+    coefficient times the MLDE series, f_i - residual_i / W(i).  A zero
+    component would pass; ``VectorForm`` refuses one.
     """
     for component, recipe in zip((form.first, form.second), form.rep.recipes):
-        series = hypergeometric.mlde_series(form.level, recipe, form.base)
-        series = series * component.leading
-        i = (component.body - series).valuation()
+        coefficients = hypergeometric.mlde_coefficients(form.level, recipe, form.base)
+        residual = apply_ode(coefficients, component)
+        i = residual.valuation()
         if i is not None:
+            w = apply_ode(coefficients, PuiseuxSeries(component.offset + i, QSeries([1])))
             raise InternalMismatch(
                 f"level {form.level}: the component at exponent {component.offset} "
                 f"has {component.body[i]} at q^{i} of its body, its MLDE series "
-                f"{series[i]}",
+                f"{component.body[i] - residual[i] / w[0]}",
                 index=i,
             )
     return mlde_wronskian(form)

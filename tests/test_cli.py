@@ -583,6 +583,21 @@ def test_eval_overflow_in_doubles_is_one_error_line(capsys):
     assert err.count("\n") == 1
 
 
+def test_tau_with_a_leading_minus_takes_either_spelling(capsys):
+    """``--tau -0.49+0.9i`` is read as the value, not as an option, and
+    prints what ``--tau=-0.49+0.9i`` prints."""
+    outputs = []
+    for tau in (["--tau", "-0.49+0.9i"], ["--tau=-0.49+0.9i"]):
+        code, out, err = run_cli(
+            capsys, "eval", "--m", "7", "--n", "1", *tau, "--tolerance", "1e-3",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["params"]["tau"] == "-0.49+0.9i"
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
 def test_unusable_tolerance_is_usage_error_before_solving(capsys, monkeypatch, tolerance):
     def unreachable(*args):

@@ -208,19 +208,23 @@ def test_components_match_substitution_and_mlde(m, data, order):
     check_both_routes(m, n_prime, order)
 
 
-@pytest.mark.parametrize("route", ["pulled_back_2f1", "mlde_series"])
+@pytest.mark.parametrize("route", ["pulled_back_2f1", "mlde_coefficients"])
 @pytest.mark.parametrize("index", [0, 1, 4, 11])
 def test_bumped_route_names_its_index(monkeypatch, route, index):
-    """One coefficient of either route bumped by 1/3 makes the minimal form
-    fail the comparison of the two at exactly that index: its unit-leading
-    check at q^0, ``vvmf.mlde_check`` above."""
+    """One coefficient of either route, the 2F1 series or the MLDE's P0,
+    bumped by 1/3 makes the minimal form fail at exactly that index: a
+    bumped 2F1 its unit-leading check at q^0 and ``vvmf.mlde_check`` above,
+    a bumped P0 ``vvmf.mlde_check`` at every index."""
     original = getattr(hypergeometric, route)
+
+    def bump(series):
+        cs = list(series.coeffs)
+        cs[index] += F(1, 3)
+        return QSeries(cs)
 
     def bumped(*args):
         out = original(*args)
-        cs = list(out.coeffs)
-        cs[index] += F(1, 3)
-        return QSeries(cs)
+        return bump(out) if route == "pulled_back_2f1" else (bump(out[0]), *out[1:])
 
     monkeypatch.setattr(hypergeometric, route, bumped)
     with pytest.raises(InternalMismatch) as info:

@@ -221,6 +221,7 @@ def test_cross_check_headline_point():
 def test_eval_report_holds_only_what_was_computed():
     names = [f.name for f in dataclasses.fields(numeric.EvalReport)]
     assert names == ["via_series", "via_hypergeom", "rel_error", "tail_bound"]
+    assert not hasattr(cross_check(7, 1, 2j, 8), "__dict__")  # slotted
 
 
 def test_divergent_series_is_refused_by_name():

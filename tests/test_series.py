@@ -23,7 +23,7 @@ from schwarzian import (
     PuiseuxSeries,
     QSeries,
 )
-from schwarzian.series import solve_ode
+from schwarzian.series import apply_ode, solve_ode
 
 F = Fraction
 
@@ -551,6 +551,7 @@ def test_solve_ode_matches_fraction_reference(ode):
     assert exact(g.coeffs) == exact(ref_solve_ode(coefficients, exponent, order))
     # sum_p P_p D**p f vanishes through q**(exponent + order - 1)
     f = PuiseuxSeries(exponent, g)
+    assert apply_ode(ps, f).numerators == (0,) * order
     terms = []
     for p in ps:
         terms.append(p * f)
@@ -563,10 +564,53 @@ def test_solve_ode_matches_fraction_reference(ode):
 def test_solve_ode_refuses_short_coefficients_and_resonance():
     with pytest.raises(ValueError, match="P_0 has 2 terms, need 3"):
         solve_ode((QSeries([0, 2]), 1), 0, 3)
+    with pytest.raises(ValueError, match="P_1 has 2 terms, need 3"):
+        apply_ode((1, QSeries([0, 2])), PuiseuxSeries(F(1, 2), QSeries([1, 2, 3])))
     # D^2 f - 2 D f = 0 has W(k) = k (k - 2), which vanishes at k = 2
     assert solve_ode((0, -2, 1), 0, 2).coeffs == (1, 0)
     with pytest.raises(ZeroDivisionError):
         solve_ode((0, -2, 1), 0, 3)
+
+
+def ref_apply_ode(coefficients, offset, body):
+    """sum_p P_p D**p f for f = q**offset body, at f's offset and to its
+    order: D multiplies q**(offset + j) by offset + j, and each product
+    with P_p is a Cauchy product."""
+    out = [F(0)] * len(body)
+    for p, c in enumerate(coefficients):
+        derived = [(offset + j) ** p * x for j, x in enumerate(body)]
+        for k in range(len(body)):
+            out[k] += sum(ode_term(c, k - j) * derived[j] for j in range(k + 1))
+    return out
+
+
+@st.composite
+def operators(draw):
+    """(P_0 .. P_p), p < 4, each a list at least as long as the body or an
+    int or Fraction constant, a rational offset and the body."""
+    body = draw(kernel_coeffs(max_size=20))
+    constant = st.one_of(
+        st.integers(min_value=-20, max_value=20),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    )
+    series = st.integers(0, 3).flatmap(
+        lambda n: st.lists(mixed, min_size=len(body) + n, max_size=len(body) + n)
+    )
+    coefficients = draw(st.lists(st.one_of(constant, series), min_size=1, max_size=4))
+    offset = draw(st.fractions(min_value=-3, max_value=3, max_denominator=12))
+    return coefficients, offset, body
+
+
+@given(operators())
+@settings(max_examples=150, deadline=None)
+def test_apply_ode_matches_fraction_reference(operator):
+    coefficients, offset, body = operator
+    ps = [QSeries(c) if isinstance(c, list) else c for c in coefficients]
+    f = PuiseuxSeries(offset, QSeries(body))  # absorbs leading zeros of the body
+    out = apply_ode(ps, f)
+    assert out.order == f.order
+    want = ref_apply_ode(coefficients, f.offset, list(f.body.coeffs))
+    assert exact(out.coeffs) == exact(want)
 
 
 # The linear operations, derive, truncate, shift and == compute on integer

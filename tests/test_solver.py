@@ -262,14 +262,14 @@ def test_solve_checks_the_ode_once_without_square_roots(monkeypatch):
 
         return wrapper
 
-    def recorded(level, recipe, base, _original=hypergeometric.mlde_series):
+    def recorded(level, recipe, base, _original=hypergeometric.mlde_coefficients):
         mlde_levels.append(level)
         return _original(level, recipe, base)
 
     monkeypatch.setattr(PuiseuxSeries, "sqrt", counted("sqrt", PuiseuxSeries.sqrt))
     for owner, name in literal:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    monkeypatch.setattr(hypergeometric, "mlde_series", recorded)
+    monkeypatch.setattr(hypergeometric, "mlde_coefficients", recorded)
     solve(7, 9, 40)  # levels 0 and 1
     assert set(calls.values()) == {0}
     assert mlde_levels == [0, 0, 1, 1]
@@ -503,6 +503,7 @@ def test_solve_agrees_with_the_literal_checks(m, data, order):
 def test_bundle_stores_only_what_solve_computed():
     names = [f.name for f in dataclasses.fields(solver.SolutionBundle)]
     assert names == ["m", "n", "h", "wronskians"]
+    assert not hasattr(solve(7, 1, 2), "__dict__")  # slotted: no per-bundle dict
 
 
 @given(st.integers(7, 60), st.data())

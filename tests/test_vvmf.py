@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from schwarzian import forms, vvmf
+from schwarzian import forms, hypergeometric, vvmf
 from schwarzian.acceptance import SHAPE_GRID
 from schwarzian import (
     InternalMismatch,
@@ -157,6 +157,32 @@ def test_mlde_check_catches_wrong_base(field, index):
     with pytest.raises(InternalMismatch) as info:
         vvmf.mlde_check(dataclasses.replace(form, base=base))
     assert info.value.index == index
+
+
+def test_mlde_check_names_the_frobenius_coefficient(monkeypatch):
+    """The 2F1 of (7, 1)'s first component bumped by 1 at q^1, as the seeded
+    bug check does: the message gives the body's coefficient there and the
+    leading coefficient times the MLDE's Frobenius series,
+    f_1 - residual_1 / W(1)."""
+    first = ReprData(7, 1).recipes[0].params
+    original = hypergeometric.pulled_back_2f1
+
+    def bumped(params, base):
+        out = original(params, base)
+        if params != first:
+            return out
+        cs = list(out.coeffs)
+        cs[1] += 1
+        return QSeries(cs)
+
+    monkeypatch.setattr(hypergeometric, "pulled_back_2f1", bumped)
+    with pytest.raises(InternalMismatch) as info:
+        minimal_form(ReprData(7, 1), 12)
+    assert info.value.index == 1
+    assert str(info.value) == (
+        "level 0: the component at exponent 4/7 has -139/14 at q^1 of its body, "
+        "its MLDE series -153/14"
+    )
 
 
 @pytest.mark.parametrize(
