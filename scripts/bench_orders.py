@@ -1,30 +1,39 @@
-"""Time solve(7, 1, N), minimal_form and solve(9, 38, N) at N = 60, 120 and 240
-across checkouts.
+"""Time solve(7, 1, N), minimal_form and solve(9, 38, N) at N = 60, 120 and 240,
+solve(7, 1, 480), and solve(7, 7r + 1, 10) at r = 100, 200 and 400, across
+checkouts.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_11.json
+    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_22.json
 
 Each ``--tree NAME=PATH`` names a checkout whose ``src/`` holds the
 package.  Every round runs one fresh process per tree, in turn, so the
 trees share the machine's state; every other round runs them in reverse
 order, so no tree always runs first (with a fixed order, swapping two
 trees flipped which one read faster).  Each process warms up with
-``solve(7, 1, 30)`` and then times ``--repeats`` calls of each function
-at each order.  ``solve_raised`` is solve(9, 38, N), which raises the
-minimal form four times.  ``hypergeometric.base_forms`` is cached per
-order within a process, so in a tree that has the cache every timed call
-after the first at an order reads the cached base forms: the warm-up
-fills only order 30, ``solve`` and ``minimal_form`` share order N, and
-``solve_raised`` builds its own at N + 4.  The JSON records, per tree,
-function and order, the median and quartiles of the pooled wall times
-in seconds, with the Python version and the platform.  ``speedup``
-compares the first
-tree with each other tree in two ways: ``pooled`` divides the medians of
-the pooled times, and ``paired`` gives the median and quartiles, over the
-rounds, of the first tree's median in a round divided by the other
-tree's in the same round, so a round in which the whole machine ran slow
-moves both sides of its ratio.  Paths are not recorded, only the names.
+``solve(7, 1, 30)``; every call after that is a warm call.  It then
+times ``--repeats`` calls of each function at N = 60, 120 and 240, and
+``--long-repeats`` calls of each long cell: ``solve`` at N = 480 and
+``solve_sweep``, solve(7, 7r + 1, 10) with r raises, keyed by r.
+``solve_raised`` is solve(9, 38, N), which raises the minimal form four
+times.  ``hypergeometric.base_forms`` is cached per order within a
+process, so in a tree that has the cache every timed call after the
+first at an order reads the cached base forms: the warm-up fills only
+order 30, ``solve`` and ``minimal_form`` share order N, ``solve_raised``
+builds its own at N + 4, and each sweep cell at 10 + r.
+
+The JSON records, per tree, function and cell, two summaries of the wall
+times in seconds, with the Python version and the platform: ``pooled``,
+the median and quartiles of every call of every process, and
+``fastest``, the median and quartiles over processes of each process's
+fastest call.  On a shared host a process's fastest call moves far less
+than the pooled median, so ``fastest`` is the one to read.  ``speedup``
+compares the first tree with each other tree three ways: ``pooled`` and
+``fastest`` divide the two summaries' medians, and ``paired`` gives the
+median and quartiles, over the rounds, of the first tree's fastest call
+in a round divided by the other tree's in the same round, so a round in
+which the whole machine ran slow moves both sides of its ratio.  Paths
+are not recorded, only the names.
 """
 
 from __future__ import annotations
@@ -41,27 +50,37 @@ from pathlib import Path
 ORDERS = (60, 120, 240)
 PAIR = (7, 1)
 RAISED_PAIR = (9, 38)
+LONG_ORDER = 480
+SWEEP = (100, 200, 400)  # raises r of solve(7, 7r + 1, 10)
 
 
-def measure(repeats: int) -> dict:
-    """Wall times of ``repeats`` calls per function and order, in this process."""
+def measure(repeats: int, long_repeats: int) -> dict:
+    """Wall times of the calls of every cell, in this process."""
     from schwarzian import minimal_form, ReprData, solve
 
     solve(*PAIR, 30)
-    calls = {
-        "solve": lambda n: solve(*PAIR, n),
-        "minimal_form": lambda n: minimal_form(ReprData(*PAIR), n),
-        "solve_raised": lambda n: solve(*RAISED_PAIR, n),
-    }
-    times: dict = {name: {} for name in calls}
-    for name, call in calls.items():
-        for order in ORDERS:
-            samples = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                call(order)
-                samples.append(time.perf_counter() - t0)
-            times[name][str(order)] = samples
+    cells = [
+        (name, str(order), call, repeats)
+        for name, call in (
+            ("solve", lambda n: solve(*PAIR, n)),
+            ("minimal_form", lambda n: minimal_form(ReprData(*PAIR), n)),
+            ("solve_raised", lambda n: solve(*RAISED_PAIR, n)),
+        )
+        for order in ORDERS
+    ]
+    cells.append(("solve", str(LONG_ORDER), lambda n: solve(*PAIR, n), long_repeats))
+    cells += [
+        ("solve_sweep", str(r), lambda r: solve(7, 7 * r + 1, 10), long_repeats)
+        for r in SWEEP
+    ]
+    times: dict = {}
+    for name, key, call, count in cells:
+        samples = []
+        for _ in range(count):
+            t0 = time.perf_counter()
+            call(int(key))
+            samples.append(time.perf_counter() - t0)
+        times.setdefault(name, {})[key] = samples
     return times
 
 
@@ -76,20 +95,27 @@ def main() -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--rounds", type=int, default=4)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--long-repeats", type=int, default=1)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        print(json.dumps(measure(args.repeats)))
+        print(json.dumps(measure(args.repeats, args.long_repeats)))
         return 0
     if not args.tree or args.out is None:
         parser.error("give at least one --tree and --out")
+    if args.rounds < 2:
+        parser.error("give at least 2 --rounds, so each cell has quartiles")
     trees = dict(spec.split("=", 1) for spec in args.tree)
     runs: dict = {name: [] for name in trees}  # one worker's times per round
     for r in range(args.rounds):
         for name in reversed(trees) if r % 2 else trees:
             path = trees[name]
             out = subprocess.run(
-                [sys.executable, __file__, "--worker", "--repeats", str(args.repeats)],
+                [
+                    sys.executable, __file__, "--worker",
+                    "--repeats", str(args.repeats),
+                    "--long-repeats", str(args.long_repeats),
+                ],
                 env={"PYTHONPATH": str(Path(path).resolve() / "src")},
                 capture_output=True,
                 text=True,
@@ -99,32 +125,36 @@ def main() -> int:
     results = {
         name: {
             fn: {
-                order: summary([t for run in tree_runs for t in run[fn][order]])
-                for order in by_order
+                cell: {
+                    "pooled": summary([t for run in tree_runs for t in run[fn][cell]]),
+                    "fastest": summary([min(run[fn][cell]) for run in tree_runs]),
+                }
+                for cell in by_cell
             }
-            for fn, by_order in tree_runs[0].items()
+            for fn, by_cell in tree_runs[0].items()
         }
         for name, tree_runs in runs.items()
     }
     base, *others = trees
 
-    def paired(name: str, fn: str, order: str) -> dict:
-        """Per-round ratios of the base tree's median to ``name``'s."""
+    def paired(name: str, fn: str, cell: str) -> dict:
+        """Per-round ratios of the base tree's fastest call to ``name``'s."""
         return summary([
-            statistics.median(b[fn][order]) / statistics.median(o[fn][order])
+            min(b[fn][cell]) / min(o[fn][cell])
             for b, o in zip(runs[base], runs[name])
         ])
 
     speedup = {
         name: {
             fn: {
-                order: {
-                    "pooled": results[base][fn][order]["median"] / stats["median"],
-                    "paired": paired(name, fn, order),
+                cell: {
+                    kind: results[base][fn][cell][kind]["median"] / stats[kind]["median"]
+                    for kind in ("pooled", "fastest")
                 }
-                for order, stats in by_order.items()
+                | {"paired": paired(name, fn, cell)}
+                for cell, stats in by_cell.items()
             }
-            for fn, by_order in results[name].items()
+            for fn, by_cell in results[name].items()
         }
         for name in others
     }
@@ -132,10 +162,13 @@ def main() -> int:
         "script": "scripts/bench_orders.py",
         "pair": list(PAIR),
         "raised_pair": list(RAISED_PAIR),
+        "long_order": LONG_ORDER,
+        "sweep": {"raises": list(SWEEP), "call": "solve(7, 7r + 1, 10)"},
         "python": platform.python_version(),
         "platform": platform.platform(),
         "rounds": args.rounds,
         "repeats": args.repeats,
+        "long_repeats": args.long_repeats,
         "unit": "s",
         "trees": results,
         "speedup": speedup,

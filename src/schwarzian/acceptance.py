@@ -295,19 +295,19 @@ def check_seeded_bug_sensitivity() -> CheckResult:
     """Corrupting any early coefficient of a core ingredient must be caught.
 
     For each of three ingredient series — the weight-4 Eisenstein series,
-    the 24th eta power, and the first component's 2F1(1728/j) as
-    ``hypergeometric.pulled_back_2f1`` builds it — bump one of the first
-    five coefficients by 1 and run the full solve pipeline, with the
+    the 24th eta power, and the first component's Phi = E4^-3P F(1728/j)
+    (``hypergeometric.gauged_2f1``) — bump one of the first five
+    coefficients by 1 and run the full solve pipeline, with the
     ``hypergeometric.base_forms`` cache cleared before and after each run.
     The run must raise a VerificationError whose reported index is at most
     MAX_BUG_INDEX; silent success on any corruption fails this check.
     """
     problems: list[str] = []
-    first = vvmf.ReprData(7, 1).recipes[0].params
+    first = vvmf.ReprData(7, 1).recipes[0]
     seams = [
         ("eisenstein-4", forms, "eisenstein", lambda k, order: k == 4),
         ("eta-power-24", forms, "eta_power", lambda exponent, order: exponent == 24),
-        ("hypergeometric", hypergeometric, "pulled_back_2f1", lambda p, base: p == first),
+        ("hypergeometric", hypergeometric, "gauged_2f1", lambda rec, *_: rec == first),
     ]
     for label, module, attr, hit in seams:
         for index in range(5):

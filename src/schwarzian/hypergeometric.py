@@ -8,64 +8,47 @@ one member of the solution pair
     (a, b; c) = (s/(2m) + 1/12, s/(2m) + 5/12; s/m + 1),
 
 where s is the signed residue (+n' for the first component, -n' for the
-second).  The two recipes are one parameterized formula evaluated at +-n',
-and the assembled series is q**((m+s)/2m) (1 + O(q)).  The scalar
-1728**P that a literal reading of (1728/j)**P would contribute is
-dropped: components are normalized to leading coefficient 1, and every
-consumer is scalar-invariant.
+second).  As 1728/j = 1728 Delta / E4^3, the component is 1728^P times
+Delta^alpha Phi, alpha = 5/12 + P = (m + s)/2m, Phi = E4^-3P F(1728/j),
+so q**alpha (1 + O(q)); the scalar 1728^P is dropped, as every consumer
+is scalar-invariant.  F(1728/j) and E4^-3P are each singular where E4
+vanishes (at rho), and the singularities cancel in Phi, whose
+coefficients are far smaller than either factor's.  Both factors of the
+body are the solutions 1 + ... that ``series.solve_ode`` returns for
+linear equations in D with coefficients from ``base_forms``; no series
+is substituted into another.
 
-No series is substituted into another.  Both factors are solved term by
-term from linear equations in D, in O(order**2), from the level-one
-series of ``base_forms``, which both components of a minimal form read:
+* (Delta/q)^alpha solves D g + alpha (1 - E2) g = 0, as D Delta = E2 Delta.
+* Phi: with D z = z E6/E4 and 1 - z = E6^2/E4^3 for z = 1728/j,
+  theta_z = (E4/E6) D, and the hypergeometric equation, times E4^3 E6,
+  reads A D^2 F + B DF + C F = 0 with A = E4^2 E6, C = -a b 1728 Delta E6,
+  B = b0 + (c-1) E4^4 - (a+b) 1728 Delta E4 and, by Ramanujan's
+  E2 E4 = 3 D E4 + E6, b0 = (1728 Delta - E6 D E4) E4 / 2.  The gauge
+  change F = E4^beta Phi, beta = 3P, with u = D E4 / E4, gives
+  A D^2 Phi + (B + 2 beta A u) D Phi
+  + (C + beta B u + beta A D u + beta^2 A u^2) Phi = 0, a series equation
+  as A u = E4 E6 D E4 = 1728 Delta E4 - 2 b0:
 
-* F(1728/j) from the hypergeometric equation pulled back along
-  z = 1728/j.  As D z = z E6/E4 and 1 - z = E6^2/E4^3, theta_z = (E4/E6) D;
-  the equation, multiplied through by E4^3 E6, reads
-  A D^2 F + B DF + C F = 0 with
+      P2 = E4^2 E6,
+      P1 = b0 (1 - 4 beta) + (2 beta - a - b) 1728 Delta E4 + (c - 1) E4^4,
+      P0 = -a b 1728 Delta E6 + beta (1/2 - a - b) 1728 Delta D E4
+           + beta (c - 1) E4^3 D E4 + (beta^2 - 3 beta/2) E6 (D E4)^2
+           + beta E4 E6 D^2 E4.
 
-      A = E4^2 E6,
-      B = -E4 (E2 E4 E6/6 - E4^3/2 + E6^2/3) + (c-1) E4^4 - (a+b) 1728 Delta E4,
-      C = -a b 1728 Delta E6.
-
-  A(0) = 1, B(0) = c - 1 and C(0) = 0, so the indicial polynomial
+  P2(0) = 1, P1(0) = c - 1 and P0(0) = 0: the indicial polynomial
   k (k + c - 1) has the root 0 and, as c is not a nonpositive integer,
-  no positive integer root.  With E2 E4 = 3 D E4 + E6 the first term
-  of B is (1728 Delta - E6 D E4) E4 / 2, so F reads E4, E6 and Delta
-  only.
-* eta^10 (1728/j)^P / 1728^P = (Delta/q)^alpha E4^beta, alpha = 5/12 + P,
-  beta = -3P, from its logarithmic derivative: D Delta = E2 Delta and
-  D E4 = (E2 E4 - E6)/3 give 3 E4 D g = T g with
-  T = 3 alpha E4 (E2 - 1) + beta (E2 E4 - E6)
-    = (15/4) D E4 + 3 alpha (E6 - E4),
-  so g = 1 + ... solves E4 D g - (T/3) g = 0.
+  no positive integer root.
 
-A second route checks the same components: both solve the weight-5
-modular linear differential equation
-D^2 f - E2 D f + (5/24) E2^2 f + (1/24 - n'^2/4m^2) E4 f = 0 (Kaneko and
-Zagier 1998; Franc and Mason, Ramanujan J. 2016), which reads E2 and E4
-only and whose indicial roots (m +- n')/2m are their exponents;
-``vvmf.mlde_check`` applies the equation to them.
+A second route checks the same components: the level-k form
+(``vvmf.raise_weight`` applied k times) has weight 5 + 6k and exponent
+sum e = k + 1, and with n_k = k m + n' both of its components solve
 
-The same equation, one per weight level, holds for every raised form.
-The level-k form (``vvmf.raise_weight`` applied k times) has weight
-5 + 6k and exponent sum e = k + 1, and with n_k = k m + n' both of its
-components solve
+    D^2 f - e E2 D f + ((e^2/4 - e/24) E2^2 + (e/24 - (n_k/2m)^2) E4) f = 0
 
-    D^2 f - e E2 D f + ((e^2/4 - e/24) E2^2 + (e/24 - (n_k/2m)^2) E4) f = 0,
-
-whose indicial roots e/2 +- n_k/2m are the two components' exponents
-and differ by n_k/m, never an integer.  ``mlde_coefficients`` gives its
-coefficients; at level 0 it is the weight-5 equation above.
-
-F(1728/j) and the prefactor are the solutions 1 + ... that
-``series.solve_ode`` returns for their equations' coefficients.
-
-``base_forms`` is cached per order: every minimal form, and so every
-``solver.solve``, at an order already built in this process reuses one
-``BaseForms``.  Sharing it is safe, as the dataclass is frozen and each
-``QSeries`` holds integer tuples.  ``acceptance`` clears the cache wherever
-a check must see a cold build: before its battery, and around each run of
-the seeded-bug check, which corrupts ``forms``.
+(at level 0 Kaneko and Zagier's weight-5 equation; Franc and Mason,
+Ramanujan J. 2016), whose indicial roots e/2 +- n_k/2m are the two
+components' exponents and differ by n_k/m, never an integer.
+``mlde_coefficients`` gives its coefficients; ``vvmf.mlde_check`` applies it.
 """
 
 from __future__ import annotations
@@ -77,8 +60,6 @@ from functools import lru_cache
 from . import forms
 from .errors import InvalidC
 from .series import PuiseuxSeries, QSeries, SeriesBuilder, solve_ode
-
-ETA_EXPONENT = 10
 
 
 @dataclass(frozen=True)
@@ -140,7 +121,7 @@ class ComponentRecipe:
 
     @property
     def offset(self) -> Fraction:
-        """Leading exponent of the assembled component, (m + s) / 2m."""
+        """Leading exponent of the assembled component, (m + s)/2m = 5/12 + P."""
         return Fraction(self.m + self.signed_residue, 2 * self.m)
 
 
@@ -149,12 +130,13 @@ class BaseForms:
     """The level-one series that both components of a minimal form read,
     and that ``vvmf`` raises and checks every level of that form against.
 
-    Each holds ``order`` terms.  ``a``, ``b0``, ``e4_fourth``, ``delta_e4``
-    and ``delta_e6`` are E4^2 E6, the parameter-free first term of B,
-    E4^4, 1728 Delta E4 and 1728 Delta E6: the pieces of the pulled-back
-    hypergeometric equation.  E2, E2^2 and E4 feed the MLDE check of every
-    level, E2 also the literal Wronskian checks, and E4 and E6 the weight
-    raising.
+    Each holds ``order`` terms.  ``a``, ``b0``, ``e4_fourth``,
+    ``delta_e4``, ``delta_e6``, ``delta_de4``, ``e4_cubed_de4``,
+    ``e6_de4_squared`` and ``e4_e6_d2e4`` are E4^2 E6, b0, E4^4 and 1728
+    Delta times E4, E6 and D E4, E4^3 D E4, E6 (D E4)^2 and E4 E6 D^2 E4,
+    the pieces of Phi's equation (module docstring).  E2 feeds
+    (Delta/q)^alpha, E2, E2^2 and E4 the MLDE check of every level, E2 also
+    the literal Wronskian checks, and E4 and E6 the weight raising.
     """
 
     e2: QSeries
@@ -166,6 +148,10 @@ class BaseForms:
     e4_fourth: QSeries
     delta_e4: QSeries
     delta_e6: QSeries
+    delta_de4: QSeries
+    e4_cubed_de4: QSeries
+    e6_de4_squared: QSeries
+    e4_e6_d2e4: QSeries
 
     @property
     def order(self) -> int:
@@ -174,22 +160,26 @@ class BaseForms:
 
 @lru_cache(maxsize=16)
 def base_forms(order: int) -> BaseForms:
-    """Build E2, E4, E6, Delta and the products in A, B and C, to ``order``,
-    once per order per process.
+    """Build E2, E4, E6, Delta and the products in Phi's equation, to
+    ``order``, once per order per process.
 
     ``forms.delta`` runs first on every build: it checks eta**24 against
     (E4^3 - E6^2)/1728, so a corrupted E4, E6 or eta**24 stops here at the
-    index it differs.  Later calls at a built order return the same frozen
-    ``BaseForms`` (module docstring); an exception is not cached, so
-    ``base_forms(0)`` raises on every call.  A check that patches ``forms``
-    needs ``base_forms.cache_clear()`` first, as ``acceptance`` does.
+    index it differs.  Every later minimal form, and so every
+    ``solver.solve``, at a built order reuses the same ``BaseForms``, which
+    is safe as it is frozen and each ``QSeries`` holds integer tuples; an
+    exception is not cached, so ``base_forms(0)`` raises on every call.  A
+    check that patches ``forms`` needs ``base_forms.cache_clear()`` first,
+    as ``acceptance`` does before its battery and around each seeded bug.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     delta = forms.delta(order) * 1728
     e2, e4, e6 = (forms.eisenstein(k, order) for k in (2, 4, 6))
+    de4 = e4.derive()
     e4_e6 = e4 * e6
     e4_squared = e4 * e4
+    e4_fourth = e4_squared * e4_squared
     delta_e4 = delta * e4
     return BaseForms(
         e2=e2,
@@ -197,29 +187,32 @@ def base_forms(order: int) -> BaseForms:
         e4=e4,
         e6=e6,
         a=e4 * e4_e6,
-        b0=(delta_e4 - e4_e6 * e4.derive()) / 2,
-        e4_fourth=e4_squared * e4_squared,
+        b0=(delta_e4 - e4_e6 * de4) / 2,
+        e4_fourth=e4_fourth,
         delta_e4=delta_e4,
         delta_e6=delta * e6,
+        delta_de4=delta * de4,
+        e4_cubed_de4=e4_fourth.derive() / 4,  # D E4^4 = 4 E4^3 D E4
+        e6_de4_squared=e6 * (de4 * de4),
+        e4_e6_d2e4=e4_e6 * de4.derive(),
     )
 
 
-def pulled_back_2f1(params: HypergeomParams, base: BaseForms) -> QSeries:
-    """F(a, b; c; 1728/j) to ``base.order`` terms, the solution 1 + ... of the
-    pulled-back hypergeometric equation A D^2 F + B DF + C F = 0 (module
-    docstring)."""
-    a, b, c = params.a, params.b, params.c
-    p1 = base.b0 + base.e4_fourth * (c - 1) - base.delta_e4 * (a + b)
-    return solve_ode((base.delta_e6 * (-a * b), p1, base.a), 0, base.order)
-
-
-def _prefactor(recipe: ComponentRecipe, base: BaseForms) -> QSeries:
-    """(Delta/q)^alpha E4^-3P, alpha = 5/12 + P: eta^10 (1728/j)^P / 1728^P,
-    the solution 1 + ... of E4 D g - (T/3) g = 0 (module docstring)."""
-    e4 = base.e4
-    alpha = Fraction(ETA_EXPONENT, 24) + recipe.outer_power
-    p0 = (e4 - base.e6) * alpha - e4.derive() * Fraction(5, 4)  # -T/3
-    return solve_ode((p0, e4), 0, base.order)
+def gauged_2f1(recipe: ComponentRecipe, base: BaseForms, order: int) -> QSeries:
+    """Phi = E4^-3P F(a, b; c; 1728/j) to ``order`` <= ``base.order`` terms:
+    the solution 1 + ... of its equation, with beta = 3P (module docstring)."""
+    a, b, c = recipe.params.a, recipe.params.b, recipe.params.c
+    beta = 3 * recipe.outer_power
+    p1 = base.b0 * (1 - 4 * beta) + base.delta_e4 * (2 * beta - a - b)
+    p1 += base.e4_fourth * (c - 1)
+    p0 = (
+        base.delta_e6 * (-a * b)
+        + base.delta_de4 * (beta * (Fraction(1, 2) - a - b))
+        + base.e4_cubed_de4 * (beta * (c - 1))
+        + base.e6_de4_squared * (beta * beta - 3 * beta / 2)
+        + base.e4_e6_d2e4 * beta
+    )
+    return solve_ode((p0, p1, base.a), 0, order)
 
 
 def mlde_coefficients(level: int, recipe: ComponentRecipe, base: BaseForms):
@@ -233,9 +226,12 @@ def mlde_coefficients(level: int, recipe: ComponentRecipe, base: BaseForms):
     return p0, base.e2 * -e, 1
 
 
-def component_series(recipe: ComponentRecipe, base: BaseForms) -> PuiseuxSeries:
-    """Assemble a component, eta^10 (1728/j)^P F(1728/j), to ``base.order``
-    body terms at exponent 10/24 + P, unchecked: ``vvmf.minimal_form``
-    checks it."""
-    body = _prefactor(recipe, base) * pulled_back_2f1(recipe.params, base)
-    return PuiseuxSeries(Fraction(ETA_EXPONENT, 24) + recipe.outer_power, body)
+def component_series(
+    recipe: ComponentRecipe, base: BaseForms, order: int
+) -> PuiseuxSeries:
+    """Assemble a component, eta^10 (1728/j)^P F(1728/j) / 1728^P =
+    Delta^alpha Phi, alpha = ``recipe.offset``, to ``order`` <= ``base.order``
+    body terms, unchecked: ``vvmf.minimal_form`` checks it."""
+    alpha = recipe.offset
+    delta_power = solve_ode(((1 - base.e2) * alpha, 1), 0, order)  # (Delta/q)^alpha
+    return PuiseuxSeries(alpha, delta_power * gauged_2f1(recipe, base, order))

@@ -139,19 +139,20 @@ class VectorForm:
         return MINIMAL_WEIGHT + 6 * self.level
 
 
-def minimal_form(rep: ReprData, order: int) -> VectorForm:
-    """The weight-5 form with unit leading coefficients for both components.
+def minimal_form(rep: ReprData, order: int, r: int = 0) -> VectorForm:
+    """The weight-5 form with unit leading coefficients for both components,
+    the first to order + r terms and the second to ``order``, both solved
+    from one ``hypergeometric.base_forms(order + r)``; nothing is composed.
 
-    ``hypergeometric.base_forms`` builds E2, E4, E6, Delta and the products
-    that the recurrences read once, and both components share it: each is
-    eta^10 (1728/j)^P F(1728/j), with F solved from the hypergeometric
-    equation pulled back along 1728/j and the prefactor from its
-    logarithmic derivative.  Nothing is composed.  ``VectorForm`` checks the
-    exponents and the unit leading coefficients, ``mlde_check`` the level-0
-    MLDE, each with InternalMismatch at the first differing index.
+    ``VectorForm`` checks the exponents and the unit leading coefficients,
+    ``mlde_check`` the level-0 MLDE, each with InternalMismatch at the
+    first differing index.
     """
-    base = hypergeometric.base_forms(order)
-    first, second = (hypergeometric.component_series(r, base) for r in rep.recipes)
+    base = hypergeometric.base_forms(order + r)
+    first, second = (
+        hypergeometric.component_series(recipe, base, n)
+        for recipe, n in zip(rep.recipes, (order + r, order))
+    )
     form = VectorForm(first=first, second=second, rep=rep, level=0, base=base)
     mlde_check(form)
     return form
@@ -191,11 +192,12 @@ def weight_levels(rep: ReprData, order: int, r: int) -> Iterator[VectorForm]:
     """Levels 0, 1, 2, ... of ``rep``'s chain, each raised only when asked for.
 
     Each raise uses up one body coefficient of the first component, whose
-    leading term it cancels, so the minimal form is built at order + r and
-    level r, which h is read from, keeps ``order``.  ``minimal_form`` proves
-    level 0 against its MLDE; the raised levels are the caller's to prove.
+    leading term it cancels, so the minimal form builds it at order + r and
+    level r, which h is read from, keeps ``order``; the second, which no
+    raise moves, is built, raised and checked at ``order``.  ``minimal_form``
+    proves level 0 against its MLDE; the raised levels are the caller's.
     """
-    form = minimal_form(rep, order + r)
+    form = minimal_form(rep, order, r)
     while True:
         yield form
         form = raise_weight(form)
@@ -258,8 +260,9 @@ def mlde_check(form: VectorForm) -> tuple[Fraction, int]:
     coefficient times the MLDE series, f_i - residual_i / W(i).  A zero
     component would pass; ``VectorForm`` refuses one.
     """
-    for component, recipe in zip((form.first, form.second), form.rep.recipes):
-        coefficients = hypergeometric.mlde_coefficients(form.level, recipe, form.base)
+    recipe = form.rep.recipes[0]  # either: both components solve one equation
+    coefficients = hypergeometric.mlde_coefficients(form.level, recipe, form.base)
+    for component in (form.first, form.second):
         residual = apply_ode(coefficients, component)
         i = residual.valuation()
         if i is not None:

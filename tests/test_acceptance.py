@@ -43,10 +43,11 @@ def test_criterion_2_minimal_form_shape():
 
 
 def test_criterion_2_names_each_pair_that_fails_to_build(monkeypatch):
-    """With every 2F1 doubled, VectorForm refuses each minimal form for
-    its leading coefficients, and criterion 2 names every pair."""
-    bumped = acceptance._bumped(hypergeometric.pulled_back_2f1, 0, lambda *_: True)
-    monkeypatch.setattr(hypergeometric, "pulled_back_2f1", bumped)
+    """With every Phi = E4^-3P F(1728/j) doubled, VectorForm refuses each
+    minimal form for its leading coefficients, and criterion 2 names every
+    pair."""
+    bumped = acceptance._bumped(hypergeometric.gauged_2f1, 0, lambda *_: True)
+    monkeypatch.setattr(hypergeometric, "gauged_2f1", bumped)
     acceptance._minimal.cache_clear()
     try:
         result = acceptance.check_minimal_form_shape()

@@ -133,10 +133,10 @@ def test_verify_builds_each_form_once(capsys, build_counts):
         "ode-solutions",
     ]
     assert all(c["pass"] for c in checks)
-    # each check states its order: W at level k through terms + r - k, as
-    # raising drops one term of the first component; {h} and h y2 through terms
+    # each check states its order: W at every level through terms, as the
+    # second component is built at terms; {h} and h y2 through terms too
     _, wronskians, schwarzian, ode = (c["detail"] for c in checks)
-    assert "level 0: c=2/7, Delta^1 through 11 terms" in wronskians
+    assert "level 0: c=2/7, Delta^1 through 10 terms" in wronskians
     assert "level 1: c=-162432/133, Delta^2 through 10 terms" in wronskians
     assert schwarzian.endswith("E4 through 10 terms")
     assert ode.endswith("so h = y1/y2, through 10 terms")
@@ -152,7 +152,7 @@ def test_vvmf_raises_each_level_once(capsys, build_counts):
     payload = json.loads(out)
     assert payload["results"]["raising"]["second_ratio"] == "24/19"
     wronskians = payload["checks"][0]["detail"]
-    assert "level 0: c=2/7, Delta^1 through 11 terms" in wronskians
+    assert "level 0: c=2/7, Delta^1 through 10 terms" in wronskians
     assert "level 1: c=-162432/133, Delta^2 through 10 terms" in wronskians
 
 
@@ -208,7 +208,7 @@ def test_failed_wronskian_below_r_does_not_stop_verify(capsys, monkeypatch):
         {
             "name": "wronskian-delta-power",
             "pass": False,
-            "detail": "levels 0..2; level 0: c=2/7, Delta^1 through 12 terms; level 2: "
+            "detail": "levels 0..2; level 0: c=2/7, Delta^1 through 10 terms; level 2: "
             "c=24980742144/8113, Delta^3 through 10 terms; level 1: "
             "NotProportionalToDeltaPower: seeded",
         },
@@ -242,7 +242,7 @@ def test_solver_and_cli_build_levels_only_through_weight_levels():
 # verify and vvmf of (7, 9, 10) with the D E4 coefficient of the raising step
 # mutated: level 1 keeps its exponents, and its literal W fails at q^1
 MUTATED_LEVEL_1 = (
-    "levels 0..1; level 0: c=2/7, Delta^1 through 11 terms; level 1: "
+    "levels 0..1; level 0: c=2/7, Delta^1 through 10 terms; level 1: "
     "NotProportionalToDeltaPower: W / Delta**2 has nonconstant coefficient "
     "58867200/361 at q^1"
 )
@@ -333,7 +333,7 @@ def test_refused_raise_is_reported_at_its_level(capsys, monkeypatch, command):
     wronskian = {
         "name": "wronskian-delta-power",
         "pass": False,
-        "detail": f"levels 0..1; level 0: c=2/7, Delta^1 through 11 terms; level 1: {refused}",
+        "detail": f"levels 0..1; level 0: c=2/7, Delta^1 through 10 terms; level 1: {refused}",
     }
     if command == "verify":
         assert payload["checks"] == [

@@ -4,7 +4,8 @@ The in-test Pochhammer oracle recomputes 2F1 coefficients from the rising
 factorial definition, independently of the package's term-ratio recurrence.
 The components' two routes are checked against references built here:
 F(1728/j) by substituting 1728/j into the 2F1 series (``QSeries.compose``),
-and the MLDE Frobenius series from its recurrence over plain ``Fraction``s.
+which E4^-3P turns into the package's Phi, and the MLDE Frobenius series
+from its recurrence over plain ``Fraction``s.
 """
 
 import ast
@@ -25,6 +26,7 @@ from schwarzian import (
     ReprData,
     base_forms,
     component_series,
+    eisenstein,
     eta_power,
     hypergeom_coeffs,
     hypergeometric,
@@ -113,10 +115,13 @@ def test_component_series_shape():
     # unit leading (InternalMismatch otherwise), which hold for each part.
     for m, n in ((7, 1), (7, 2)):
         for rec in ReprData(m, n).recipes:
-            s = component_series(rec, base_forms(10))
+            s = component_series(rec, base_forms(10), 10)
             assert s.offset == rec.offset
             assert s.leading == 1
             assert s.order == 10
+            # a shorter component from the same base forms is a prefix
+            short = component_series(rec, base_forms(10), 6)
+            assert short.order == 6 and short == s
 
 
 def test_base_forms_raises_on_every_call_for_order_zero():
@@ -183,20 +188,29 @@ def mlde_reference(m, s, order):
 
 
 def check_both_routes(m, n_prime, order):
+    """Each component is (Delta/q)^alpha Phi, with Phi = E4^-3P F(1728/j) for
+    F substituted here, and equals the MLDE's Frobenius series.  The two
+    components' alphas, 1/2 +- n'/2m, sum to 1, so their (Delta/q)^alpha
+    multiply to Delta/q."""
     base = base_forms(order)
     jinv = j_inverse(order + 1)
+    e4 = eisenstein(4, order)
+    delta_powers = []
     for rec in ReprData(m, n_prime).recipes:
         substituted = hypergeom_coeffs(rec.params, order).compose(jinv)
-        assert hypergeometric.pulled_back_2f1(rec.params, base) == substituted
-        component = component_series(rec, base)
+        phi = hypergeometric.gauged_2f1(rec, base, order)
+        assert substituted * e4.pow_rational(-3 * rec.outer_power) == phi
+        component = component_series(rec, base, order)
         assert component.offset == rec.offset
         assert component.order == order
         assert list(component.body.coeffs) == mlde_reference(m, rec.signed_residue, order)
+        delta_powers.append(component.body / phi)
+    assert delta_powers[0] * delta_powers[1] == eta_power(24, order).body
 
 
 @pytest.mark.parametrize("m, n_prime", SHAPE_GRID)
 def test_components_match_substitution_and_mlde_on_shape_grid(m, n_prime):
-    check_both_routes(m, n_prime, 16)
+    check_both_routes(m, n_prime, 40)
 
 
 @given(st.integers(7, 40), st.data(), st.integers(2, 25))
@@ -208,12 +222,12 @@ def test_components_match_substitution_and_mlde(m, data, order):
     check_both_routes(m, n_prime, order)
 
 
-@pytest.mark.parametrize("route", ["pulled_back_2f1", "mlde_coefficients"])
+@pytest.mark.parametrize("route", ["gauged_2f1", "mlde_coefficients"])
 @pytest.mark.parametrize("index", [0, 1, 4, 11])
 def test_bumped_route_names_its_index(monkeypatch, route, index):
-    """One coefficient of either route, the 2F1 series or the MLDE's P0,
-    bumped by 1/3 makes the minimal form fail at exactly that index: a
-    bumped 2F1 its unit-leading check at q^0 and ``vvmf.mlde_check`` above,
+    """One coefficient of either route, Phi = E4^-3P F(1728/j) or the MLDE's
+    P0, bumped by 1/3 makes the minimal form fail at exactly that index: a
+    bumped Phi its unit-leading check at q^0 and ``vvmf.mlde_check`` above,
     a bumped P0 ``vvmf.mlde_check`` at every index."""
     original = getattr(hypergeometric, route)
 
@@ -224,7 +238,7 @@ def test_bumped_route_names_its_index(monkeypatch, route, index):
 
     def bumped(*args):
         out = original(*args)
-        return bump(out) if route == "pulled_back_2f1" else (bump(out[0]), *out[1:])
+        return bump(out) if route == "gauged_2f1" else (bump(out[0]), *out[1:])
 
     monkeypatch.setattr(hypergeometric, route, bumped)
     with pytest.raises(InternalMismatch) as info:
@@ -241,4 +255,4 @@ def test_component_equals_the_substituted_formula():
     for rec in ReprData(11, 3).recipes:
         prefactor = eta_power(10, order).body * u.pow_rational(rec.outer_power)
         want = prefactor * hypergeom_coeffs(rec.params, order).compose(jinv)
-        assert component_series(rec, base_forms(order)).body == want
+        assert component_series(rec, base_forms(order), order).body == want

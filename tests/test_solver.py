@@ -244,8 +244,9 @@ def test_ode_stage_names_first_wrong_coefficient_of_h(monkeypatch, k):
 
 
 def test_solve_checks_the_ode_once_without_square_roots(monkeypatch):
-    """solve checks each level's MLDE once per component and computes no
-    literal Wronskian, Schwarzian or ODE residual, and no square root."""
+    """solve builds each level's MLDE once, for both components, and
+    computes no literal Wronskian, Schwarzian or ODE residual, and no
+    square root."""
     literal = [
         (solver, "verify_ode"),
         (solver, "schwarz_derivative"),
@@ -272,7 +273,7 @@ def test_solve_checks_the_ode_once_without_square_roots(monkeypatch):
     monkeypatch.setattr(hypergeometric, "mlde_coefficients", recorded)
     solve(7, 9, 40)  # levels 0 and 1
     assert set(calls.values()) == {0}
-    assert mlde_levels == [0, 0, 1, 1]
+    assert mlde_levels == [0, 1]
 
 
 def raise_weight_with_de4_coefficient_2(form, _raise_weight=vvmf.raise_weight):
@@ -498,6 +499,43 @@ def test_solve_agrees_with_the_literal_checks(m, data, order):
     h = bundle.h
     assert bundle.schwarz_constant == verify_proportionality(schwarz_derivative(h))
     assert verify_ode(h * ode_solutions(h)[1], bundle.ode_parameter)
+
+
+# coprime (m, n') with m <= 13, and r <= 100 raises
+RAISED_TRIPLES = st.integers(7, 13).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.integers(1, m - 1).filter(lambda n: gcd(m, n) == 1),
+        st.integers(0, 100),
+    )
+)
+
+
+@given(RAISED_TRIPLES, st.integers(4, 8))
+@example((7, 1, 100), 8)
+@example((13, 12, 100), 4)
+@settings(max_examples=25, deadline=None)
+def test_raised_pairs_check_every_level_at_the_requested_order(triple, order):
+    """For n = r m + n' with r up to 100, solve checks each of levels 0..r
+    once, with both components through at least ``order`` terms and the
+    second, whose exponent no raise moves, through exactly ``order``; and
+    h is the ratio y1 / y2 of the Frobenius solutions."""
+    m, n_prime, r = triple
+    seen = []
+    original = vvmf.mlde_check
+
+    def recorded(form):
+        seen.append((form.level, form.first.order, form.second.order))
+        return original(form)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vvmf, "mlde_check", recorded)
+        h = solve(m, r * m + n_prime, order).h
+    assert [level for level, _, _ in seen] == list(range(r + 1))
+    assert all(first >= order and second == order for _, first, second in seen)
+    y1, y2 = ode_solutions(h)
+    assert h.order == order
+    assert h == y1 / y2
 
 
 def test_bundle_stores_only_what_solve_computed():

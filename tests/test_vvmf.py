@@ -160,22 +160,22 @@ def test_mlde_check_catches_wrong_base(field, index):
 
 
 def test_mlde_check_names_the_frobenius_coefficient(monkeypatch):
-    """The 2F1 of (7, 1)'s first component bumped by 1 at q^1, as the seeded
-    bug check does: the message gives the body's coefficient there and the
-    leading coefficient times the MLDE's Frobenius series,
-    f_1 - residual_1 / W(1)."""
-    first = ReprData(7, 1).recipes[0].params
-    original = hypergeometric.pulled_back_2f1
+    """Phi = E4^-3P F(1728/j) of (7, 1)'s first component bumped by 1 at
+    q^1, as the seeded bug check does: the message gives the body's
+    coefficient there and the leading coefficient times the MLDE's
+    Frobenius series, f_1 - residual_1 / W(1)."""
+    first = ReprData(7, 1).recipes[0]
+    original = hypergeometric.gauged_2f1
 
-    def bumped(params, base):
-        out = original(params, base)
-        if params != first:
+    def bumped(recipe, base, order):
+        out = original(recipe, base, order)
+        if recipe != first:
             return out
         cs = list(out.coeffs)
         cs[1] += 1
         return QSeries(cs)
 
-    monkeypatch.setattr(hypergeometric, "pulled_back_2f1", bumped)
+    monkeypatch.setattr(hypergeometric, "gauged_2f1", bumped)
     with pytest.raises(InternalMismatch) as info:
         minimal_form(ReprData(7, 1), 12)
     assert info.value.index == 1
