@@ -13,8 +13,8 @@ order, so no tree always runs first (with a fixed order, swapping two
 trees flipped which one read faster).  Each process warms up with
 ``solve(7, 1, 30)``; every call after that is a warm call.  It then
 times ``--repeats`` calls of each function at N = 60, 120 and 240, and
-``--long-repeats`` calls of each long cell: ``solve`` at N = 480 and
-``solve_sweep``, solve(7, 7r + 1, 10) with r raises, keyed by r.
+one call of each long cell: ``solve`` at N = 480 and ``solve_sweep``,
+solve(7, 7r + 1, 10) with r raises, keyed by r.
 ``solve_raised`` is solve(9, 38, N), which raises the minimal form four
 times.  ``hypergeometric.base_forms`` is cached per order within a
 process, so in a tree that has the cache every timed call after the
@@ -27,7 +27,8 @@ times in seconds, with the Python version and the platform: ``pooled``,
 the median and quartiles of every call of every process, and
 ``fastest``, the median and quartiles over processes of each process's
 fastest call.  On a shared host a process's fastest call moves far less
-than the pooled median, so ``fastest`` is the one to read.  ``speedup``
+than the pooled median, so ``fastest`` is the one to read; a long cell's
+one call is its fastest, so its two summaries agree.  ``speedup``
 compares the first tree with each other tree three ways: ``pooled`` and
 ``fastest`` divide the two summaries' medians, and ``paired`` gives the
 median and quartiles, over the rounds, of the first tree's fastest call
@@ -54,7 +55,7 @@ LONG_ORDER = 480
 SWEEP = (100, 200, 400)  # raises r of solve(7, 7r + 1, 10)
 
 
-def measure(repeats: int, long_repeats: int) -> dict:
+def measure(repeats: int) -> dict:
     """Wall times of the calls of every cell, in this process."""
     from schwarzian import minimal_form, ReprData, solve
 
@@ -68,10 +69,9 @@ def measure(repeats: int, long_repeats: int) -> dict:
         )
         for order in ORDERS
     ]
-    cells.append(("solve", str(LONG_ORDER), lambda n: solve(*PAIR, n), long_repeats))
+    cells.append(("solve", str(LONG_ORDER), lambda n: solve(*PAIR, n), 1))
     cells += [
-        ("solve_sweep", str(r), lambda r: solve(7, 7 * r + 1, 10), long_repeats)
-        for r in SWEEP
+        ("solve_sweep", str(r), lambda r: solve(7, 7 * r + 1, 10), 1) for r in SWEEP
     ]
     times: dict = {}
     for name, key, call, count in cells:
@@ -95,11 +95,10 @@ def main() -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--rounds", type=int, default=4)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--long-repeats", type=int, default=1)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        print(json.dumps(measure(args.repeats, args.long_repeats)))
+        print(json.dumps(measure(args.repeats)))
         return 0
     if not args.tree or args.out is None:
         parser.error("give at least one --tree and --out")
@@ -111,11 +110,7 @@ def main() -> int:
         for name in reversed(trees) if r % 2 else trees:
             path = trees[name]
             out = subprocess.run(
-                [
-                    sys.executable, __file__, "--worker",
-                    "--repeats", str(args.repeats),
-                    "--long-repeats", str(args.long_repeats),
-                ],
+                [sys.executable, __file__, "--worker", "--repeats", str(args.repeats)],
                 env={"PYTHONPATH": str(Path(path).resolve() / "src")},
                 capture_output=True,
                 text=True,
@@ -168,7 +163,6 @@ def main() -> int:
         "platform": platform.platform(),
         "rounds": args.rounds,
         "repeats": args.repeats,
-        "long_repeats": args.long_repeats,
         "unit": "s",
         "trees": results,
         "speedup": speedup,

@@ -215,12 +215,12 @@ def gauged_2f1(recipe: ComponentRecipe, base: BaseForms, order: int) -> QSeries:
     return solve_ode((p0, p1, base.a), 0, order)
 
 
-def mlde_coefficients(level: int, recipe: ComponentRecipe, base: BaseForms):
-    """(P0, P1, 1), to ``base.order`` terms, of the MLDE that ``recipe``'s
-    component raised ``level`` times solves (module docstring), with
-    e = level + 1 and n_k = level m + |s|, for ``series.apply_ode``."""
+def mlde_coefficients(level: int, m: int, n_prime: int, base: BaseForms):
+    """(P0, P1, 1), to ``base.order`` terms, of the MLDE that both components
+    of the pair (m, n') solve after ``level`` raises (module docstring), with
+    e = level + 1 and n_k = level m + n', for ``series.apply_ode``."""
     e = level + 1
-    w = Fraction(abs(recipe.signed_residue) + level * recipe.m, 2 * recipe.m)
+    w = Fraction(n_prime + level * m, 2 * m)
     e2_squared = Fraction(e * (6 * e - 1), 24)  # e^2/4 - e/24
     p0 = base.e2_squared * e2_squared + base.e4 * (Fraction(e, 24) - w * w)
     return p0, base.e2 * -e, 1

@@ -260,8 +260,9 @@ def mlde_check(form: VectorForm) -> tuple[Fraction, int]:
     coefficient times the MLDE series, f_i - residual_i / W(i).  A zero
     component would pass; ``VectorForm`` refuses one.
     """
-    recipe = form.rep.recipes[0]  # either: both components solve one equation
-    coefficients = hypergeometric.mlde_coefficients(form.level, recipe, form.base)
+    coefficients = hypergeometric.mlde_coefficients(
+        form.level, form.rep.m, form.rep.n_prime, form.base
+    )
     for component in (form.first, form.second):
         residual = apply_ode(coefficients, component)
         i = residual.valuation()

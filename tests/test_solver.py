@@ -263,9 +263,9 @@ def test_solve_checks_the_ode_once_without_square_roots(monkeypatch):
 
         return wrapper
 
-    def recorded(level, recipe, base, _original=hypergeometric.mlde_coefficients):
+    def recorded(level, *args, _original=hypergeometric.mlde_coefficients):
         mlde_levels.append(level)
-        return _original(level, recipe, base)
+        return _original(level, *args)
 
     monkeypatch.setattr(PuiseuxSeries, "sqrt", counted("sqrt", PuiseuxSeries.sqrt))
     for owner, name in literal:

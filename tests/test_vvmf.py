@@ -8,6 +8,7 @@ list arithmetic, before this package existed.
 
 import dataclasses
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -364,10 +365,11 @@ def _terms(s):
     "m, n, order", [(m, m + n, 20) for m, n in SHAPE_GRID] + [(9, 38, 30)]
 )
 def test_raise_weight_matches_reference_operator(m, n, order):
-    """Every level that solve(m, n, order) raises to, exactly and to the
-    same order as the reference."""
+    """Every level that solve(m, n, order) raises to, built as
+    ``weight_levels`` builds it, exactly and to the same order as the
+    reference."""
     rep, r = vvmf.split_n(m, n)
-    form = minimal_form(rep, order + r)
+    form = minimal_form(rep, order, r)
     for _ in range(r):
         want = _reference_raise(form)
         form = raise_weight(form)
@@ -375,8 +377,9 @@ def test_raise_weight_matches_reference_operator(m, n, order):
 
 
 # sha256, as in COMPONENT_SHA256, of both components at every level 0..r of
-# the form that solve(m, n, 30) raises, computed while raise_weight still
-# built E2, E4 and E6 and took the Serre derivative at every level.
+# minimal_form(rep, 30 + r), the chain with both components at 30 + r terms,
+# computed while raise_weight still built E2, E4 and E6 and took the Serre
+# derivative at every level.
 RAISED_SHA256 = {
     (9, 38, 30): (
         ("c15c1b48e7fcee5114aa36ad85aa0a0deb12a9e2b6e327bf6517315b4e19929b",
@@ -415,13 +418,18 @@ RAISED_SHA256 = {
 
 @pytest.mark.parametrize("m, n, order", sorted(RAISED_SHA256))
 def test_raised_components_golden_hash(m, n, order):
+    """The hashed chain, and the chain solve(m, n, order) raises: at every
+    level its first component is the hashed one and its second is the
+    hashed one's first ``order`` terms."""
     rep, r = vvmf.split_n(m, n)
-    form = minimal_form(rep, order + r)
-    digests = [_digests(form)]
-    for _ in range(r):
-        form = raise_weight(form)
-        digests.append(_digests(form))
-    assert tuple(digests) == RAISED_SHA256[(m, n, order)]
+    reference = list(itertools.islice(vvmf.weight_levels(rep, order + r, 0), r + 1))
+    levels = list(itertools.islice(vvmf.weight_levels(rep, order, r), r + 1))
+    assert tuple(map(_digests, reference)) == RAISED_SHA256[(m, n, order)]
+    for want, form in zip(reference, levels):
+        assert _terms(form.first) == _terms(want.first)
+        offset, coeffs = _terms(want.second)
+        assert _terms(form.second) == (offset, coeffs[:order])
+        assert len(form.second.body.coeffs) == order
 
 
 def test_one_base_build_per_form_and_no_composition(build_counts, construction_counts):
