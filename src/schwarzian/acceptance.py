@@ -118,13 +118,15 @@ def _solved(m: int, n: int, order: int) -> solver.SolutionBundle:
 
 @lru_cache(maxsize=None)
 def _minimal(m: int, n_prime: int) -> vvmf.VectorForm:
-    """The minimal form of a SHAPE_GRID pair, shared by criteria 2-4."""
-    return vvmf.minimal_form(vvmf.ReprData(m, n_prime), ORDER)
+    """The minimal form of a SHAPE_GRID pair as ``vvmf.weight_levels(rep,
+    ORDER, 1)`` builds it, its first component at ORDER + 1 terms so that
+    one raise leaves ORDER; shared by criteria 2-4."""
+    return next(vvmf.weight_levels(vvmf.ReprData(m, n_prime), ORDER, 1))
 
 
 @lru_cache(maxsize=None)
 def _raised(m: int, n_prime: int) -> vvmf.VectorForm:
-    """That form raised once, shared by criteria 3 and 4."""
+    """That form raised once, the chain's level 1, shared by criteria 3 and 4."""
     return vvmf.raise_weight(_minimal(m, n_prime))
 
 
@@ -187,15 +189,25 @@ def check_minimal_form_shape() -> CheckResult:
 
 
 def check_wronskian_delta_power() -> CheckResult:
-    """Wronskian = (n'/m) Delta at level 0, = c' Delta^2 after one raise."""
+    """Wronskian = (n'/m) Delta at level 0, = c' Delta^2 after one raise,
+    each W checked through the terms that both components of its level
+    hold, which the detail states per level (fewest over the grid)."""
+    through: dict[int, int] = {}
 
     def problems_of(m: int, n_prime: int) -> list[str]:
-        form = _minimal(m, n_prime)
-        levels = [vvmf.wronskian_check(form), vvmf.wronskian_check(_raised(m, n_prime))]
-        return wronskian_problems(form.rep, dict(enumerate(levels)))
+        levels = {}
+        for form in (_minimal(m, n_prime), _raised(m, n_prime)):
+            levels[form.level] = vvmf.wronskian_check(form)
+            terms = min(form.first.order, form.second.order)
+            through[form.level] = min(through.get(form.level, terms), terms)
+        return wronskian_problems(form.rep, levels)
 
-    detail = f"{len(SHAPE_GRID)} pairs, levels 0 and 1, order {ORDER}"
-    return verdict("wronskian-delta-power", detail, _over(SHAPE_GRID, problems_of))
+    problems = _over(SHAPE_GRID, problems_of)
+    detail = f"{len(SHAPE_GRID)} pairs" + "".join(
+        f"; level {level} through {terms} terms"
+        for level, terms in sorted(through.items())
+    )
+    return verdict("wronskian-delta-power", detail, problems)
 
 
 def check_raising_constants() -> CheckResult:

@@ -19,25 +19,17 @@ linear equations in D with coefficients from ``base_forms``; no series
 is substituted into another.
 
 * (Delta/q)^alpha solves D g + alpha (1 - E2) g = 0, as D Delta = E2 Delta.
-* Phi: with D z = z E6/E4 and 1 - z = E6^2/E4^3 for z = 1728/j,
-  theta_z = (E4/E6) D, and the hypergeometric equation, times E4^3 E6,
-  reads A D^2 F + B DF + C F = 0 with A = E4^2 E6, C = -a b 1728 Delta E6,
-  B = b0 + (c-1) E4^4 - (a+b) 1728 Delta E4 and, by Ramanujan's
-  E2 E4 = 3 D E4 + E6, b0 = (1728 Delta - E6 D E4) E4 / 2.  The gauge
-  change F = E4^beta Phi, beta = 3P, with u = D E4 / E4, gives
-  A D^2 Phi + (B + 2 beta A u) D Phi
-  + (C + beta B u + beta A D u + beta^2 A u^2) Phi = 0, a series equation
-  as A u = E4 E6 D E4 = 1728 Delta E4 - 2 b0:
+* Phi: with w = s/2m, so that (a, b; c) = (w + 1/12, w + 5/12; 2w + 1),
+  D z = z E6/E4 for z = 1728/j and theta_z = (E4/E6) D, Ramanujan's
+  identities turn the hypergeometric equation, with F = E4^3P Phi, into
+  E4^(3P - 1) times
 
-      P2 = E4^2 E6,
-      P1 = b0 (1 - 4 beta) + (2 beta - a - b) 1728 Delta E4 + (c - 1) E4^4,
-      P0 = -a b 1728 Delta E6 + beta (1/2 - a - b) 1728 Delta D E4
-           + beta (c - 1) E4^3 D E4 + (beta^2 - 3 beta/2) E6 (D E4)^2
-           + beta E4 E6 D^2 E4.
+      D^2 Phi + 2w E2 D Phi + w (12w + 1) D E2 Phi = 0,   D E2 = (E2^2 - E4)/12.
 
-  P2(0) = 1, P1(0) = c - 1 and P0(0) = 0: the indicial polynomial
-  k (k + c - 1) has the root 0 and, as c is not a nonpositive integer,
-  no positive integer root.
+  D E2 has no constant term, so the indicial polynomial is k (k + 2w) =
+  k (k + c - 1): the root 0 and, as c is not a nonpositive integer, no
+  positive integer root.  A sympy test in ``tests/test_hypergeometric.py``
+  proves this reduction over Q(w), so for every (m, n').
 
 A second route checks the same components: the level-k form
 (``vvmf.raise_weight`` applied k times) has weight 5 + 6k and exponent
@@ -109,11 +101,6 @@ class ComponentRecipe:
     signed_residue: int
 
     @property
-    def outer_power(self) -> Fraction:
-        """Exponent of 1728/j, s/2m + 1/12."""
-        return Fraction(self.signed_residue, 2 * self.m) + Fraction(1, 12)
-
-    @property
     def params(self) -> HypergeomParams:
         """(s/2m + 1/12, s/2m + 5/12; s/m + 1)."""
         w = Fraction(self.signed_residue, 2 * self.m)
@@ -130,28 +117,16 @@ class BaseForms:
     """The level-one series that both components of a minimal form read,
     and that ``vvmf`` raises and checks every level of that form against.
 
-    Each holds ``order`` terms.  ``a``, ``b0``, ``e4_fourth``,
-    ``delta_e4``, ``delta_e6``, ``delta_de4``, ``e4_cubed_de4``,
-    ``e6_de4_squared`` and ``e4_e6_d2e4`` are E4^2 E6, b0, E4^4 and 1728
-    Delta times E4, E6 and D E4, E4^3 D E4, E6 (D E4)^2 and E4 E6 D^2 E4,
-    the pieces of Phi's equation (module docstring).  E2 feeds
-    (Delta/q)^alpha, E2, E2^2 and E4 the MLDE check of every level, E2 also
-    the literal Wronskian checks, and E4 and E6 the weight raising.
+    Each holds ``order`` terms.  E2 feeds (Delta/q)^alpha, and with its
+    derivative Phi's equation (module docstring); E2, E2^2 and E4 the MLDE
+    check of every level, E2 also the literal Wronskian checks, and E4 and
+    E6 the weight raising.
     """
 
     e2: QSeries
     e2_squared: QSeries
     e4: QSeries
     e6: QSeries
-    a: QSeries
-    b0: QSeries
-    e4_fourth: QSeries
-    delta_e4: QSeries
-    delta_e6: QSeries
-    delta_de4: QSeries
-    e4_cubed_de4: QSeries
-    e6_de4_squared: QSeries
-    e4_e6_d2e4: QSeries
 
     @property
     def order(self) -> int:
@@ -160,12 +135,11 @@ class BaseForms:
 
 @lru_cache(maxsize=16)
 def base_forms(order: int) -> BaseForms:
-    """Build E2, E4, E6, Delta and the products in Phi's equation, to
-    ``order``, once per order per process.
+    """Build E2, E4, E6 and E2^2 to ``order``, once per order per process.
 
-    ``forms.delta`` runs first on every build: it checks eta**24 against
-    (E4^3 - E6^2)/1728, so a corrupted E4, E6 or eta**24 stops here at the
-    index it differs.  Every later minimal form, and so every
+    ``forms.delta`` runs first on every build, as a check: it compares
+    eta**24 with (E4^3 - E6^2)/1728, so a corrupted E4, E6 or eta**24 stops
+    here at the index it differs.  Every later minimal form, and so every
     ``solver.solve``, at a built order reuses the same ``BaseForms``, which
     is safe as it is frozen and each ``QSeries`` holds integer tuples; an
     exception is not cached, so ``base_forms(0)`` raises on every call.  A
@@ -174,45 +148,17 @@ def base_forms(order: int) -> BaseForms:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    delta = forms.delta(order) * 1728
+    forms.delta(order)
     e2, e4, e6 = (forms.eisenstein(k, order) for k in (2, 4, 6))
-    de4 = e4.derive()
-    e4_e6 = e4 * e6
-    e4_squared = e4 * e4
-    e4_fourth = e4_squared * e4_squared
-    delta_e4 = delta * e4
-    return BaseForms(
-        e2=e2,
-        e2_squared=e2 * e2,
-        e4=e4,
-        e6=e6,
-        a=e4 * e4_e6,
-        b0=(delta_e4 - e4_e6 * de4) / 2,
-        e4_fourth=e4_fourth,
-        delta_e4=delta_e4,
-        delta_e6=delta * e6,
-        delta_de4=delta * de4,
-        e4_cubed_de4=e4_fourth.derive() / 4,  # D E4^4 = 4 E4^3 D E4
-        e6_de4_squared=e6 * (de4 * de4),
-        e4_e6_d2e4=e4_e6 * de4.derive(),
-    )
+    return BaseForms(e2=e2, e2_squared=e2 * e2, e4=e4, e6=e6)
 
 
 def gauged_2f1(recipe: ComponentRecipe, base: BaseForms, order: int) -> QSeries:
     """Phi = E4^-3P F(a, b; c; 1728/j) to ``order`` <= ``base.order`` terms:
-    the solution 1 + ... of its equation, with beta = 3P (module docstring)."""
-    a, b, c = recipe.params.a, recipe.params.b, recipe.params.c
-    beta = 3 * recipe.outer_power
-    p1 = base.b0 * (1 - 4 * beta) + base.delta_e4 * (2 * beta - a - b)
-    p1 += base.e4_fourth * (c - 1)
-    p0 = (
-        base.delta_e6 * (-a * b)
-        + base.delta_de4 * (beta * (Fraction(1, 2) - a - b))
-        + base.e4_cubed_de4 * (beta * (c - 1))
-        + base.e6_de4_squared * (beta * beta - 3 * beta / 2)
-        + base.e4_e6_d2e4 * beta
-    )
-    return solve_ode((p0, p1, base.a), 0, order)
+    the solution 1 + ... of its reduced equation (module docstring)."""
+    w = Fraction(recipe.signed_residue, 2 * recipe.m)
+    de2 = base.e2.derive()
+    return solve_ode((de2 * (w * (12 * w + 1)), base.e2 * (2 * w), 1), 0, order)
 
 
 def mlde_coefficients(level: int, m: int, n_prime: int, base: BaseForms):

@@ -8,9 +8,11 @@ coefficient cancels exactly; its exponent moves up by 1 while the second
 component's exponent stays put.  Each raise adds 6 to the weight.  By
 Ramanujan's E2 E4 = 3 D E4 + E6 the step applies X - (1/pivot) E4 D to F
 (``series.apply_ode``), X = (1 + k/12 pivot) E6 + (k/4 pivot) D E4 from
-the E4 and E6 of the ``BaseForms`` every form keeps from its minimal form.
-``VectorForm`` is the one check of that shape, and ``weight_levels`` the
-one chain of levels that ``solver.solve`` and the CLI read.
+the E4 and E6 of the ``BaseForms`` (E2, E2^2, E4 and E6) every form keeps
+from its minimal form.  ``VectorForm`` is the one check of that shape,
+which refuses a zero component before it reads the exponents, and
+``weight_levels`` the one chain of levels that ``solver.solve``, the CLI
+and the acceptance battery read.
 
 The Wronskian W(F) = D(f1) f2 - f1 D(f2) of a form with exponents summing to
 the integer e must be a nonzero constant multiple of Delta**e.  As D Delta =
@@ -103,9 +105,10 @@ class VectorForm:
     ``base`` that its minimal form was built from and every raise keeps.
 
     Construction checks the form's shape, in this order, each failure an
-    InternalMismatch at index 0: the exponents are (m + n')/2m + level and
-    (m - n')/2m, neither component is zero to working order, and at level 0
-    both leading coefficients are 1.  No other code checks them.
+    InternalMismatch at index 0: neither component is zero to working order
+    (a zero series' offset is only a convention), the exponents are
+    (m + n')/2m + level and (m - n')/2m, and at level 0 both leading
+    coefficients are 1.  No other code checks them.
     """
 
     first: PuiseuxSeries
@@ -115,6 +118,10 @@ class VectorForm:
     base: BaseForms
 
     def __post_init__(self):
+        if self.first.is_zero() or self.second.is_zero():
+            raise InternalMismatch(
+                f"level {self.level}: a component vanishes to working order", index=0
+            )
         first, second = self.rep.recipes
         want = (first.offset + self.level, second.offset)
         if (self.first.offset, self.second.offset) != want:
@@ -122,10 +129,6 @@ class VectorForm:
                 f"level {self.level}: exponents {self.first.offset}, "
                 f"{self.second.offset}, expected {want[0]}, {want[1]}",
                 index=0,
-            )
-        if self.first.is_zero() or self.second.is_zero():
-            raise InternalMismatch(
-                f"level {self.level}: a component vanishes to working order", index=0
             )
         if self.level == 0 and (self.first.leading, self.second.leading) != (1, 1):
             raise InternalMismatch(

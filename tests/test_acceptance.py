@@ -24,6 +24,7 @@ from schwarzian import (
     hypergeometric,
     numeric,
     solver,
+    vvmf,
 )
 from schwarzian.errors import NotProportional, OdeResidualNonzero, VerificationError
 
@@ -63,6 +64,33 @@ def test_criterion_2_names_each_pair_that_fails_to_build(monkeypatch):
 
 def test_criterion_3_wronskian_delta_power():
     _report(acceptance.check_wronskian_delta_power())
+
+
+def test_criterion_3_checks_both_levels_through_order_terms(monkeypatch):
+    """Levels 0 and 1 come from one chain, ``vvmf.weight_levels(rep, ORDER,
+    1)``, so the raise that uses up a term of the first component still
+    leaves ORDER, and every W is checked through ORDER terms."""
+    checked = []
+    original = vvmf.wronskian_check
+
+    def recorded(form):
+        checked.append((form.level, min(form.first.order, form.second.order)))
+        return original(form)
+
+    monkeypatch.setattr(vvmf, "wronskian_check", recorded)
+    acceptance._minimal.cache_clear()
+    acceptance._raised.cache_clear()
+    try:
+        result = acceptance.check_wronskian_delta_power()
+    finally:
+        acceptance._minimal.cache_clear()
+        acceptance._raised.cache_clear()
+    order, pairs = acceptance.ORDER, len(acceptance.SHAPE_GRID)
+    assert result.passed, result.detail
+    assert checked == [(0, order), (1, order)] * pairs
+    assert result.detail == (
+        f"{pairs} pairs; level 0 through {order} terms; level 1 through {order} terms"
+    )
 
 
 def test_criterion_4_raising_constants():

@@ -5,7 +5,8 @@ factorial definition, independently of the package's term-ratio recurrence.
 The components' two routes are checked against references built here:
 F(1728/j) by substituting 1728/j into the 2F1 series (``QSeries.compose``),
 which E4^-3P turns into the package's Phi, and the MLDE Frobenius series
-from its recurrence over plain ``Fraction``s.
+from its recurrence over plain ``Fraction``s.  With sympy installed, the
+equation the package solves for Phi is also proved symbolically, over Q(w).
 """
 
 import ast
@@ -14,7 +15,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schwarzian import (
@@ -199,7 +200,7 @@ def check_both_routes(m, n_prime, order):
     for rec in ReprData(m, n_prime).recipes:
         substituted = hypergeom_coeffs(rec.params, order).compose(jinv)
         phi = hypergeometric.gauged_2f1(rec, base, order)
-        assert substituted * e4.pow_rational(-3 * rec.outer_power) == phi
+        assert substituted * e4.pow_rational(-3 * rec.params.a) == phi
         component = component_series(rec, base, order)
         assert component.offset == rec.offset
         assert component.order == order
@@ -213,13 +214,22 @@ def test_components_match_substitution_and_mlde_on_shape_grid(m, n_prime):
     check_both_routes(m, n_prime, 40)
 
 
-@given(st.integers(7, 40), st.data(), st.integers(2, 25))
-@settings(max_examples=40, deadline=None)
-def test_components_match_substitution_and_mlde(m, data, order):
-    n_prime = data.draw(
-        st.integers(1, m - 1).filter(lambda n: gcd(m, n) == 1), label="n_prime"
+# m as large as test_solver's Frobenius-ratio property draws, at small orders
+PAIRS = st.integers(7, 1009).flatmap(
+    lambda m: st.tuples(
+        st.just(m), st.integers(1, m - 1).filter(lambda n: gcd(m, n) == 1)
     )
-    check_both_routes(m, n_prime, order)
+)
+
+
+@given(PAIRS, st.integers(2, 25))
+@example((1009, 1), 8)
+@example((1009, 500), 8)
+@example((997, 13), 12)
+@example((101, 50), 25)
+@settings(max_examples=40, deadline=None)
+def test_components_match_substitution_and_mlde(pair, order):
+    check_both_routes(*pair, order)
 
 
 @pytest.mark.parametrize("route", ["gauged_2f1", "mlde_coefficients"])
@@ -253,6 +263,60 @@ def test_component_equals_the_substituted_formula():
     jinv = j_inverse(order + 1)
     u = PuiseuxSeries(0, jinv).body / 1728
     for rec in ReprData(11, 3).recipes:
-        prefactor = eta_power(10, order).body * u.pow_rational(rec.outer_power)
+        prefactor = eta_power(10, order).body * u.pow_rational(rec.params.a)
         want = prefactor * hypergeom_coeffs(rec.params, order).compose(jinv)
         assert component_series(rec, base_forms(order), order).body == want
+
+
+def test_reduced_equation_symbolically():
+    """Phi's reduced equation, proved over Q(w) for every (m, n') at once,
+    with E2, E4, E6 as symbols and D acting by Ramanujan's identities:
+
+    1. D(1728/j) = (1728/j) E6/E4, with 1728/j = (E4^3 - E6^2)/E4^3;
+    2. with theta = (E4/E6) D, F = E4^3a Phi and (a, b; c) = (w + 1/12,
+       w + 5/12; 2w + 1), the Gauss operator theta (theta + c - 1) F
+       - z (theta + a)(theta + b) F equals
+       E4^(3a - 1) (D^2 + 2w E2 D + w (12w + 1) D E2) Phi;
+    3. with alpha = 1/2 + w and D Delta = E2 Delta, the weight-5
+       Kaneko-Zagier operator applied to Delta^alpha Phi equals
+       Delta^alpha times that reduced operator applied to Phi.
+    """
+    sympy = pytest.importorskip("sympy")
+    w, e2, e4, e6 = sympy.symbols("w E2 E4 E6")
+    e4_3a, delta_alpha = sympy.symbols("E4_3a Delta_alpha")  # E4^3a, Delta^alpha
+    phi = sympy.symbols("Phi0:4")  # Phi, D Phi, D^2 Phi, D^3 Phi
+    a, b, c = w + sympy.Rational(1, 12), w + sympy.Rational(5, 12), 2 * w + 1
+    alpha = sympy.Rational(1, 2) + w
+    de2, de4 = (e2**2 - e4) / 12, (e2 * e4 - e6) / 3
+    derivative = {
+        e2: de2,
+        e4: de4,
+        e6: (e2 * e6 - e4**2) / 2,
+        e4_3a: 3 * a * e4_3a * de4 / e4,
+        delta_alpha: alpha * e2 * delta_alpha,  # D Delta = E2 Delta
+        **{phi[k]: phi[k + 1] for k in range(3)},
+    }
+
+    def D(f):  # noqa: N802
+        return sum(sympy.diff(f, x) * dx for x, dx in derivative.items())
+
+    def is_zero(f):
+        return sympy.cancel(sympy.together(f)) == 0
+
+    z = (e4**3 - e6**2) / e4**3
+    assert is_zero(D(z) - z * e6 / e4)
+
+    def theta(f):
+        return e4 / e6 * D(f)
+
+    F = e4_3a * phi[0]
+    theta_f = theta(F)
+    theta2_f = theta(theta_f)
+    gauss = theta2_f + (c - 1) * theta_f
+    gauss -= z * (theta2_f + (a + b) * theta_f + a * b * F)
+    reduced = phi[2] + 2 * w * e2 * phi[1] + w * (12 * w + 1) * de2 * phi[0]
+    assert is_zero(gauss - e4_3a / e4 * reduced)
+
+    f = delta_alpha * phi[0]
+    p0 = sympy.Rational(5, 24) * e2**2 + (sympy.Rational(1, 24) - w**2) * e4
+    assert is_zero(D(D(f)) - e2 * D(f) + p0 * f - delta_alpha * reduced)

@@ -221,11 +221,20 @@ def test_vector_form_refuses_wrong_exponents():
 
 def test_vector_form_refuses_a_vanishing_component():
     """A component zero to working order at the right exponent passes the
-    MLDE check with W = 0, so VectorForm refuses it, at every level."""
+    MLDE check with W = 0, so VectorForm refuses it, at every level.  It
+    checks for a zero component before the exponents, as a zero series'
+    offset is only a convention: raising a one-term first component leaves
+    it zero at its old offset, and that is reported as a vanishing
+    component, not as a wrong exponent."""
     form = raise_weight(minimal_form(ReprData(7, 2), 12))
     zero = PuiseuxSeries(form.second.offset, QSeries.zero(form.second.order))
     with pytest.raises(InternalMismatch, match="level 1: a component vanishes") as info:
         dataclasses.replace(form, second=zero)
+    assert info.value.index == 0
+    with pytest.raises(
+        InternalMismatch, match="^level 1: a component vanishes to working order$"
+    ) as info:
+        raise_weight(minimal_form(ReprData(7, 1), 1))
     assert info.value.index == 0
 
 
