@@ -1,26 +1,34 @@
 """Time solve(7, 1, N), minimal_form and solve(9, 38, N) at N = 60, 120 and 240,
-solve(7, 1, 480), and solve(7, 7r + 1, 10) at r = 100, 200 and 400, across
-checkouts.
+solve(7, 1, 480), solve(7, 7r + 1, 10) at r = 100, 200 and 400, and cold
+base_forms, solve and acceptance battery calls, across checkouts.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_22.json
+    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_24.json
 
 Each ``--tree NAME=PATH`` names a checkout whose ``src/`` holds the
 package.  Every round runs one fresh process per tree, in turn, so the
 trees share the machine's state; every other round runs them in reverse
 order, so no tree always runs first (with a fixed order, swapping two
 trees flipped which one read faster).  Each process warms up with
-``solve(7, 1, 30)``; every call after that is a warm call.  It then
-times ``--repeats`` calls of each function at N = 60, 120 and 240, and
-one call of each long cell: ``solve`` at N = 480 and ``solve_sweep``,
-solve(7, 7r + 1, 10) with r raises, keyed by r.
+``solve(7, 1, 30)``; every call after that, up to the cold cells, is a
+warm call.  It then times ``--repeats`` calls of each function at N = 60,
+120 and 240, and one call of each long cell: ``solve`` at N = 480 and
+``solve_sweep``, solve(7, 7r + 1, 10) with r raises, keyed by r.
 ``solve_raised`` is solve(9, 38, N), which raises the minimal form four
 times.  ``hypergeometric.base_forms`` is cached per order within a
 process, so in a tree that has the cache every timed call after the
 first at an order reads the cached base forms: the warm-up fills only
 order 30, ``solve`` and ``minimal_form`` share order N, ``solve_raised``
 builds its own at N + 4, and each sweep cell at 10 + r.
+
+The cold cells run last, and each of their ``--repeats`` calls starts
+from an empty ``base_forms`` cache (emptied outside the timed call):
+``base_forms_cold`` is ``hypergeometric.base_forms(N)`` at N = 60 and
+240, ``solve_cold`` is solve(9, 4, 60), keyed by its order, and
+``run_all`` is one ``acceptance.run_all()``, the ``selftest`` battery,
+keyed "battery".  A cold ``solve`` costs what the first ``solve`` at its
+order costs in a fresh process, as in every CLI run.
 
 The JSON records, per tree, function and cell, two summaries of the wall
 times in seconds, with the Python version and the platform: ``pooled``,
@@ -41,11 +49,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ORDERS = (60, 120, 240)
@@ -53,15 +63,17 @@ PAIR = (7, 1)
 RAISED_PAIR = (9, 38)
 LONG_ORDER = 480
 SWEEP = (100, 200, 400)  # raises r of solve(7, 7r + 1, 10)
+COLD_ORDERS = (60, 240)  # base_forms(N) from an empty cache
+COLD_SOLVE = (9, 4, 60)
 
 
 def measure(repeats: int) -> dict:
     """Wall times of the calls of every cell, in this process."""
-    from schwarzian import minimal_form, ReprData, solve
+    from schwarzian import ReprData, acceptance, hypergeometric, minimal_form, solve
 
     solve(*PAIR, 30)
     cells = [
-        (name, str(order), call, repeats)
+        (name, str(order), partial(call, order), repeats, False)
         for name, call in (
             ("solve", lambda n: solve(*PAIR, n)),
             ("minimal_form", lambda n: minimal_form(ReprData(*PAIR), n)),
@@ -69,16 +81,27 @@ def measure(repeats: int) -> dict:
         )
         for order in ORDERS
     ]
-    cells.append(("solve", str(LONG_ORDER), lambda n: solve(*PAIR, n), 1))
+    cells.append(("solve", str(LONG_ORDER), partial(solve, *PAIR, LONG_ORDER), 1, False))
     cells += [
-        ("solve_sweep", str(r), lambda r: solve(7, 7 * r + 1, 10), 1) for r in SWEEP
+        ("solve_sweep", str(r), partial(solve, 7, 7 * r + 1, 10), 1, False)
+        for r in SWEEP
     ]
+    cells += [
+        ("base_forms_cold", str(n), partial(hypergeometric.base_forms, n), repeats, True)
+        for n in COLD_ORDERS
+    ]
+    cells.append(
+        ("solve_cold", str(COLD_SOLVE[2]), partial(solve, *COLD_SOLVE), repeats, True)
+    )
+    cells.append(("run_all", "battery", acceptance.run_all, repeats, True))
     times: dict = {}
-    for name, key, call, count in cells:
+    for name, key, call, count, cold in cells:
         samples = []
         for _ in range(count):
+            if cold:
+                hypergeometric.base_forms.cache_clear()
             t0 = time.perf_counter()
-            call(int(key))
+            call()
             samples.append(time.perf_counter() - t0)
         times.setdefault(name, {})[key] = samples
     return times
@@ -111,7 +134,7 @@ def main() -> int:
             path = trees[name]
             out = subprocess.run(
                 [sys.executable, __file__, "--worker", "--repeats", str(args.repeats)],
-                env={"PYTHONPATH": str(Path(path).resolve() / "src")},
+                env={**os.environ, "PYTHONPATH": str(Path(path).resolve() / "src")},
                 capture_output=True,
                 text=True,
                 check=True,
@@ -159,6 +182,11 @@ def main() -> int:
         "raised_pair": list(RAISED_PAIR),
         "long_order": LONG_ORDER,
         "sweep": {"raises": list(SWEEP), "call": "solve(7, 7r + 1, 10)"},
+        "cold": {
+            "base_forms_cold": list(COLD_ORDERS),
+            "solve_cold": list(COLD_SOLVE),
+            "run_all": "acceptance.run_all()",
+        },
         "python": platform.python_version(),
         "platform": platform.platform(),
         "rounds": args.rounds,

@@ -117,7 +117,8 @@ class BaseForms:
     """The level-one series that both components of a minimal form read,
     and that ``vvmf`` raises and checks every level of that form against.
 
-    Each holds ``order`` terms.  E2 feeds (Delta/q)^alpha, and with its
+    Each holds ``order`` terms, and ``base_forms`` proves two Ramanujan
+    identities between them.  E2 feeds (Delta/q)^alpha, and with its
     derivative Phi's equation (module docstring); E2, E2^2 and E4 the MLDE
     check of every level, E2 also the literal Wronskian checks, and E4 and
     E6 the weight raising.
@@ -137,20 +138,17 @@ class BaseForms:
 def base_forms(order: int) -> BaseForms:
     """Build E2, E4, E6 and E2^2 to ``order``, once per order per process.
 
-    ``forms.delta`` runs first on every build, as a check: it compares
-    eta**24 with (E4^3 - E6^2)/1728, so a corrupted E4, E6 or eta**24 stops
-    here at the index it differs.  Every later minimal form, and so every
+    ``forms.checked_eisenstein`` builds them and proves 12 D E2 = E2^2 - E4
+    and 3 D E4 = E2 E4 - E6, so a corrupted E2, E4 or E6 stops here at the
+    index it is off.  Every later minimal form, and so every
     ``solver.solve``, at a built order reuses the same ``BaseForms``, which
     is safe as it is frozen and each ``QSeries`` holds integer tuples; an
     exception is not cached, so ``base_forms(0)`` raises on every call.  A
     check that patches ``forms`` needs ``base_forms.cache_clear()`` first,
     as ``acceptance`` does before its battery and around each seeded bug.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    forms.delta(order)
-    e2, e4, e6 = (forms.eisenstein(k, order) for k in (2, 4, 6))
-    return BaseForms(e2=e2, e2_squared=e2 * e2, e4=e4, e6=e6)
+    e2, e4, e6, e2_squared = forms.checked_eisenstein(order)
+    return BaseForms(e2=e2, e2_squared=e2_squared, e4=e4, e6=e6)
 
 
 def gauged_2f1(recipe: ComponentRecipe, base: BaseForms, order: int) -> QSeries:

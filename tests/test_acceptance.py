@@ -150,13 +150,10 @@ def test_criterion_8_seeded_bug_sensitivity():
 
 
 # what each of the 15 corrupted solves raises, in the check's order: E4
-# and eta**24 stop at Delta's two routes, the 2F1 at the minimal form's
-# unit-leading check (index 0) or its MLDE comparison
-SEEDED_RAISES = (
-    [("InternalMismatch", i) for i in range(5)]
-    + [("InternalMismatch", i) for i in range(1, 6)]
-    + [("InternalMismatch", i) for i in range(5)]
-)
+# and E2 stop at the base forms' Ramanujan identities, the 2F1 at the
+# minimal form's unit-leading check (index 0) or its MLDE comparison; each
+# at the index it corrupts
+SEEDED_RAISES = [("InternalMismatch", i) for _ in range(3) for i in range(5)]
 
 
 @pytest.mark.slow

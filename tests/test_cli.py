@@ -423,9 +423,14 @@ def test_nonpositive_n_is_usage_error(capsys, monkeypatch, command, args):
     assert err.strip().count("\n") == 0
 
 
+# what corrupt_e4 makes every check that builds base forms report
+E4_FAULT = "InternalMismatch: Ramanujan identity 12 D E2 = E2^2 - E4 fails at q^2"
+
+
 def corrupt_e4(monkeypatch):
-    # E4 corrupted at q^2, as the seeded-bug check does: Delta's two
-    # formulas then disagree while the minimal form is being built
+    # E4 corrupted at q^2, as the seeded-bug check does: the base forms'
+    # first Ramanujan identity then fails there while the minimal form is
+    # being built
     original = forms.eisenstein
 
     def corrupted(k, order):
@@ -453,7 +458,7 @@ def test_construction_failure_keeps_json_payload(capsys, monkeypatch, command):
     assert payload["results"] == {"n_prime": 2, "raises": 1}
     [check] = payload["checks"]
     assert check["pass"] is False
-    assert check["detail"].startswith("InternalMismatch: Delta formulas disagree at q^2")
+    assert check["detail"].startswith(E4_FAULT)
 
 
 def test_selftest_construction_failure_keeps_json_payload(capsys, monkeypatch):
@@ -475,10 +480,9 @@ def test_selftest_construction_failure_keeps_json_payload(capsys, monkeypatch):
         "numeric-cross-check",
         "seeded-bug-sensitivity",
     ]
-    fault = "InternalMismatch: Delta formulas disagree at q^2"
     for check in checks[:7]:
         assert check["pass"] is False, check["name"]
-        assert fault in check["detail"], check["name"]
+        assert E4_FAULT in check["detail"], check["name"]
     for check in checks[1:7]:
         assert "(7,1): InternalMismatch" in check["detail"], check["name"]
     failed = sum(not c["pass"] for c in checks)

@@ -9,8 +9,11 @@ one of them from scratch so a regression cannot hide in shared code.
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schwarzian import (
+    InternalMismatch,
     OddExponent,
     PuiseuxSeries,
     QSeries,
@@ -21,6 +24,7 @@ from schwarzian import (
     j_inverse,
     serre_derivative,
 )
+from schwarzian import forms
 
 F = Fraction
 
@@ -45,6 +49,65 @@ def test_eisenstein_rejects_other_weights():
     for k in (0, 3, 8, 10, 12):
         with pytest.raises(UnsupportedWeight):
             eisenstein(k, 5)
+
+
+IDENTITIES = ("12 D E2 = E2^2 - E4", "3 D E4 = E2 E4 - E6")
+
+
+def test_checked_eisenstein_returns_the_series_and_e2_squared():
+    e2, e4, e6, e2_squared = forms.checked_eisenstein(40)
+    assert (e2, e4, e6) == tuple(eisenstein(k, 40) for k in (2, 4, 6))
+    assert e2_squared == e2 * e2
+    for order in (1, 2):
+        assert forms.checked_eisenstein(order)[0] == eisenstein(2, order)
+
+
+ORDER_AND_INDEX = st.integers(2, 80).flatmap(
+    lambda order: st.tuples(st.just(order), st.integers(0, order - 1))
+)
+
+
+@given(ORDER_AND_INDEX, st.sampled_from((2, 4, 6)), st.integers().filter(bool))
+@example((2, 0), 2, -2)  # E2(0) = -1 leaves E2^2 right at q^0
+@settings(max_examples=150, deadline=None)
+def test_checked_eisenstein_stops_a_bump_at_its_index(order_and_index, k, bump):
+    """One coefficient of E2, E4 or E6 off by ``bump`` at q^i fails an
+    identity that reads that series, at q^i."""
+    order, index = order_and_index
+    original = forms.eisenstein
+
+    def bumped(weight, n):
+        out = original(weight, n)
+        if weight != k:
+            return out
+        coeffs = list(out.coeffs)
+        coeffs[index] += bump
+        return QSeries(coeffs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms, "eisenstein", bumped)
+        with pytest.raises(InternalMismatch) as caught:
+            forms.checked_eisenstein(order)
+    assert caught.value.index == index
+    message = str(caught.value)
+    [name] = [i for i in IDENTITIES if f"identity {i} fails at q^{index} by" in message]
+    assert f"E{k}" in name
+
+
+def euler_product_by_loop(order: int) -> list[int]:
+    """prod (1 - q^n) to ``order``, one factor at a time, in place."""
+    base = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        for i in range(order - 1, n - 1, -1):
+            base[i] -= base[i - n]
+    return base
+
+
+def test_eta_power_product_matches_the_factor_loop():
+    # eta_power sums Euler's pentagonal series; equal squares with constant
+    # term 1 have equal bases
+    for order in range(1, 201):
+        assert eta_power(2, order).body == QSeries(euler_product_by_loop(order)) ** 2
 
 
 def brute_force_eta_body(exponent: int, order: int) -> list[Fraction]:

@@ -366,20 +366,22 @@ def test_wronskian_golden_hash(m, n, order):
     assert hashlib.sha256(text.encode()).hexdigest() == W_SHA256[(m, n, order)]
 
 
-def test_solve_builds_eta_powers_once(monkeypatch):
-    """eta**24 once, inside delta: the components' prefactor eta**10
-    (1728/j)**P comes from a recurrence in E4 and E6, and the Wronskian
-    checks of the r = 4 raising levels build no power of eta."""
+def test_solve_builds_no_delta_and_no_eta_power(monkeypatch):
+    """The base forms are proved by Ramanujan's identities, not by Delta's
+    two routes; the components' prefactor eta**10 (1728/j)**P comes from
+    equations in E2, and the checks of the r = 4 raising levels build no
+    power of eta."""
     calls = []
-    original = forms.eta_power
+    for name in ("delta", "eta_power"):
+        original = getattr(forms, name)
 
-    def counted(exponent, order):
-        calls.append(exponent)
-        return original(exponent, order)
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
 
-    monkeypatch.setattr(forms, "eta_power", counted)
+        monkeypatch.setattr(forms, name, counted)
     solve(9, 38, 30)
-    assert calls == [24]
+    assert calls == []
 
 
 def _digests(bundle):
@@ -388,12 +390,21 @@ def _digests(bundle):
     return tuple(hashlib.sha256(t.encode()).hexdigest() for t in (h, w))
 
 
-def test_solves_at_one_order_share_one_delta(construction_counts):
-    # the base forms of order 60 are built, and Delta proved, once
+def test_solves_at_one_order_share_one_base_build(monkeypatch, construction_counts):
+    # the base forms of order 60 are built, and proved, once
+    builds = []
+    original = forms.checked_eisenstein
+
+    def counted(order):
+        builds.append(order)
+        return original(order)
+
+    monkeypatch.setattr(forms, "checked_eisenstein", counted)
     solve(7, 3, 60)
     solve(13, 6, 60)
     assert construction_counts["base_forms"] == 2
-    assert construction_counts["delta"] == 1
+    assert builds == [60]
+    assert construction_counts["delta"] == 0
 
 
 def test_warm_base_forms_give_the_cold_solution():
@@ -405,9 +416,8 @@ def test_warm_base_forms_give_the_cold_solution():
 
 def test_raising_and_checks_read_the_minimal_forms_base(monkeypatch):
     """The r = 4 raising levels and their MLDE checks read E2, E4 and E6
-    from the base forms built once for the minimal form: E2, E4 and E6 there
-    and E4 and E6 once more inside delta; no level takes a Serre derivative
-    and nothing builds E4 again to check h."""
+    from the base forms built once for the minimal form, each once there; no
+    level takes a Serre derivative and nothing builds E4 again to check h."""
     calls = []
     serre = []
     original = forms.eisenstein
@@ -424,7 +434,7 @@ def test_raising_and_checks_read_the_minimal_forms_base(monkeypatch):
     monkeypatch.setattr(forms, "eisenstein", counted)
     monkeypatch.setattr(forms, "serre_derivative", counted_serre)
     solve(9, 38, 30)
-    assert {k: calls.count(k) for k in (2, 4, 6)} == {2: 1, 4: 2, 6: 2}
+    assert {k: calls.count(k) for k in (2, 4, 6)} == {2: 1, 4: 1, 6: 1}
     assert serre == []
 
 

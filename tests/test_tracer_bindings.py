@@ -52,14 +52,17 @@ def test_tracer_records_a_traced_solve():
     assert {
         "solver.solve",
         "vvmf.raise_weight",
-        "series.QSeries.pow_rational",
+        "series.QSeries.mul",
         "hypergeometric.component_series",
-        "forms.delta",
+        "forms.eisenstein",
     } <= set(calls)
     assert all(span[4] for span in tracer.spans)
     assert tracer.bits["hypergeometric.component_series"] > 0
-    # one Delta per form, shared by both components; nothing is composed
-    # and no 1728/j is built
-    assert calls["forms.delta"] == calls["vvmf.minimal_form"] == 1
+    # one E2, E4 and E6 per form, shared by both components and proved
+    # without Delta or a power of eta; nothing is composed and no 1728/j
+    # is built
+    assert calls["forms.eisenstein"] == 3 * calls["vvmf.minimal_form"] == 3
+    assert calls["forms.delta"] == calls["forms.eta_power"] == 0
+    assert calls["series.QSeries.pow_rational"] == 0
     assert calls["hypergeometric.component_series"] == 2
     assert calls["series.QSeries.compose"] == calls["forms.j_inverse"] == 0

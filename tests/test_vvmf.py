@@ -442,13 +442,14 @@ def test_raised_components_golden_hash(m, n, order):
 
 
 def test_one_base_build_per_form_and_no_composition(build_counts, construction_counts):
-    # both components read one set of base forms, and 1728/j is never
-    # built or substituted into: the components come from recurrences
+    # both components read one set of base forms, proved without Delta, and
+    # 1728/j is never built or substituted into: the components come from
+    # recurrences
     solve(7, 1, 40)
     assert build_counts["minimal_form"] == 1
     assert construction_counts == {
         "base_forms": 1,
-        "delta": 1,
+        "delta": 0,
         "j_inverse": 0,
         "compose": 0,
     }
