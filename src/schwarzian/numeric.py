@@ -17,11 +17,11 @@ Inside |z| < 0.95 it sums the 2F1 Taylor series from their exact
 coefficients; beyond, up to the arc |tau| = 1, it continues them
 analytically: in complex doubles by re-expanding the hypergeometric
 equation along the ray from 0 to z, at an integer precision by mpmath's
-``hyp2f1``.  z itself always comes from the package's own q-expansion of
-1728/j, so the route stays independent of mpmath's modular functions.
-Near the corner rho = exp(2 pi i/3) the q-series of z nears its radius of
-convergence exp(-pi sqrt 3): at tau = -0.49 + 0.9i the two routes agree
-only to about 5e-6 with 60 terms.
+``hyp2f1``.  z = 1728 q (Delta/q) / E4**3 comes from the package's own
+integer q-series of E4 and Delta/q, each summed at tau, so the route stays
+independent of mpmath's modular functions.  Both series converge on the
+whole unit disk in q, so they stay accurate up to the corner
+rho = exp(2 pi i/3), where E4 vanishes and z has its pole.
 
 ``precision=None`` computes in ordinary complex doubles; an integer selects
 mpmath with that many bits of working precision.
@@ -37,7 +37,7 @@ from math import ceil, copysign, floor, inf, log2
 from sys import float_info
 from typing import Any, Callable
 
-from . import solver
+from . import forms, solver
 from .errors import (
     DivergentSeries,
     InvalidParameters,
@@ -45,7 +45,6 @@ from .errors import (
     NumericOverflow,
     OutsideDisk,
 )
-from .forms import j_inverse
 from .hypergeometric import HypergeomParams, hypergeom_coeffs
 from .series import PuiseuxSeries, QSeries
 from .vvmf import ReprData
@@ -255,36 +254,15 @@ def eval_qseries(
 
 
 @lru_cache(maxsize=16)
-def _z_series(m_terms: int) -> QSeries:
-    """The integer q-expansion of 1728/j, built once per length.
+def _z_factors(n_terms: int) -> tuple[QSeries, QSeries]:
+    """E4 and Delta/q to ``n_terms`` terms, the integer series whose sums
+    give z = 1728 q (Delta/q) / E4**3, built once per length.
 
     Like ``hypergeometric.base_forms``, the cache sits with its reader
     rather than in ``forms``, whose functions the seeded-bug check replaces.
     No ``solve`` reads this one, so ``acceptance`` never needs to clear it.
     """
-    return j_inverse(m_terms)
-
-
-def _z_within_doubles(jinv: QSeries, q: complex) -> complex | None:
-    """1728/j in doubles, summed through its last coefficient below 2**1023,
-    for a ``jinv`` with a coefficient past the double range.
-
-    Each dropped term c_k q**k is bounded from bit lengths by
-    2**(bits(c_k) - bits(den) + 1) |q|**k.  The sum is returned when the
-    dropped terms, each at most the largest bound, add up to less than
-    double rounding of it, 2**-53 |z|; otherwise None.
-    """
-    nums, den = jinv.numerators, jinv.denominator
-    fit = next(k for k, x in enumerate(nums) if abs(x) >= den << 1023)
-    z = _horner(jinv.truncate(fit), q, _Backend(None))
-    log_q = log2(abs(q))
-    worst = max(
-        x.bit_length() - den.bit_length() + 1 + k * log_q
-        for k, x in enumerate(nums[fit:], fit)
-    )
-    if worst + log2(len(nums) - fit) < log2(abs(z)) - 53:
-        return z
-    return None
+    return forms.eisenstein(4, n_terms), forms.eta_power(24, n_terms).body
 
 
 def _closed_form_rep(m: int, n: int, n_terms: int) -> ReprData:
@@ -316,33 +294,31 @@ def eval_h_hypergeometric(
 
     times exp(2 pi i k n/m).  Log and 2F1 take their principal branches;
     dividing out 1728**(n/m) matches the series normalization
-    h = q**(n/m) (1 + O(q)).  Inside F, Im z has the sign of Re tau.  Where
-    z, summed from its q-series, lands across a cut instead (the negative
-    axis of Log on the lines Re tau = +-1/2, or (1, inf) of 2F1 within the
-    series' error of the arc), the side that continues from the interior
-    is taken.
+    h = q**(n/m) (1 + O(q)).  z = 1728 q (Delta/q) / E4**3 is summed from
+    the integer q-series of E4 and Delta/q, which converge up to the corner
+    rho = exp(2 pi i/3): with 60 terms, doubles at tau = -0.49 + 0.88i
+    agree with mpmath's ``kleinj`` and ``hyp2f1`` to about 1e-15.  Inside
+    F, Im z has the sign of Re tau.  Where the summed z lands across a cut
+    instead (the negative axis of Log on the lines Re tau = +-1/2, or
+    (1, inf) of 2F1 within rounding of the arc), the side that continues
+    from the interior is taken.
 
     For |z| < 1 - _MARGIN = 0.95 the 2F1 factors are summed to ``n_terms``
     terms from their exact rational coefficients, with an error that falls
     like |z|**n_terms (about 2e-5 at tau = 1.08i, |z| = 0.92, with 60
     terms); otherwise they are continued analytically (``_hyp2f1_doubles``
     in doubles, mpmath's ``hyp2f1`` at an integer precision), and
-    ``n_terms`` only sets the length of the q-series of z.  Accuracy falls
-    towards the corner rho = exp(2 pi i/3), where that q-series nears its
-    radius of convergence (about 5e-6 at tau = -0.49 + 0.9i with 60
-    terms).  Near tau = i, where 2F1 has a square-root branch point at
-    z = 1, errors in z are amplified: with 60 terms about 3e-10 at
-    tau = 1.0000000001i even at 200 bits.  Doubles give about 7e-10 at
+    ``n_terms`` only sets the length of the series of E4 and Delta/q.
+    Near tau = i, where 2F1 has a square-root branch point at z = 1,
+    rounding errors in z are amplified: doubles give about 2e-11 at
     tau = 1.00000001i; closer to i, z rounds onto the cut and the point is
-    refused.  Where q = exp(2 pi i tau) leaves the normal double range
-    (Im tau > about 112.7), z = 1728 q (1 + O(q)) has lost its bits, and in
-    doubles the value is taken as exp((n/m) 2 pi i tau), to which the
-    closed form reduces there.  In doubles the coefficients of 1728/j pass
-    the double range from q^129 on; those terms are dropped where they lie
-    below double rounding of z (at tau = 2i, about 2**-1310), and otherwise
-    NumericOverflow is raised (near rho).  (m, n) and
-    ``n_terms`` are checked as ``solve`` checks them, and only 0 < n < m is
-    meaningful here (InvalidParameters otherwise).
+    refused, while 200 bits still give about 2e-52 at tau = 1.0000000001i.
+    Where q = exp(2 pi i tau) leaves the normal double range (Im tau >
+    about 112.7), z = 1728 q (1 + O(q)) has lost its bits, and in doubles
+    the value is taken as exp((n/m) 2 pi i tau), to which the closed form
+    reduces there.  (m, n) and ``n_terms`` are checked as ``solve`` checks
+    them, and only 0 < n < m is meaningful here (InvalidParameters
+    otherwise).
     """
     first, second = (r.params for r in _closed_form_rep(m, n, n_terms).recipes)
     tau = _check_tau(tau)
@@ -363,14 +339,11 @@ def eval_h_hypergeometric(
         # tau lie far below double rounding
         value = backend.exp(exponent * two_pi_i * shifted)
     else:
-        # z = 1728/j(tau) by summing its integer q-expansion; inside F, Im z
+        # z = 1728/j(tau) from E4 and Delta summed at tau; inside F, Im z
         # has the sign of Re tau: take that side of each cut
-        try:
-            z = _horner(_z_series(n_terms), q, backend)
-        except OverflowError as exc:  # a coefficient of 1728/j beyond doubles
-            z = _z_within_doubles(_z_series(n_terms), q)
-            if z is None:
-                raise NumericOverflow(f"{exc} at tau = {tau}") from exc
+        e4, delta_over_q = _z_factors(n_terms)
+        e = _horner(e4, q, backend)
+        z = 1728 * q * _horner(delta_over_q, q, backend) / (e * e * e)
         if z.real > 1 and z.imag * shifted.real < 0:
             z = z.conjugate()
         if abs(complex(z)) < 1 - _MARGIN:
@@ -397,8 +370,10 @@ class EvalReport:
     terms stay with the caller.  ``tail_bound`` estimates the truncation of
     h's q-series alone (``_tail_estimate``).  It says nothing of the closed
     form's summed 2F1 Taylor series, whose error near |z| = 0.95 can
-    dominate ``rel_error``: (8, 3) at tau = -0.0945 + 1.1044i reports a
-    rel_error of 6.8e-5 with a tail_bound of 2.4e-125.
+    dominate ``rel_error`` (the series of E4 and Delta/q that give z add
+    no error of that size, even near rho): (8, 3) at
+    tau = -0.0945 + 1.1044i reports a rel_error of 6.8e-5 with a
+    tail_bound of 2.4e-125.
     """
 
     via_series: complex

@@ -19,10 +19,12 @@ import pytest
 
 from schwarzian import (
     NotProportionalToDeltaPower,
+    NumericOverflow,
     PuiseuxSeries,
     QSeries,
     cli,
     forms,
+    numeric,
     solver,
     vvmf,
 )
@@ -576,15 +578,30 @@ def test_eval_divergent_series_fails_named_check(capsys):
     assert "the q-series route does not converge" in check["detail"]
 
 
-def test_eval_overflow_in_doubles_is_one_error_line(capsys):
-    # near rho the terms of 1728/j past the double range are not negligible
+def test_eval_near_rho_in_doubles_passes(capsys):
+    # z is summed from E4 and Delta, whose coefficients stay inside the
+    # double range at any length, so 150 terms answer near rho too
+    code, out, err = run_cli(
+        capsys, "eval", "--m", "7", "--n", "1", "--tau=-0.49+0.9i", "--terms", "150",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert float(json.loads(out)["results"]["rel_error"]) < 1e-14
+
+
+def test_eval_escaping_error_is_one_error_line(capsys, monkeypatch):
+    # a SchwarzianError that eval does not report as a failed check exits
+    # 1 with its type on a single line
+    def overflow(*args, **kwargs):
+        raise NumericOverflow("|value| exceeds 1e+300")
+
+    monkeypatch.setattr(numeric, "cross_check", overflow)
     code, out, err = run_cli(
         capsys, "eval", "--m", "7", "--n", "1", "--tau=-0.49+0.9i", "--terms", "150"
     )
     assert code == 1
     assert out == ""
-    assert err.startswith("error: NumericOverflow: ")
-    assert err.count("\n") == 1
+    assert err == "error: NumericOverflow: |value| exceeds 1e+300\n"
 
 
 def test_tau_with_a_leading_minus_takes_either_spelling(capsys):

@@ -108,7 +108,7 @@ def test_eval_h_refuses_too_few_terms_before_building(monkeypatch, n_terms):
         raise AssertionError("built a series for too few terms")
 
     monkeypatch.setattr(numeric, "hypergeom_coeffs", unreachable)
-    monkeypatch.setattr(numeric, "_z_series", unreachable)
+    monkeypatch.setattr(numeric, "_z_factors", unreachable)
     with pytest.raises(InvalidParameters, match="n_terms must be >= 2"):
         eval_h_hypergeometric(7, 1, 2j, n_terms=n_terms)
 
@@ -189,14 +189,18 @@ def test_double_continuation_matches_mpmath():
 
 
 def test_continuation_just_above_the_arc():
-    # near the corners the 60-term q-series of z cannot resolve on which
-    # side of the 2F1 cut (1, inf) z lies; the interior's side is taken,
-    # and in doubles the walk to z keeps clear of the branch point 1
+    # just above the arc z lies within about 1e-7 of the 2F1 cut (1, inf),
+    # and within rounding of it one ulp above the arc; where the summed z
+    # lands across the cut the interior's side is taken, and in doubles
+    # the walk to z keeps clear of the branch point 1
     h = solve(7, 1, 40).h
     for tau in (
         cmath.rect(1 + 1e-9, 1.2),
         cmath.rect(1 + 1e-9, 1.9),
         -0.029199522301288815 + 0.9995736030415056j,  # one ulp above the arc
+        # one ulp above the arc, and z = 3.11 + 1.1e-16i in doubles lands
+        # across the cut from Re tau < 0
+        -0.26387304996537264 + 0.9645574184577983j,
     ):
         series = eval_qseries(h, tau, precision=200)
         for precision in (None, 200):
@@ -212,10 +216,83 @@ def test_continuation_just_above_the_arc():
     assert abs(closed - series) / abs(series) < 1e-9
 
 
+def kleinj_reference(m, n, tau):
+    """h(tau) = (z/1728)**(n/m) F_first(z) / F_second(z) with z = 1/J(tau),
+    every factor from mpmath's own ``kleinj`` and ``hyp2f1`` at 400 bits,
+    as ``perfbench/oracles.py`` builds its closed form."""
+    ctx = mpmath.mp.clone()
+    ctx.prec = 400
+    z = 1 / ctx.kleinj(ctx.mpc(tau))
+    w = ctx.mpf(n) / (2 * m)
+    first, second = (
+        ctx.hyp2f1(s * w + ctx.mpf(1) / 12, s * w + ctx.mpf(5) / 12, 1 + 2 * s * w, z)
+        for s in (1, -1)
+    )
+    return ctx.exp(ctx.mpf(n) / m * (ctx.log(z) - ctx.log(1728))) * first / second
+
+
+@pytest.mark.parametrize(
+    "m, n, tau, doubles_bound",
+    [
+        (7, 1, -0.49 + 0.88j, 1e-13),
+        (7, 1, -0.49 + 0.9j, 1e-13),
+        (11, 5, 0.3 + 0.96j, 1e-13),
+        (7, 1, 1.00000001j, 1e-9),
+        (7, 1, 1.0000000001j, None),  # z rounds onto the cut in doubles
+        (9, 2, 0.3 + 1.2j, 1e-13),
+    ],
+)
+def test_closed_form_against_kleinj(m, n, tau, doubles_bound):
+    # near rho and near i, against mpmath's modular function instead of
+    # the package's own q-series
+    reference = kleinj_reference(m, n, tau)
+    got = eval_h_hypergeometric(m, n, tau, 60, precision=200)
+    assert abs(reference.context.mpc(got) - reference) < 1e-50 * abs(reference)
+    if doubles_bound is None:
+        with pytest.raises(OutsideDisk):
+            eval_h_hypergeometric(m, n, tau, 60)
+        return
+    got = eval_h_hypergeometric(m, n, tau, 60)
+    assert abs(reference.context.mpc(got) - reference) < doubles_bound * abs(reference)
+
+
+def test_closed_form_on_the_strip_edge_near_rho():
+    # on Re tau = 1/2 mpmath's principal Log takes the other side of the
+    # cut, so the 200-bit q-series of h is the reference there
+    tau = 0.5 + 0.8661j
+    series = eval_qseries(solve(7, 1, 120).h, tau, precision=200)
+    for precision, bound in ((None, 1e-13), (200, 1e-50)):
+        closed = eval_h_hypergeometric(7, 1, tau, 120, precision=precision)
+        assert abs(series.context.mpc(closed) - series) < bound * abs(series)
+
+
 def test_cross_check_headline_point():
     report = cross_check(7, 1, 2j, 40)
     assert report.rel_error < 1e-10
     assert report.tail_bound < 1e-100  # |q| = e^(-4 pi) makes the tail tiny
+
+
+@pytest.mark.parametrize("precision", [None, 200])
+def test_rel_error_is_the_relative_difference_of_the_two_values(precision):
+    # (8, 3) at this tau differs by 6.8e-5 (the summed 2F1 Taylor series),
+    # far above the rounding of the two values to doubles in the report
+    report = cross_check(8, 3, -0.0945 + 1.1044j, 60, precision=precision)
+    ctx = mpmath.mp.clone()
+    ctx.prec = 200
+    a, b = ctx.mpc(report.via_series), ctx.mpc(report.via_hypergeom)
+    want = abs(a - b) / max(abs(a), abs(b))
+    assert 6e-5 < want < 7e-5
+    assert abs(report.rel_error - want) < 1e-9 * want
+
+
+def test_tail_estimate_worked_by_hand():
+    # body 1 + 3q + 6q^2 after q^(1/2), |q| = 1/4: the last term is
+    # 6 (1/4)^(5/2) = 3/16 and the trailing ratio rho = (6/3) / 4 = 1/2,
+    # so the tail is 3/16 * rho / (1 - rho) = 3/16
+    h = PuiseuxSeries(F(1, 2), QSeries([1, 3, 6]))
+    assert numeric._tail_estimate(h, 0.25) == 3 / 16
+    # rho = 1: the terms do not shrink
+    assert numeric._tail_estimate(h, 0.5) == float("inf")
 
 
 def test_eval_report_holds_only_what_was_computed():
@@ -254,22 +331,20 @@ def test_growing_trailing_terms_are_refused(n_terms):
     # h for (7, 1) converges there and is still compared
     report = cross_check(7, 1, tau, n_terms)
     assert 0 < report.tail_bound < 1e-70
-    assert report.rel_error < 1e-2
+    assert report.rel_error < 1e-12
 
 
-def test_closed_form_in_doubles_overflows_by_type():
-    # from q^129 on the coefficients of 1728/j pass the double range; near
-    # rho the terms dropped there reach about 2**-23, far above rounding
+def test_doubles_near_rho_agree_with_200_bits():
+    # z is summed from E4 and Delta, whose integer coefficients stay far
+    # inside the double range however many terms are kept
     tau = -0.49 + 0.9j
-    with pytest.raises(NumericOverflow):
-        eval_h_hypergeometric(7, 1, tau, 150)
-    with pytest.raises(NumericOverflow):
-        cross_check(7, 1, tau, 140)
-    # integer precision has no double range to leave
-    assert cross_check(7, 1, tau, 140, precision=200).rel_error < 1e-11
+    exact = complex(eval_h_hypergeometric(7, 1, tau, 150, precision=200))
+    assert abs(eval_h_hypergeometric(7, 1, tau, 150) - exact) < 1e-15 * abs(exact)
+    assert cross_check(7, 1, tau, 140).rel_error < 1e-14
+    assert cross_check(7, 1, tau, 140, precision=200).rel_error < 1e-50
     assert cross_check(7, 1, 2j, 140, precision=200).rel_error < 1e-50
-    # at 2i the dropped terms are about 2**-1310: doubles answer, to
-    # rounding of the 200-bit value 0.1660947205672964957...
+    # at 2i doubles answer to rounding of the 200-bit value
+    # 0.1660947205672964957...
     exact = complex(eval_h_hypergeometric(7, 1, 2j, 150, precision=200))
     assert abs(eval_h_hypergeometric(7, 1, 2j, 150) - exact) < 1e-15 * abs(exact)
     assert cross_check(7, 1, 2j, 140).rel_error < 1e-15

@@ -11,7 +11,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from schwarzian import solver
+from schwarzian import numeric, solver
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -66,3 +66,22 @@ def test_tracer_records_a_traced_solve():
     assert calls["series.QSeries.pow_rational"] == 0
     assert calls["hypergeometric.component_series"] == 2
     assert calls["series.QSeries.compose"] == calls["forms.j_inverse"] == 0
+
+
+def test_tracer_records_a_traced_evaluation():
+    # the benchmark's traced numeric-eval run: z comes from E4 and Delta/q,
+    # built once per length and shared by both precisions and every call
+    numeric._z_factors.cache_clear()
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        for n_terms in (30, 60):
+            for precision in (None, 200, None, 200):
+                numeric.eval_h_hypergeometric(7, 1, 1.2j, n_terms, precision=precision)
+    finally:
+        tracer.uninstall()
+    calls = Counter(tracer.names[span[0]] for span in tracer.spans)
+    assert all(span[4] for span in tracer.spans)
+    assert calls["numeric.eval_h_hypergeometric"] == 8
+    assert calls["forms.j_inverse"] == calls["forms.delta"] == 0
+    assert calls["forms.eta_power"] == calls["forms.eisenstein"] == 2
