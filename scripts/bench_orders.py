@@ -1,10 +1,10 @@
 """Time solve(7, 1, N), minimal_form and solve(9, 38, N) at N = 60, 120 and 240,
-solve(7, 1, 480), solve(7, 7r + 1, 10) at r = 100, 200 and 400, and cold
-base_forms, solve and acceptance battery calls, across checkouts.
+solve(7, 1, 480), solve(7, 7r + 1, 10) at r = 100, 200, 400 and 1600, and
+cold base_forms, solve and acceptance battery calls, across checkouts.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_24.json
+    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_27.json
 
 Each ``--tree NAME=PATH`` names a checkout whose ``src/`` holds the
 package.  Every round runs one fresh process per tree, in turn, so the
@@ -14,7 +14,12 @@ trees flipped which one read faster).  Each process warms up with
 ``solve(7, 1, 30)``; every call after that, up to the cold cells, is a
 warm call.  It then times ``--repeats`` calls of each function at N = 60,
 120 and 240, and one call of each long cell: ``solve`` at N = 480 and
-``solve_sweep``, solve(7, 7r + 1, 10) with r raises, keyed by r.
+``solve_sweep``, solve(7, 7r + 1, 10) with r raises, keyed by r.  A sweep
+cell is skipped, and so absent from that process's times, when the
+previous cell's time scaled by the cube of the ratio of their raises
+exceeds ``SWEEP_BUDGET_S``: a tree whose raised pairs cost about r^3 would
+spend many minutes on it (solve(7, 2801, 10) took 11.8 s in a tree that
+raised both components, so r = 1600 would take about 13 minutes).
 ``solve_raised`` is solve(9, 38, N), which raises the minimal form four
 times.  ``hypergeometric.base_forms`` is cached per order within a
 process, so in a tree that has the cache every timed call after the
@@ -34,15 +39,16 @@ The JSON records, per tree, function and cell, two summaries of the wall
 times in seconds, with the Python version and the platform: ``pooled``,
 the median and quartiles of every call of every process, and
 ``fastest``, the median and quartiles over processes of each process's
-fastest call.  On a shared host a process's fastest call moves far less
+fastest call; a cell absent from any of a tree's processes is left out
+of that tree.  On a shared host a process's fastest call moves far less
 than the pooled median, so ``fastest`` is the one to read; a long cell's
 one call is its fastest, so its two summaries agree.  ``speedup``
 compares the first tree with each other tree three ways: ``pooled`` and
 ``fastest`` divide the two summaries' medians, and ``paired`` gives the
 median and quartiles, over the rounds, of the first tree's fastest call
 in a round divided by the other tree's in the same round, so a round in
-which the whole machine ran slow moves both sides of its ratio.  Paths
-are not recorded, only the names.
+which the whole machine ran slow moves both sides of its ratio, over the
+cells that both trees timed.  Paths are not recorded, only the names.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ ORDERS = (60, 120, 240)
 PAIR = (7, 1)
 RAISED_PAIR = (9, 38)
 LONG_ORDER = 480
-SWEEP = (100, 200, 400)  # raises r of solve(7, 7r + 1, 10)
+SWEEP = (100, 200, 400, 1600)  # raises r of solve(7, 7r + 1, 10)
+SWEEP_BUDGET_S = 120.0  # predicted seconds above which a sweep cell is skipped
 COLD_ORDERS = (60, 240)  # base_forms(N) from an empty cache
 COLD_SOLVE = (9, 4, 60)
 
@@ -82,28 +89,35 @@ def measure(repeats: int) -> dict:
         for order in ORDERS
     ]
     cells.append(("solve", str(LONG_ORDER), partial(solve, *PAIR, LONG_ORDER), 1, False))
-    cells += [
-        ("solve_sweep", str(r), partial(solve, 7, 7 * r + 1, 10), 1, False)
-        for r in SWEEP
-    ]
-    cells += [
+    cold_cells = [
         ("base_forms_cold", str(n), partial(hypergeometric.base_forms, n), repeats, True)
         for n in COLD_ORDERS
     ]
-    cells.append(
+    cold_cells.append(
         ("solve_cold", str(COLD_SOLVE[2]), partial(solve, *COLD_SOLVE), repeats, True)
     )
-    cells.append(("run_all", "battery", acceptance.run_all, repeats, True))
+    cold_cells.append(("run_all", "battery", acceptance.run_all, repeats, True))
     times: dict = {}
-    for name, key, call, count, cold in cells:
-        samples = []
-        for _ in range(count):
-            if cold:
-                hypergeometric.base_forms.cache_clear()
-            t0 = time.perf_counter()
-            call()
-            samples.append(time.perf_counter() - t0)
-        times.setdefault(name, {})[key] = samples
+
+    def run(cells) -> None:
+        for name, key, call, count, cold in cells:
+            samples = []
+            for _ in range(count):
+                if cold:
+                    hypergeometric.base_forms.cache_clear()
+                t0 = time.perf_counter()
+                call()
+                samples.append(time.perf_counter() - t0)
+            times.setdefault(name, {})[key] = samples
+
+    run(cells)
+    last = None  # (r, seconds) of the previous sweep cell
+    for r in SWEEP:
+        if last and last[1] * (r / last[0]) ** 3 > SWEEP_BUDGET_S:
+            break
+        run([("solve_sweep", str(r), partial(solve, 7, 7 * r + 1, 10), 1, False)])
+        last = r, times["solve_sweep"][str(r)][0]
+    run(cold_cells)
     return times
 
 
@@ -148,6 +162,7 @@ def main() -> int:
                     "fastest": summary([min(run[fn][cell]) for run in tree_runs]),
                 }
                 for cell in by_cell
+                if all(cell in run[fn] for run in tree_runs)
             }
             for fn, by_cell in tree_runs[0].items()
         }
@@ -171,6 +186,7 @@ def main() -> int:
                 }
                 | {"paired": paired(name, fn, cell)}
                 for cell, stats in by_cell.items()
+                if cell in results[base][fn]
             }
             for fn, by_cell in results[name].items()
         }
@@ -181,7 +197,11 @@ def main() -> int:
         "pair": list(PAIR),
         "raised_pair": list(RAISED_PAIR),
         "long_order": LONG_ORDER,
-        "sweep": {"raises": list(SWEEP), "call": "solve(7, 7r + 1, 10)"},
+        "sweep": {
+            "raises": list(SWEEP),
+            "call": "solve(7, 7r + 1, 10)",
+            "skip_budget_s": SWEEP_BUDGET_S,
+        },
         "cold": {
             "base_forms_cold": list(COLD_ORDERS),
             "solve_cold": list(COLD_SOLVE),

@@ -8,11 +8,14 @@ their grids; the CLI's ``verify`` and ``vvmf`` apply the same ones to
 their own pair.  Criterion 2 builds each minimal form, which
 ``vvmf.VectorForm`` checks as it is constructed.
 
-``solver.solve`` proves each weight level against its own modular
-differential equation, which fixes W, {h} and h = y1 / y2 by exact
-algebra.  Criteria 3, 5 and 6 do not lean on that argument: they
-recompute the Wronskian, the Schwarzian derivative and the ODE residual
-of h y2 literally from the series.
+``solver.solve`` proves the minimal form, and for a raised pair the
+second component at every level, against that level's modular
+differential equation, which fixes {h} and h = y1 / y2 by exact algebra;
+each level's Wronskian constant is a closed form,
+``vvmf.level_constants``.  Criteria 3, 5 and 6 do not lean on that
+argument: they recompute the Wronskian, the Schwarzian derivative and
+the ODE residual of h y2 literally from the series, and criterion 3
+compares each W with its closed form.
 
 The numeric cross-check criterion evaluates the closed hypergeometric form
 on the interior of the fundamental domain (|Re tau| < 1/2, |tau| > 1),
@@ -69,16 +72,14 @@ def failure(exc: Exception) -> str:
 def wronskian_problems(
     rep: vvmf.ReprData, levels: dict[int, tuple[Fraction, int]]
 ) -> list[str]:
-    """How the Wronskian checks (c, e), by level, miss c Delta**(level+1).
-
-    Every level needs c != 0 and e = level + 1; level 0 needs c = n'/m.
-    """
-    n_over_m = Fraction(rep.n_prime, rep.m)
+    """How the literal Wronskian checks (c, e), by level, miss the closed
+    form (c_k, k + 1) of ``vvmf.level_constants``, whose c_k are nonzero."""
+    want = vvmf.level_constants(rep.m, max(levels) * rep.m + rep.n_prime)
     return [
-        f"level {level} gave c={c}, e={e}"
-        + (f", expected c={n_over_m}, e=1" if level == 0 else "")
+        f"level {level} gave c={c}, e={e}, "
+        f"expected c={want[level][0]}, e={want[level][1]}"
         for level, (c, e) in levels.items()
-        if c == 0 or e != level + 1 or (level == 0 and c != n_over_m)
+        if (c, e) != want[level]
     ]
 
 

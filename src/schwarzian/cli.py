@@ -107,12 +107,14 @@ class _Walk(NamedTuple):
     def wronskian_verdict(self) -> CheckResult:
         """wronskian-delta-power, a verdict for each of levels 0..r and each W
         with the order it was checked through."""
-        problems = []
-        for lvl, w in enumerate(self.wronskians):
-            if isinstance(w, str):
-                problems.append(f"level {lvl}: {w}")
-            else:
-                problems += acceptance.wronskian_problems(self.forms[0].rep, {lvl: w})
+        checked = {lvl: (c, e) for lvl, _, c, e in self.checked()}
+        problems = [
+            f"level {lvl}: {w}"
+            for lvl, w in enumerate(self.wronskians)
+            if isinstance(w, str)
+        ]
+        if checked:
+            problems += acceptance.wronskian_problems(self.forms[0].rep, checked)
         if len(self.forms) <= self.r:
             problems.append(f"level {len(self.forms)}: {self.stopped}")
         detail = f"levels 0..{self.r}" + "".join(
@@ -174,13 +176,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ],
         "note": solver.CONVENTION_NOTE,
     }
-    check = CheckResult(
-        "solution-verification",
-        True,
-        f"both components of each weight level solve that level's modular "
-        f"differential equation exactly through order {args.terms}, which "
-        f"fixes the Wronskian, the Schwarzian and h = y1/y2",
+    detail = (
+        f"both components of the minimal form solve its modular differential "
+        f"equation exactly through order {args.terms}, which fixes the "
+        f"Wronskian, the Schwarzian and h = y1/y2"
     )
+    if bundle.r:
+        detail = (
+            f"both components of the minimal form, and its second component "
+            f"raised to each of levels 1..{bundle.r}, solve that level's modular "
+            f"differential equation exactly through order {args.terms}; h is read "
+            f"from level {bundle.r}'s second component by reduction of order, "
+            f"which fixes the Schwarzian and h = y1/y2; the Wronskian constants "
+            f"are in closed form"
+        )
+    check = CheckResult("solution-verification", True, detail)
     return _emit(args, params, results, [check])
 
 
@@ -200,8 +210,7 @@ def _verify_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
     if len(walk.forms) <= walk.r:  # there is no h
         names = ("schwarzian-proportionality", "ode-solutions")
         return checks + [CheckResult(name, False, walk.stopped) for name in names]
-    # each level's W has its own verdict above, so this bundle carries none
-    bundle = solver._bundle(walk.forms[walk.r], ())
+    bundle = solver._bundle(walk.forms[walk.r])
     literal = {
         "schwarzian-proportionality": (
             f"{{h}} = {bundle.schwarz_constant} * E4 through {bundle.h.order} terms",

@@ -18,7 +18,8 @@ body are the solutions 1 + ... that ``series.solve_ode`` returns for
 linear equations in D with coefficients from ``base_forms``; no series
 is substituted into another.
 
-* (Delta/q)^alpha solves D g + alpha (1 - E2) g = 0, as D Delta = E2 Delta.
+* (Delta/q)^alpha solves D g + alpha (1 - E2) g = 0, as D Delta = E2 Delta
+  (``delta_power``, which ``solver`` also reads for (Delta/q)^(r+1)).
 * Phi: with w = s/2m, so that (a, b; c) = (w + 1/12, w + 5/12; 2w + 1),
   D z = z E6/E4 for z = 1728/j and theta_z = (E4/E6) D, Ramanujan's
   identities turn the hypergeometric equation, with F = E4^3P Phi, into
@@ -32,15 +33,16 @@ is substituted into another.
   proves this reduction over Q(w), so for every (m, n').
 
 A second route checks the same components: the level-k form
-(``vvmf.raise_weight`` applied k times) has weight 5 + 6k and exponent
-sum e = k + 1, and with n_k = k m + n' both of its components solve
+(``vvmf.raise_component`` applied k times to each) has weight 5 + 6k and
+exponent sum e = k + 1, and with n_k = k m + n' both of its components solve
 
     D^2 f - e E2 D f + ((e^2/4 - e/24) E2^2 + (e/24 - (n_k/2m)^2) E4) f = 0
 
 (at level 0 Kaneko and Zagier's weight-5 equation; Franc and Mason,
 Ramanujan J. 2016), whose indicial roots e/2 +- n_k/2m are the two
 components' exponents and differ by n_k/m, never an integer.
-``mlde_coefficients`` gives its coefficients; ``vvmf.mlde_check`` applies it.
+``mlde_scalars`` gives its constants and ``mlde_coefficients`` its
+coefficients; ``vvmf.mlde_check`` applies it.
 """
 
 from __future__ import annotations
@@ -159,15 +161,27 @@ def gauged_2f1(recipe: ComponentRecipe, base: BaseForms, order: int) -> QSeries:
     return solve_ode((de2 * (w * (12 * w + 1)), base.e2 * (2 * w), 1), 0, order)
 
 
-def mlde_coefficients(level: int, m: int, n_prime: int, base: BaseForms):
-    """(P0, P1, 1), to ``base.order`` terms, of the MLDE that both components
-    of the pair (m, n') solve after ``level`` raises (module docstring), with
-    e = level + 1 and n_k = level m + n', for ``series.apply_ode``."""
+def mlde_scalars(level: int, m: int, n_prime: int) -> tuple[int, Fraction, Fraction]:
+    """(e, a, b) of the MLDE D^2 f - e E2 D f + (a E2^2 + b E4) f = 0 that
+    both components of the pair (m, n') solve after ``level`` raises (module
+    docstring): e = level + 1, a = e^2/4 - e/24 and b = e/24 - (n_k/2m)^2,
+    n_k = level m + n'."""
     e = level + 1
     w = Fraction(n_prime + level * m, 2 * m)
-    e2_squared = Fraction(e * (6 * e - 1), 24)  # e^2/4 - e/24
-    p0 = base.e2_squared * e2_squared + base.e4 * (Fraction(e, 24) - w * w)
-    return p0, base.e2 * -e, 1
+    return e, Fraction(e * (6 * e - 1), 24), Fraction(e, 24) - w * w
+
+
+def mlde_coefficients(level: int, m: int, n_prime: int, base: BaseForms):
+    """(P0, P1, 1), to ``base.order`` terms, of the MLDE of ``mlde_scalars``,
+    for ``series.apply_ode``."""
+    e, a, b = mlde_scalars(level, m, n_prime)
+    return base.e2_squared * a + base.e4 * b, base.e2 * -e, 1
+
+
+def delta_power(alpha: Fraction, base: BaseForms, order: int) -> QSeries:
+    """(Delta/q)^alpha to ``order`` <= ``base.order`` terms: the solution
+    1 + ... of D g + alpha (1 - E2) g = 0, as D Delta = E2 Delta."""
+    return solve_ode(((1 - base.e2) * alpha, 1), 0, order)
 
 
 def component_series(
@@ -177,5 +191,5 @@ def component_series(
     Delta^alpha Phi, alpha = ``recipe.offset``, to ``order`` <= ``base.order``
     body terms, unchecked: ``vvmf.minimal_form`` checks it."""
     alpha = recipe.offset
-    delta_power = solve_ode(((1 - base.e2) * alpha, 1), 0, order)  # (Delta/q)^alpha
-    return PuiseuxSeries(alpha, delta_power * gauged_2f1(recipe, base, order))
+    body = delta_power(alpha, base, order) * gauged_2f1(recipe, base, order)
+    return PuiseuxSeries(alpha, body)

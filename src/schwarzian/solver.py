@@ -10,22 +10,41 @@ convention,
 is exactly -(1/2) (n/m)**2 * E4.  Equivalently h = y1 / y2 for the Frobenius
 solutions y1, y2 = q**(+-n/2m) (1 + ...) of D(D(y)) + s E4 y = 0, s = -(n/2m)**2.
 
-``solve`` takes levels 0 .. r from ``vvmf.weight_levels`` and proves one
-equation per level: both components of the level-k form solve the modular
-linear differential equation of that level, D^2 f + p Df + q f = 0 with
-p = -(k+1) E2 (``hypergeometric.mlde_coefficients``, ``vvmf.mlde_check``).
-Exact algebra takes the rest from it, for the form at level r with e = r + 1:
+``solve`` proves one equation per level, the modular linear differential
+equation of the level-k form, D^2 f + p Df + q f = 0 with p = -(k+1) E2
+(``hypergeometric.mlde_coefficients``, ``vvmf.mlde_check``).  Both
+components of the minimal form solve the level-0 equation.  With r = 0, h
+is their ratio, and exact algebra takes the rest from that equation, for
+e = 1:
 
 * Abel's identity, D W = -p W = e E2 W, makes the Wronskian c Delta**e;
 * {f1/f2} = 2q - p**2/2 - Dp, which the level's coefficients make
   -(1/2)(n/m)**2 E4;
 * y_i = f_i Delta**(-e/2) solve D(D(y)) + s E4 y = 0, so h = y1 / y2.
 
+With r >= 1, ``vvmf.raise_second`` raises the second component f2 alone
+and proves that it solves the MLDE of each level 1..r.  At level r, with
+e = r + 1, Abel's identity gives D(f1/f2) = W / f2**2 = c Delta**e / f2**2
+for the raised first component f1, so h is read from f2 alone by reduction
+of order: with f2 = q**o2 b and g = (Delta/q)**e (b/b_0)**-2,
+
+    h = q**(n/m) sum_i g_i (n/m) / (n/m + i) q**i,
+
+as e - 2 o2 = n/m.  Then f2 h is a second solution of the level-r MLDE,
+and the three facts above hold for the pair (f2 h, f2) as for r = 0.  That
+h is also the ratio of the paper's raised components follows from the
+raising step mapping each level's MLDE onto the next, which
+``tests/test_hypergeometric.py`` proves over Q(w, k), and from the
+uniqueness of the Frobenius solutions at the exponents, which differ by
+n_k/m, never an integer.  The constants c of every level are
+``vvmf.level_constants``, in closed form.
+
 A coefficient that breaks an equation raises a VerificationError subclass
 naming its index.  The literal routes (``vvmf.wronskian_check``,
 ``schwarz_derivative`` with ``verify_proportionality``, and ``verify_ode``
-on h y2) serve ``acceptance`` and the CLI's ``verify``, which recompute W,
-{h} and the ODE residual from the series of the same chain of levels.
+on h y2) serve ``acceptance`` and the CLI's ``verify``, which raise both
+components through r levels, read h as their ratio and recompute W, {h}
+and the ODE residual from those series.
 
 Convention note: with derivatives taken directly in tau instead of D, the
 Schwarzian picks up a fixed factor (2 pi i)^2, and other normalizations in
@@ -37,9 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
-from . import forms, vvmf
+from . import forms, hypergeometric, vvmf
 from .errors import (
     DegenerateDerivative,
     InternalMismatch,
@@ -47,7 +65,8 @@ from .errors import (
     NotProportional,
     OdeResidualNonzero,
 )
-from .series import PuiseuxSeries, QSeries, apply_ode, solve_ode
+from .hypergeometric import BaseForms
+from .series import PuiseuxSeries, QSeries, SeriesBuilder, apply_ode, solve_ode
 
 CONVENTION_NOTE = (
     "derivative convention: D = q d/dq; verified constants are "
@@ -129,20 +148,19 @@ def verify_ode(y: PuiseuxSeries, s: Fraction) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class SolutionBundle:
-    """A verified solution h = q**(n/m) (1 + O(q)) and its provenance.
+    """A verified solution h = q**(n/m) (1 + O(q)) of the pair (m, n).
 
-    It stores what ``solve`` computed: h, and the (c, e) of every level's
-    Wronskian W = c Delta**e in ``wronskians``.  The rest is fixed by
-    (m, n) and derived on reading: n = r m + n' (``vvmf.split_n``), the
-    weight 5 + 6r of the form h was read from, the proportionality
-    constant -(1/2)(n/m)**2 of {h} / E4 (``schwarz_constant``) and
-    s = -(n/2m)**2 (``ode_parameter``).
+    It stores what ``solve`` computed, h.  The rest is fixed by (m, n) and
+    derived on reading: n = r m + n' (``vvmf.split_n``), the weight 5 + 6r
+    of the form h was read from, the (c, e) of every level's Wronskian
+    W = c Delta**e (``vvmf.level_constants``), the proportionality constant
+    -(1/2)(n/m)**2 of {h} / E4 (``schwarz_constant``) and s = -(n/2m)**2
+    (``ode_parameter``).
     """
 
     m: int
     n: int
     h: PuiseuxSeries
-    wronskians: tuple[tuple[Fraction, int], ...]
 
     @property
     def n_prime(self) -> int:
@@ -157,6 +175,10 @@ class SolutionBundle:
         return 5 + 6 * self.r
 
     @property
+    def wronskians(self) -> tuple[tuple[Fraction, int], ...]:
+        return vvmf.level_constants(self.m, self.n)
+
+    @property
     def schwarz_constant(self) -> Fraction:
         return -Fraction(self.n, self.m) ** 2 / 2
 
@@ -168,21 +190,25 @@ class SolutionBundle:
 def solve(m: int, n: int, order: int = 40) -> SolutionBundle:
     """Construct and verify the solution for coprime m >= 7, n >= 1.
 
-    ``order`` is the number of tracked body coefficients of h.  Levels 0
-    to r come from ``vvmf.weight_levels``, one held at a time, and both
-    components of each are checked in exact arithmetic against the
-    Frobenius series of that level's MLDE by ``vvmf.mlde_check``, which
-    ``vvmf.minimal_form`` runs on level 0.  The first differing coefficient
-    raises InternalMismatch with its index; a bump of a component at q^k is
-    named at k, the first coefficient of h it changes.  Those equations fix
-    W = c Delta**e at every level, {h} = -(1/2)(n/m)**2 E4 and h = y1 / y2
-    (module docstring), which the bundle reports without recomputing them.
+    ``order`` is the number of tracked body coefficients of h.  Both
+    components of the minimal form are built to ``order`` terms and checked
+    against the Frobenius series of the level-0 MLDE by
+    ``vvmf.minimal_form``.  With r = 0, h is their ratio.  Otherwise
+    ``vvmf.raise_second`` raises the second component alone to level r,
+    checking it against each level's MLDE through ``order`` terms, and h
+    comes from it by reduction of order (module docstring).  The first
+    differing coefficient raises InternalMismatch with its index; a bump of
+    a checked component at q^k is named at k, the first coefficient of h it
+    changes.
     """
     rep, r = _parameters(m, n, order)
-    levels = []
-    for form in islice(vvmf.weight_levels(rep, order, r), r + 1):
-        levels.append(vvmf.mlde_check(form) if form.level else vvmf.mlde_wronskian(form))
-    return _bundle(form, levels)
+    form = vvmf.minimal_form(rep, order)
+    if not r:
+        # both factors are built and checked already; reduction of order
+        # measured 19-25% slower here at orders 30 and 60
+        return _bundle(form)
+    second = vvmf.raise_second(form, r)
+    return SolutionBundle(m=m, n=n, h=_reduction_of_order(m, n, second, form.base))
 
 
 def _parameters(
@@ -198,15 +224,13 @@ def _parameters(
     return rep, r
 
 
-def _bundle(
-    form: vvmf.VectorForm, levels: list[tuple[Fraction, int]]
-) -> SolutionBundle:
-    """The SolutionBundle read from ``form``, raised r = form.level times,
-    with ``levels`` the Wronskian (c, e) of each level.
+def _bundle(form: vvmf.VectorForm) -> SolutionBundle:
+    """The SolutionBundle read from ``form``, raised r = form.level times:
+    h = first / second, normalized to leading coefficient 1.
 
-    h = first / second, normalized to leading coefficient 1.  Nothing
-    beyond h's leading exponent is checked here: ``solve`` has proved the
-    equations, and the CLI's ``verify`` checks W, {h} and h y2 literally.
+    Nothing beyond h's leading exponent is checked here: ``solve`` has
+    proved the minimal form's equations, and the CLI's ``verify`` checks W,
+    {h} and h y2 literally at every level it reads h from.
     """
     rep, r = form.rep, form.level
     m, n = rep.m, r * rep.m + rep.n_prime
@@ -217,4 +241,21 @@ def _bundle(
         raise InternalMismatch(
             f"h has leading exponent {h.offset}, expected n/m = {sigma}"
         )
-    return SolutionBundle(m=m, n=n, h=h, wronskians=tuple(levels))
+    return SolutionBundle(m=m, n=n, h=h)
+
+
+def _reduction_of_order(
+    m: int, n: int, second: PuiseuxSeries, base: BaseForms
+) -> PuiseuxSeries:
+    """h = q**(n/m) sum_i g_i (n/m) / (n/m + i) q**i from the level-r second
+    component f2 = q**o2 b alone, with g = (Delta/q)**e (b / b_0)**-2 and
+    e = r + 1 (module docstring), to f2's order."""
+    body = second.body
+    e = n // m + 1
+    g = hypergeometric.delta_power(e, base, body.order) * (
+        body / second.leading
+    ).pow_rational(-2)
+    h = SeriesBuilder()
+    for i, x in enumerate(g.numerators):  # D^-1, term by term
+        h.append(x * n, g.denominator * (n + i * m))
+    return PuiseuxSeries(Fraction(n, m), h.series())

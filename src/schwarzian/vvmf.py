@@ -6,13 +6,15 @@ Raising at weight k is F -> E6 F - (1/pivot) E4 D_k F, where the pivot
 lambda = first.offset - k/12 is chosen so the first component's leading
 coefficient cancels exactly; its exponent moves up by 1 while the second
 component's exponent stays put.  Each raise adds 6 to the weight.  By
-Ramanujan's E2 E4 = 3 D E4 + E6 the step applies X - (1/pivot) E4 D to F
-(``series.apply_ode``), X = (1 + k/12 pivot) E6 + (k/4 pivot) D E4 from
-the E4 and E6 of the ``BaseForms`` (E2, E2^2, E4 and E6) every form keeps
-from its minimal form.  ``VectorForm`` is the one check of that shape,
-which refuses a zero component before it reads the exponents, and
-``weight_levels`` the one chain of levels that ``solver.solve``, the CLI
-and the acceptance battery read.
+Ramanujan's E2 E4 = 3 D E4 + E6 the step applies X - (1/pivot) E4 D to a
+component (``raise_component``, through ``series.apply_ode``),
+X = (1 + k/12 pivot) E6 + (k/4 pivot) D E4 from the E4 and E6 of the
+``BaseForms`` (E2, E2^2, E4 and E6) every form keeps from its minimal form.
+``VectorForm`` is the one check of that shape, which refuses a zero
+component before it reads the exponents.  Two chains of levels use the
+step: ``weight_levels`` raises whole forms, for the CLI and the acceptance
+battery, and ``raise_second`` the second component alone, for
+``solver.solve``.
 
 The Wronskian W(F) = D(f1) f2 - f1 D(f2) of a form with exponents summing to
 the integer e must be a nonzero constant multiple of Delta**e.  As D Delta =
@@ -20,14 +22,23 @@ E2 Delta (D_12 Delta = 0, checked by the classical-identities criterion),
 wronskian_check verifies D W = e E2 W instead, with the E2 of the form's
 base, building no power of Delta.
 
-mlde_check proves the same law, and more, from one equation per level
-(level 0 too): both components of the level-k form solve the MLDE of
+mlde_check proves the same law, and more, from one equation per level:
+each component of the level-k form solves the MLDE of
 ``hypergeometric.mlde_coefficients``, D^2 f + p Df + q f = 0 with
 p = -e E2, e = k + 1.  By Abel's identity their Wronskian then solves
 D W = -p W = e E2 W, so W = c Delta**e, and c = (n_k/m) l1 l2
 (n_k = k m + n') reads off the leading terms q**o1 l1 and q**o2 l2, as
-o1 - o2 = n_k/m.  That reading needs l1 and l2 nonzero and o1, o2 the
-level's exponents, which ``VectorForm`` guarantees; then c != 0.
+o1 - o2 = n_k/m.
+
+``level_constants`` gives every level's c in closed form, from the
+leading coefficients alone.  A raise multiplies l2 by X0 - o2/pivot, with
+X = X0 + X1 q + ..., X0 = 1 + kappa, X1 = 720 kappa - 504 (1 + kappa) and
+kappa = weight/12 pivot.  It multiplies l1 by
+X0 rho + X1 - ((o1 + 1) rho + 240 o1)/pivot, with o1 the first exponent of
+the level raised from and rho the q**1 coefficient of its first component
+over the leading one: one step of that level's Frobenius recurrence,
+-(24 e o1 - 48 a + 240 b) / W(o1 + 1), with a, b the MLDE's E2^2 and E4
+coefficients and W its indicial polynomial.
 """
 
 from __future__ import annotations
@@ -157,37 +168,50 @@ def minimal_form(rep: ReprData, order: int, r: int = 0) -> VectorForm:
         for recipe, n in zip(rep.recipes, (order + r, order))
     )
     form = VectorForm(first=first, second=second, rep=rep, level=0, base=base)
-    mlde_check(form)
+    mlde_check(0, rep, base, first, second)
     return form
 
 
-def raise_weight(form: VectorForm) -> VectorForm:
-    """One weight-raising step: E6 F - (1/pivot) E4 D_weight F, componentwise,
-    computed as F X - (1/pivot) E4 D F from ``form.base`` (module docstring).
+def _pivot(level: int, rep: ReprData) -> tuple[Fraction, Fraction]:
+    """(pivot, weight/12 pivot) of the raise from ``rep``'s level-``level``
+    form: the pivot is the first exponent minus weight/12."""
+    weight = MINIMAL_WEIGHT + 6 * level
+    pivot = rep.recipes[0].offset + level - weight / 12
+    return pivot, weight / (12 * pivot)
 
-    The pivot equals the first component's exponent minus weight/12,
+
+def raise_component(
+    level: int, rep: ReprData, base: BaseForms, component: PuiseuxSeries
+) -> PuiseuxSeries:
+    """One weight-raising step of one component of ``rep``'s level-``level``
+    form: E6 f - (1/pivot) E4 D_weight f, computed as X f - (1/pivot) E4 D f
+    from ``base`` (module docstring), at f's offset and to f's order.
+
+    The pivot is the first component's exponent minus weight/12,
     1/12 + n'/2m + level/2 > 0, which kills that component's leading
-    coefficient exactly; the new leading exponent is first.offset + 1 and
-    the second component's exponent is unchanged.  ``VectorForm`` refuses
-    the raised form if either fails or a component vanishes.  The components
-    are returned unnormalized so the raising constants stay visible as the
-    new leading coefficients.
+    coefficient exactly.  The result is unnormalized, so the raising
+    constant stays visible as its leading coefficient over f's.
     """
-    base = form.base
-    pivot = form.first.offset - form.weight / 12
-    k_pivot = form.weight / (12 * pivot)
-    x = base.e6 * (1 + k_pivot) + base.e4.derive() * (3 * k_pivot)
-    coefficients = (x, base.e4 * (-1 / pivot))
+    pivot, kappa = _pivot(level, rep)
+    x = base.e6 * (1 + kappa) + base.e4.derive() * (3 * kappa)
+    return PuiseuxSeries(
+        component.offset, apply_ode((x, base.e4 * (-1 / pivot)), component)
+    )
 
-    def step(component: PuiseuxSeries) -> PuiseuxSeries:
-        return PuiseuxSeries(component.offset, apply_ode(coefficients, component))
 
+def raise_weight(form: VectorForm) -> VectorForm:
+    """One weight-raising step, ``raise_component`` on each component.
+
+    The first component's leading exponent moves up by 1 and the second's
+    stays put; ``VectorForm`` refuses the raised form if either fails or a
+    component vanishes.
+    """
     return VectorForm(
-        first=step(form.first),
-        second=step(form.second),
+        first=raise_component(form.level, form.rep, form.base, form.first),
+        second=raise_component(form.level, form.rep, form.base, form.second),
         rep=form.rep,
         level=form.level + 1,
-        base=base,
+        base=form.base,
     )
 
 
@@ -196,14 +220,34 @@ def weight_levels(rep: ReprData, order: int, r: int) -> Iterator[VectorForm]:
 
     Each raise uses up one body coefficient of the first component, whose
     leading term it cancels, so the minimal form builds it at order + r and
-    level r, which h is read from, keeps ``order``; the second, which no
-    raise moves, is built, raised and checked at ``order``.  ``minimal_form``
-    proves level 0 against its MLDE; the raised levels are the caller's.
+    level r keeps ``order``; the second, which no raise moves, is built and
+    raised at ``order``.  ``minimal_form`` proves level 0 against its MLDE;
+    the raised levels are the caller's.
     """
     form = minimal_form(rep, order, r)
     while True:
         yield form
         form = raise_weight(form)
+
+
+def raise_second(form: VectorForm, r: int) -> PuiseuxSeries:
+    """``form``'s second component raised r times by ``raise_component``,
+    each level checked against its MLDE by ``mlde_check`` through the order
+    the component holds, which no raise shortens.
+
+    A raised component that vanishes to working order, which would pass
+    the MLDE check, raises InternalMismatch at index 0, as ``VectorForm``
+    does; one whose exponent moved fails the MLDE check there.
+    """
+    second = form.second
+    for level in range(form.level + 1, form.level + r + 1):
+        second = raise_component(level - 1, form.rep, form.base, second)
+        if second.is_zero():
+            raise InternalMismatch(
+                f"level {level}: a component vanishes to working order", index=0
+            )
+        mlde_check(level, form.rep, form.base, second)
+    return second
 
 
 def wronskian(form: VectorForm) -> PuiseuxSeries:
@@ -242,42 +286,61 @@ def wronskian_check(form: VectorForm) -> tuple[Fraction, int]:
     return w.leading, e
 
 
-def mlde_wronskian(form: VectorForm) -> tuple[Fraction, int]:
-    """(c, e) of W(F) = c Delta**e for a form whose components solve the MLDE
-    of its level: e = level + 1 and c = (n_k/m) l1 l2 from the leading
-    coefficients (module docstring).  It checks nothing; ``mlde_check``
-    checks the level, inside ``minimal_form`` at level 0.
+def level_constants(m: int, n: int) -> tuple[tuple[Fraction, int], ...]:
+    """(c, e) of W = c Delta**e at each of levels 0..r of the chain of
+    (m, n), n = r m + n', in closed form (module docstring); no series is
+    built.
+
+    InternalMismatch names the level of a zero constant.
     """
-    n_k = form.level * form.rep.m + form.rep.n_prime
-    c = Fraction(n_k, form.rep.m) * form.first.leading * form.second.leading
-    return c, form.level + 1
+    rep, r = split_n(m, n)
+    o2 = rep.recipes[1].offset
+    l1 = l2 = Fraction(1)
+    levels = [(Fraction(rep.n_prime, m), 1)]
+    for k in range(r):
+        pivot, kappa = _pivot(k, rep)
+        x0 = 1 + kappa
+        x1 = 720 * kappa - 504 * x0
+        o = rep.recipes[0].offset + k
+        e, a, b = hypergeometric.mlde_scalars(k, m, rep.n_prime)
+        # the first component's q**(o+1) coefficient over its leading one
+        indicial = (o + 1) ** 2 - e * (o + 1) + a + b  # W(o + 1)
+        rho = -(24 * e * o - 48 * a + 240 * b) / indicial
+        l1 *= x0 * rho + x1 - ((o + 1) * rho + 240 * o) / pivot
+        l2 *= x0 - o2 / pivot
+        c = Fraction((k + 1) * m + rep.n_prime, m) * l1 * l2
+        if not c:
+            raise InternalMismatch(f"level {k + 1}: Wronskian constant is 0", index=0)
+        levels.append((c, k + 2))
+    return tuple(levels)
 
 
-def mlde_check(form: VectorForm) -> tuple[Fraction, int]:
-    """Verify that each component of ``form`` solves the MLDE of its level
-    through its own order; return ``mlde_wronskian(form)``.
+def mlde_check(
+    level: int, rep: ReprData, base: BaseForms, *components: PuiseuxSeries
+) -> None:
+    """Verify that each of ``components`` solves the MLDE of ``rep``'s
+    level-``level`` form through its own order.
 
     InternalMismatch names the first index i of a nonzero residual, the
-    first component first.  With the exponents ``VectorForm`` pinned,
-    W(i) != 0 for i >= 1, so there the body first leaves its leading
-    coefficient times the MLDE series, f_i - residual_i / W(i).  A zero
-    component would pass; ``VectorForm`` refuses one.
+    components in the order given.  With a component's exponent a root of
+    the indicial polynomial W, W(i) != 0 for i >= 1, so there the body first
+    leaves its leading coefficient times the MLDE series,
+    f_i - residual_i / W(i).  A zero component passes; ``VectorForm`` and
+    ``raise_second`` refuse one.
     """
-    coefficients = hypergeometric.mlde_coefficients(
-        form.level, form.rep.m, form.rep.n_prime, form.base
-    )
-    for component in (form.first, form.second):
+    coefficients = hypergeometric.mlde_coefficients(level, rep.m, rep.n_prime, base)
+    for component in components:
         residual = apply_ode(coefficients, component)
         i = residual.valuation()
         if i is not None:
-            w = apply_ode(coefficients, PuiseuxSeries(component.offset + i, QSeries([1])))
+            unit = PuiseuxSeries(component.offset + i, QSeries([1]))
+            w = apply_ode(coefficients, unit)
             raise InternalMismatch(
-                f"level {form.level}: the component at exponent {component.offset} "
+                f"level {level}: the component at exponent {component.offset} "
                 f"has {component.body[i]} at q^{i} of its body, its MLDE series "
                 f"{component.body[i] - residual[i] / w[0]}",
                 index=i,
             )
-    return mlde_wronskian(form)
 
 
 def c2_closed_form(m: int, n_prime: int) -> Fraction:

@@ -21,6 +21,7 @@ from schwarzian import (
     PuiseuxSeries,
     QSeries,
     acceptance,
+    cli,
     hypergeometric,
     numeric,
     solver,
@@ -91,6 +92,38 @@ def test_criterion_3_checks_both_levels_through_order_terms(monkeypatch):
     assert result.detail == (
         f"{pairs} pairs; level 0 through {order} terms; level 1 through {order} terms"
     )
+
+
+def test_mutated_closed_form_constant_fails_criterion_3_and_verify(monkeypatch, capsys):
+    """Criterion 3 and the CLI's verify compare each literal W check with
+    ``vvmf.level_constants``: a closed form off at level 1 fails both,
+    naming that level, and level 0 still passes."""
+    original = vvmf.level_constants
+
+    def off(m, n):
+        levels = list(original(m, n))
+        c, e = levels[1]
+        levels[1] = (2 * c, e)
+        return tuple(levels)
+
+    monkeypatch.setattr(vvmf, "level_constants", off)
+    acceptance._minimal.cache_clear()
+    acceptance._raised.cache_clear()
+    try:
+        result = acceptance.check_wronskian_delta_power()
+    finally:
+        acceptance._minimal.cache_clear()
+        acceptance._raised.cache_clear()
+    assert not result.passed
+    # c = (n_1/m) l1 l2 at level 1, with l1, l2 level 0's raising ratios
+    c = vvmf.c1_closed_form(7, 1) * vvmf.c2_closed_form(7, 1) * 8 / 7
+    assert f"(7,1): level 1 gave c={c}, e=2, expected c={2 * c}, e=2" in result.detail
+    assert "level 0 gave" not in result.detail
+
+    assert cli.main(["verify", "--m", "7", "--n", "9", "--terms", "10"]) == 1
+    out = capsys.readouterr().out
+    assert "level 1 gave c=-162432/133, e=2, expected c=-324864/133, e=2" in out
+    assert "level 0 gave" not in out
 
 
 def test_criterion_4_raising_constants():

@@ -29,7 +29,7 @@ from schwarzian import (
     vvmf,
 )
 from schwarzian.cli import main
-from test_solver import raise_weight_with_de4_coefficient_2
+from test_solver import raise_component_with_de4_coefficient_2
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,8 @@ def test_solve_json_contract(
     assert [lvl["delta_power"] for lvl in levels] == list(range(1, raises + 2))
     assert levels[0] == {"constant": f"{n_prime}/{m}", "delta_power": 1, "level": 0}
     assert all(c["pass"] for c in payload["checks"])
+    # a raised h is read from the raised second component alone
+    assert ("reduction of order" in payload["checks"][0]["detail"]) == bool(raises)
 
 
 def test_solve_json_roundtrips_byte_identical(capsys):
@@ -228,17 +230,25 @@ def test_failed_wronskian_below_r_does_not_stop_verify(capsys, monkeypatch):
     ]
 
 
-def test_solver_and_cli_build_levels_only_through_weight_levels():
-    # vvmf.weight_levels builds the one chain of levels that solve, verify
-    # and vvmf read, so neither module builds or raises a form itself
+def test_solver_and_cli_build_levels_through_vvmf_chains():
+    # vvmf.weight_levels builds the chain of whole forms that verify and
+    # vvmf read, and solve raises only the minimal form's second component
+    # through vvmf.raise_second; neither module raises a component itself
+    steps = {
+        "minimal_form", "raise_weight", "raise_component", "weight_levels", "raise_second"
+    }
+    uses = {}
     for module in (solver, cli):
         called = {
             getattr(node.func, "attr", getattr(node.func, "id", None))
             for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
             if isinstance(node, ast.Call)
         }
-        assert "weight_levels" in called, module.__name__
-        assert not called & {"minimal_form", "raise_weight"}, module.__name__
+        uses[module.__name__] = called & steps
+    assert uses == {
+        "schwarzian.solver": {"minimal_form", "raise_second"},
+        "schwarzian.cli": {"weight_levels"},
+    }
 
 
 # verify and vvmf of (7, 9, 10) with the D E4 coefficient of the raising step
@@ -290,7 +300,7 @@ LEVEL_0 = {
 
 @pytest.mark.parametrize("command", ["verify", "vvmf"])
 def test_mutated_raising_fails_the_literal_checks(capsys, monkeypatch, command):
-    monkeypatch.setattr(vvmf, "raise_weight", raise_weight_with_de4_coefficient_2)
+    monkeypatch.setattr(vvmf, "raise_component", raise_component_with_de4_coefficient_2)
     code, out, _ = run_cli(
         capsys, command, "--m", "7", "--n", "9", "--terms", "10", "--format", "json"
     )
@@ -376,8 +386,8 @@ def test_verify_fails_the_literal_checks_of_a_wrong_bundle(capsys, monkeypatch):
     # off the raised form, so a wrong h fails both by name
     original = solver._bundle
 
-    def wrong(form, levels):
-        bundle = original(form, levels)
+    def wrong(form):
+        bundle = original(form)
         coeffs = list(bundle.h.body.coeffs)
         coeffs[4] += 1
         return dataclasses.replace(bundle, h=PuiseuxSeries(bundle.h.offset, QSeries(coeffs)))

@@ -6,7 +6,8 @@ The components' two routes are checked against references built here:
 F(1728/j) by substituting 1728/j into the 2F1 series (``QSeries.compose``),
 which E4^-3P turns into the package's Phi, and the MLDE Frobenius series
 from its recurrence over plain ``Fraction``s.  With sympy installed, the
-equation the package solves for Phi is also proved symbolically, over Q(w).
+equation the package solves for Phi is also proved symbolically, over Q(w),
+and the raising step's map of each level's MLDE onto the next over Q(w, k).
 """
 
 import ast
@@ -320,3 +321,57 @@ def test_reduced_equation_symbolically():
     f = delta_alpha * phi[0]
     p0 = sympy.Rational(5, 24) * e2**2 + (sympy.Rational(1, 24) - w**2) * e4
     assert is_zero(D(D(f)) - e2 * D(f) + p0 * f - delta_alpha * reduced)
+
+
+def test_raising_maps_each_level_onto_the_next_symbolically():
+    """Raising, proved over Q(w, k) for every (m, n') and every level k at
+    once, with E2, E4, E6 as symbols, D acting by Ramanujan's identities and
+    D^2 f eliminated with the level-k MLDE (``mlde_scalars``):
+
+    4. with pivot p = w + 1/12 + k/2, weight 5 + 6k and
+       X = (1 + (5 + 6k)/12p) E6 + ((5 + 6k)/4p) D E4, as
+       ``vvmf.raise_component`` builds them, g = X f - (1/p) E4 D f solves
+       the level-(k + 1) MLDE whenever f solves the level-k one.
+
+    With the pivot off by 1/12 the residual is not zero.  With the
+    Frobenius uniqueness of the components at their exponents, this makes
+    every raised component the paper's, so solve may raise the second one
+    alone.
+    """
+    sympy = pytest.importorskip("sympy")
+    w, k, e2, e4, e6 = sympy.symbols("w k E2 E4 E6")
+    f = sympy.symbols("f0:2")  # f, D f
+
+    def mlde(level):  # (e, a, b) of D^2 f - e E2 D f + (a E2^2 + b E4) f
+        e = sympy.sympify(level) + 1
+        return e, e * (6 * e - 1) / 24, e / 24 - (w + (e - 1) / 2) ** 2
+
+    e, a, b = mlde(k)
+    de4 = (e2 * e4 - e6) / 3
+    derivative = {
+        e2: (e2**2 - e4) / 12,
+        e4: de4,
+        e6: (e2 * e6 - e4**2) / 2,
+        f[0]: f[1],
+        f[1]: e * e2 * f[1] - (a * e2**2 + b * e4) * f[0],
+    }
+
+    def D(x):  # noqa: N802
+        return sum(sympy.diff(x, s) * dx for s, dx in derivative.items())
+
+    def residual(pivot):
+        kappa = (5 + 6 * k) / (12 * pivot)
+        g = ((1 + kappa) * e6 + 3 * kappa * de4) * f[0] - e4 / pivot * f[1]
+        e1, a1, b1 = mlde(k + 1)
+        return sympy.cancel(
+            sympy.together(D(D(g)) - e1 * e2 * D(g) + (a1 * e2**2 + b1 * e4) * g)
+        )
+
+    pivot = w + sympy.Rational(1, 12) + k / 2
+    assert residual(pivot) == 0
+    assert residual(pivot - sympy.Rational(1, 12)) != 0
+    # the package's scalars are these at a sample pair and level
+    level, m, n_prime = 3, 7, 2
+    assert hypergeometric.mlde_scalars(level, m, n_prime) == tuple(
+        Fraction(str(x.subs(w, Fraction(n_prime, 2 * m)))) for x in mlde(level)
+    )

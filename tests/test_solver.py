@@ -10,6 +10,7 @@ over plain Fractions from E4's own divisor sums.
 
 import dataclasses
 import hashlib
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schwarzian import forms, hypergeometric, solver, vvmf
+from schwarzian import cli, forms, hypergeometric, solver, vvmf
 from schwarzian import (
     DegenerateDerivative,
     InternalMismatch,
@@ -217,36 +218,56 @@ def test_ode_solutions_refuse_integer_offset():
             ode_solutions(PuiseuxSeries(offset, QSeries([1, 2, 3, 4])))
 
 
+def bumping(k, first, _raise_component=vvmf.raise_component):
+    """``vvmf.raise_component`` with the raised first (``first``) or second
+    component's body bumped by 1 at q^k."""
+
+    def step(level, rep, base, component):
+        raised = _raise_component(level, rep, base, component)
+        if (component.offset != rep.recipes[1].offset) != first:
+            return raised
+        coeffs = list(raised.body.coeffs)
+        coeffs[k] += 1
+        return PuiseuxSeries(raised.offset, QSeries(coeffs))
+
+    return step
+
+
 @pytest.mark.parametrize("k", [1, 4, 17])
-def test_ode_stage_names_first_wrong_coefficient_of_h(monkeypatch, k):
-    """Either component of a raised form bumped at q^k of its body makes h
-    wrong from q^k on, and that level's MLDE check names index k."""
+def test_ode_stage_names_first_wrong_coefficient_of_h(monkeypatch, capsys, k):
+    """Either component of a raised form bumped at q^k of its body makes
+    the ratio h wrong from q^k on.  solve raises the second component alone,
+    and its level-1 MLDE check names index k; the first is raised by the
+    CLI's ``verify``, whose literal checks of W, {h} and h y2 name k."""
     good = solve(11, 16, 30).h  # n' = 5, one raise
-
-    for which in ("first", "second"):
-
-        def bumped(form, which=which):
-            raised = raise_weight(form)
-            component = getattr(raised, which)
-            coeffs = list(component.body.coeffs)
-            coeffs[k] += 1
-            bad = PuiseuxSeries(component.offset, QSeries(coeffs))
-            return dataclasses.replace(raised, **{which: bad})
-
-        raised = bumped(minimal_form(ReprData(11, 5), 31))
-        ratio = raised.first / raised.second
-        assert ((ratio / ratio.leading).body - good.body).valuation() == k
-
-        monkeypatch.setattr(vvmf, "raise_weight", bumped)
-        with pytest.raises(InternalMismatch) as info:
-            solve(11, 16, 30)
-        assert info.value.index == k
+    for first in (True, False):
+        with monkeypatch.context() as patch:
+            patch.setattr(vvmf, "raise_component", bumping(k, first))
+            raised = raise_weight(minimal_form(ReprData(11, 5), 30, 1))
+            ratio = raised.first / raised.second
+            assert ((ratio / ratio.leading).body - good.body).valuation() == k
+            if not first:
+                with pytest.raises(InternalMismatch) as info:
+                    solve(11, 16, 30)
+                assert info.value.index == k
+                continue
+            assert solve(11, 16, 30).h == good
+            capsys.readouterr()
+            argv = ["verify", "--m", "11", "--n", "16", "--terms", "30", "--format", "json"]
+            assert cli.main(argv) == 1
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            wronskian, schwarzian, ode = (c["detail"] for c in checks[1:])
+            assert "level 1: NotProportionalToDeltaPower: W / Delta**2 " in wronskian
+            assert wronskian.endswith(f" at q^{k}")
+            assert "NotProportional: sd / E4 is not constant" in schwarzian
+            assert schwarzian.endswith(f" at q^{k}")
+            assert ode.endswith(f" at exponent offset {k}")
 
 
 def test_solve_checks_the_ode_once_without_square_roots(monkeypatch):
-    """solve builds each level's MLDE once, for both components, and
-    computes no literal Wronskian, Schwarzian or ODE residual, and no
-    square root."""
+    """solve builds each level's MLDE once, for both components at level 0
+    and the second above it, and computes no literal Wronskian, Schwarzian
+    or ODE residual, and no square root."""
     literal = [
         (solver, "verify_ode"),
         (solver, "schwarz_derivative"),
@@ -276,18 +297,16 @@ def test_solve_checks_the_ode_once_without_square_roots(monkeypatch):
     assert mlde_levels == [0, 1]
 
 
-def raise_weight_with_de4_coefficient_2(form, _raise_weight=vvmf.raise_weight):
-    """``vvmf.raise_weight`` with the D E4 coefficient of X, 3 k/pivot,
-    mutated to 2 k/pivot: each raised component less k/pivot D(E4) times
-    the old one.  D E4 starts at q^1, so the leading exponents stay right."""
-    raised = _raise_weight(form)
-    pivot = form.first.offset - F(form.weight, 12)
-    de4 = form.base.e4.derive() * (form.weight / (12 * pivot))
-    return dataclasses.replace(
-        raised,
-        first=raised.first - form.first * de4,
-        second=raised.second - form.second * de4,
-    )
+def raise_component_with_de4_coefficient_2(
+    level, rep, base, component, _raise_component=vvmf.raise_component
+):
+    """``vvmf.raise_component`` with the D E4 coefficient of X, 3 k/pivot,
+    mutated to 2 k/pivot: the raised component less k/pivot D(E4) times the
+    old one.  D E4 starts at q^1, so the leading exponent stays right."""
+    raised = _raise_component(level, rep, base, component)
+    weight = 5 + 6 * level
+    pivot = rep.recipes[0].offset + level - F(weight, 12)
+    return raised - component * (base.e4.derive() * (weight / (12 * pivot)))
 
 
 @pytest.mark.parametrize(
@@ -295,18 +314,36 @@ def raise_weight_with_de4_coefficient_2(form, _raise_weight=vvmf.raise_weight):
 )
 def test_mutated_raising_is_caught_at_index_1(monkeypatch, m, n, order):
     """A wrong D E4 coefficient in the raising step leaves the leading
-    exponents right, and the level-1 MLDE check stops solve at index 1,
-    where the literal Wronskian check of that level stops too."""
+    exponents right, and the level-1 MLDE check of the second component
+    stops solve at index 1, where the literal Wronskian check of the
+    raised form stops too."""
     rep, r = vvmf.split_n(m, n)
-    raised = raise_weight_with_de4_coefficient_2(minimal_form(rep, order + r))
+    monkeypatch.setattr(vvmf, "raise_component", raise_component_with_de4_coefficient_2)
     with pytest.raises(NotProportionalToDeltaPower) as literal:
-        wronskian_check(raised)
+        wronskian_check(raise_weight(minimal_form(rep, order, r)))
     assert literal.value.index == 1
-
-    monkeypatch.setattr(vvmf, "raise_weight", raise_weight_with_de4_coefficient_2)
     with pytest.raises(InternalMismatch) as info:
         solve(m, n, order)
     assert info.value.index == 1
+    second = rep.recipes[1].offset
+    assert str(info.value).startswith(f"level 1: the component at exponent {second} ")
+
+
+def test_vanishing_raised_second_component_is_refused(monkeypatch):
+    """A zero component solves every MLDE, so raise_second refuses a raised
+    second component that vanishes to working order, naming its level."""
+    original = vvmf.raise_component
+
+    def zeroed(level, rep, base, component):
+        raised = original(level, rep, base, component)
+        if level == 1:
+            return PuiseuxSeries(raised.offset, QSeries.zero(raised.order))
+        return raised
+
+    monkeypatch.setattr(vvmf, "raise_component", zeroed)
+    with pytest.raises(InternalMismatch, match="^level 2: a component vanishes") as info:
+        solve(7, 16, 10)
+    assert info.value.index == 0
 
 
 def test_verify_ode_on_solved_pair():
@@ -511,38 +548,42 @@ def test_solve_agrees_with_the_literal_checks(m, data, order):
     assert verify_ode(h * ode_solutions(h)[1], bundle.ode_parameter)
 
 
-# coprime (m, n') with m <= 13, and r <= 100 raises
-RAISED_TRIPLES = st.integers(7, 13).flatmap(
+# coprime (m, n') with m <= 1009, and r <= 1000 raises
+RAISED_TRIPLES = st.integers(7, 1009).flatmap(
     lambda m: st.tuples(
         st.just(m),
         st.integers(1, m - 1).filter(lambda n: gcd(m, n) == 1),
-        st.integers(0, 100),
+        st.integers(0, 1000),
     )
 )
 
 
 @given(RAISED_TRIPLES, st.integers(4, 8))
-@example((7, 1, 100), 8)
-@example((13, 12, 100), 4)
+@example((7, 1, 1000), 8)
+@example((1009, 1008, 1000), 4)
+@example((13, 12, 0), 4)
 @settings(max_examples=25, deadline=None)
 def test_raised_pairs_check_every_level_at_the_requested_order(triple, order):
-    """For n = r m + n' with r up to 100, solve checks each of levels 0..r
-    once, with both components through at least ``order`` terms and the
-    second, whose exponent no raise moves, through exactly ``order``; and
-    h is the ratio y1 / y2 of the Frobenius solutions."""
+    """For n = r m + n' with r up to 1000, solve checks both components of
+    level 0 against its MLDE, then the second component alone at each of
+    levels 1..r, every one through exactly ``order`` terms; no form is
+    raised.  h is the ratio y1 / y2 of the Frobenius solutions."""
     m, n_prime, r = triple
     seen = []
     original = vvmf.mlde_check
 
-    def recorded(form):
-        seen.append((form.level, form.first.order, form.second.order))
-        return original(form)
+    def recorded(level, rep, base, *components):
+        seen.append((level, [c.order for c in components]))
+        return original(level, rep, base, *components)
+
+    def unreachable(form):
+        raise AssertionError("solve raised a whole form")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vvmf, "mlde_check", recorded)
+        patch.setattr(vvmf, "raise_weight", unreachable)
         h = solve(m, r * m + n_prime, order).h
-    assert [level for level, _, _ in seen] == list(range(r + 1))
-    assert all(first >= order and second == order for _, first, second in seen)
+    assert seen == [(0, [order, order])] + [(k, [order]) for k in range(1, r + 1)]
     y1, y2 = ode_solutions(h)
     assert h.order == order
     assert h == y1 / y2
@@ -550,7 +591,7 @@ def test_raised_pairs_check_every_level_at_the_requested_order(triple, order):
 
 def test_bundle_stores_only_what_solve_computed():
     names = [f.name for f in dataclasses.fields(solver.SolutionBundle)]
-    assert names == ["m", "n", "h", "wronskians"]
+    assert names == ["m", "n", "h"]
     assert not hasattr(solve(7, 1, 2), "__dict__")  # slotted: no per-bundle dict
 
 

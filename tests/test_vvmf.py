@@ -148,16 +148,18 @@ def test_wronskian_check_catches_wrong_e2(index):
 @pytest.mark.parametrize("field", ["e2", "e2_squared", "e4"])
 @pytest.mark.parametrize("index", [1, 3])
 def test_mlde_check_catches_wrong_base(field, index):
-    """mlde_check reads E2, E2^2 and E4 from the form's base: any of them
-    bumped by 1 at q**index after raising fails the level-1 check there."""
+    """mlde_check reads E2, E2^2 and E4 from the base it is given: any of
+    them bumped by 1 at q**index after raising fails the level-1 check
+    there, for either component."""
     form = raise_weight(minimal_form(ReprData(7, 2), 12))
-    assert vvmf.mlde_check(form) == wronskian_check(form)
+    vvmf.mlde_check(1, form.rep, form.base, form.first, form.second)
     cs = list(getattr(form.base, field).coeffs)
     cs[index] += 1
     base = dataclasses.replace(form.base, **{field: QSeries(cs)})
-    with pytest.raises(InternalMismatch) as info:
-        vvmf.mlde_check(dataclasses.replace(form, base=base))
-    assert info.value.index == index
+    for component in (form.first, form.second):
+        with pytest.raises(InternalMismatch) as info:
+            vvmf.mlde_check(1, form.rep, base, component)
+        assert info.value.index == index
 
 
 def test_mlde_check_names_the_frobenius_coefficient(monkeypatch):
@@ -439,6 +441,20 @@ def test_raised_components_golden_hash(m, n, order):
         offset, coeffs = _terms(want.second)
         assert _terms(form.second) == (offset, coeffs[:order])
         assert len(form.second.body.coeffs) == order
+    # solve's chain: the second component alone, from the minimal form at order
+    second = vvmf.raise_second(minimal_form(rep, order), r)
+    offset, coeffs = _terms(reference[-1].second)
+    assert _terms(second) == (offset, coeffs[:order])
+
+
+@pytest.mark.parametrize("m, n, order", [(9, 38, 6), (13, 68, 6), (7, 701, 3)])
+def test_level_constants_match_the_literal_chain(m, n, order):
+    """The closed-form (c, e) of every level is what ``wronskian_check``
+    reads off the raised chain, here up to r = 100 for (7, 701)."""
+    rep, r = vvmf.split_n(m, n)
+    levels = itertools.islice(vvmf.weight_levels(rep, order, r), r + 1)
+    assert vvmf.level_constants(m, n) == tuple(map(wronskian_check, levels))
+
 
 
 def test_one_base_build_per_form_and_no_composition(build_counts, construction_counts):
