@@ -1,10 +1,11 @@
 """Time solve(7, 1, N), minimal_form and solve(9, 38, N) at N = 60, 120 and 240,
-solve(7, 1, 480), solve(7, 7r + 1, 10) at r = 100, 200, 400 and 1600, and
+solve(7, 1, 480), solve(7, 7r + 1, 10) at r = 100, 200, 400 and 1600,
+``schwarzian verify --m 7 --n 7r+1 --terms 10`` at r = 50, 100 and 200, and
 cold base_forms, solve and acceptance battery calls, across checkouts.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_27.json
+    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_28.json
 
 Each ``--tree NAME=PATH`` names a checkout whose ``src/`` holds the
 package.  Every round runs one fresh process per tree, in turn, so the
@@ -20,12 +21,19 @@ previous cell's time scaled by the cube of the ratio of their raises
 exceeds ``SWEEP_BUDGET_S``: a tree whose raised pairs cost about r^3 would
 spend many minutes on it (solve(7, 2801, 10) took 11.8 s in a tree that
 raised both components, so r = 1600 would take about 13 minutes).
+``verify_sweep`` is one in-process ``cli.main(["verify", "--m", "7",
+"--n", str(7r + 1), "--terms", "10"])`` per r, its output discarded, with
+the same skip: ``verify`` raises both components r times, the first from
+order 10 + r, so it still costs about r^3.  It reaches the package only
+through the command line, so a tree from before the command's internals
+moved times the same call.
 ``solve_raised`` is solve(9, 38, N), which raises the minimal form four
 times.  ``hypergeometric.base_forms`` is cached per order within a
 process, so in a tree that has the cache every timed call after the
 first at an order reads the cached base forms: the warm-up fills only
-order 30, ``solve`` and ``minimal_form`` share order N, ``solve_raised``
-builds its own at N + 4, and each sweep cell at 10 + r.
+order 30, ``solve``, ``minimal_form`` and ``solve_raised`` share order N,
+each ``solve_sweep`` cell reads order 10, and each ``verify_sweep`` cell
+builds its own at 10 + r.
 
 The cold cells run last, and each of their ``--repeats`` calls starts
 from an empty ``base_forms`` cache (emptied outside the timed call):
@@ -54,6 +62,7 @@ cells that both trees timed.  Paths are not recorded, only the names.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -69,6 +78,7 @@ PAIR = (7, 1)
 RAISED_PAIR = (9, 38)
 LONG_ORDER = 480
 SWEEP = (100, 200, 400, 1600)  # raises r of solve(7, 7r + 1, 10)
+VERIFY_SWEEP = (50, 100, 200)  # raises r of verify --m 7 --n 7r+1 --terms 10
 SWEEP_BUDGET_S = 120.0  # predicted seconds above which a sweep cell is skipped
 COLD_ORDERS = (60, 240)  # base_forms(N) from an empty cache
 COLD_SOLVE = (9, 4, 60)
@@ -76,7 +86,7 @@ COLD_SOLVE = (9, 4, 60)
 
 def measure(repeats: int) -> dict:
     """Wall times of the calls of every cell, in this process."""
-    from schwarzian import ReprData, acceptance, hypergeometric, minimal_form, solve
+    from schwarzian import ReprData, acceptance, cli, hypergeometric, minimal_form, solve
 
     solve(*PAIR, 30)
     cells = [
@@ -110,13 +120,22 @@ def measure(repeats: int) -> dict:
                 samples.append(time.perf_counter() - t0)
             times.setdefault(name, {})[key] = samples
 
+    def sweep(name: str, raises, call) -> None:
+        """One call of ``call(r)`` per r, up to the first skipped cell."""
+        last = None  # (r, seconds) of the previous cell
+        for r in raises:
+            if last and last[1] * (r / last[0]) ** 3 > SWEEP_BUDGET_S:
+                break
+            run([(name, str(r), partial(call, r), 1, False)])
+            last = r, times[name][str(r)][0]
+
+    def verify(r: int) -> None:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            cli.main(["verify", "--m", "7", "--n", str(7 * r + 1), "--terms", "10"])
+
     run(cells)
-    last = None  # (r, seconds) of the previous sweep cell
-    for r in SWEEP:
-        if last and last[1] * (r / last[0]) ** 3 > SWEEP_BUDGET_S:
-            break
-        run([("solve_sweep", str(r), partial(solve, 7, 7 * r + 1, 10), 1, False)])
-        last = r, times["solve_sweep"][str(r)][0]
+    sweep("solve_sweep", SWEEP, lambda r: solve(7, 7 * r + 1, 10))
+    sweep("verify_sweep", VERIFY_SWEEP, verify)
     run(cold_cells)
     return times
 
@@ -200,6 +219,11 @@ def main() -> int:
         "sweep": {
             "raises": list(SWEEP),
             "call": "solve(7, 7r + 1, 10)",
+            "skip_budget_s": SWEEP_BUDGET_S,
+        },
+        "verify_sweep": {
+            "raises": list(VERIFY_SWEEP),
+            "call": 'cli.main(["verify", "--m", "7", "--n", str(7r + 1), "--terms", "10"])',
             "skip_budget_s": SWEEP_BUDGET_S,
         },
         "cold": {

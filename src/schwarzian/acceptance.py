@@ -3,10 +3,11 @@
 Each criterion function returns a CheckResult; ``run_all`` runs the full
 battery in order.  These are the same checks the test suite and the CLI
 ``selftest`` subcommand run — one place defines what "working" means.
-Criteria 3-6 apply one per-pair predicate each (``*_problems``) over
-their grids; the CLI's ``verify`` and ``vvmf`` apply the same ones to
-their own pair.  Criterion 2 builds each minimal form, which
-``vvmf.VectorForm`` checks as it is constructed.
+``walk`` drives the literal level chain for criteria 2-4 and the CLI's
+``verify`` and ``vvmf``, which read their Wronskian and raising-ratio
+problems from one ``Walk``; criteria 5 and 6 apply one per-pair predicate
+each (``*_problems``), as ``verify`` does to its own h.  Criterion 2
+passes when each minimal form builds, which ``vvmf.VectorForm`` checks.
 
 ``solver.solve`` proves the minimal form, and for a raised pair the
 second component at every level, against that level's modular
@@ -32,6 +33,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import forms, hypergeometric, numeric, solver, vvmf
 from .errors import DivergentSeries, OutsideDisk, VerificationError
@@ -69,28 +71,93 @@ def failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def wronskian_problems(
-    rep: vvmf.ReprData, levels: dict[int, tuple[Fraction, int]]
-) -> list[str]:
-    """How the literal Wronskian checks (c, e), by level, miss the closed
-    form (c_k, k + 1) of ``vvmf.level_constants``, whose c_k are nonzero."""
-    want = vvmf.level_constants(rep.m, max(levels) * rep.m + rep.n_prime)
-    return [
-        f"level {level} gave c={c}, e={e}, "
-        f"expected c={want[level][0]}, e={want[level][1]}"
-        for level, (c, e) in levels.items()
-        if (c, e) != want[level]
-    ]
+class Walk(NamedTuple):
+    """Levels 0, 1, ... of a pair as far as ``walk`` built them; for each of
+    levels 0..r among them, the (c, e) of W checked literally or how that
+    check failed; and how a refused raise stopped the walk, if one did."""
+
+    r: int
+    forms: list[vvmf.VectorForm]
+    wronskians: list[tuple[Fraction, int] | str]
+    stopped: str | None
+
+    def checked(self) -> list[tuple[int, vvmf.VectorForm, Fraction, int]]:
+        """(level, form, c, e) of every level whose W check gave (c, e)."""
+        return [
+            (lvl, self.forms[lvl], *w)
+            for lvl, w in enumerate(self.wronskians)
+            if not isinstance(w, str)
+        ]
+
+    def wronskian_problems(self) -> list[str]:
+        """How levels 0..r miss W = c_k Delta**(k + 1): each failed W check,
+        each (c, e) off the closed form of ``vvmf.level_constants``, and
+        the refusal that stopped the walk below level r + 1; the refusal
+        alone if no form was built."""
+        if not self.forms:
+            return [self.stopped]
+        rep = self.forms[0].rep
+        want = vvmf.level_constants(rep.m, self.r * rep.m + rep.n_prime)
+        problems = [
+            f"level {lvl}: {w}" for lvl, w in enumerate(self.wronskians) if isinstance(w, str)
+        ]
+        problems += [
+            f"level {lvl} gave c={c}, e={e}, "
+            f"expected c={want[lvl][0]}, e={want[lvl][1]}"
+            for lvl, _, c, e in self.checked()
+            if (c, e) != want[lvl]
+        ]
+        if len(self.forms) <= self.r:
+            problems.append(f"level {len(self.forms)}: {self.stopped}")
+        return problems
+
+    def wronskian_verdict(self) -> CheckResult:
+        """wronskian-delta-power, a verdict for each of levels 0..r and each W
+        with the order it was checked through."""
+        detail = f"levels 0..{self.r}" + "".join(
+            f"; level {lvl}: c={c}, Delta^{e} through "
+            f"{min(form.first.order, form.second.order)} terms"
+            for lvl, form, c, e in self.checked()
+        )
+        return verdict("wronskian-delta-power", detail, self.wronskian_problems())
+
+    def raising_problems(self) -> list[str]:
+        """How the raising ratios miss -144(5m+6n')/(m+n') and 12n'/(m+6n'),
+        or the refusal that left level 1 unbuilt."""
+        if len(self.forms) < 2:
+            return [self.stopped]
+        rep = self.forms[0].rep
+        want = (vvmf.c1_closed_form(rep.m, rep.n_prime), vvmf.c2_closed_form(rep.m, rep.n_prime))
+        return [
+            f"c{i}={c} != closed form {w}"
+            for i, (c, w) in enumerate(zip(vvmf.raising_ratios(*self.forms[:2]), want), 1)
+            if c != w
+        ]
 
 
-def raising_problems(rep: vvmf.ReprData, c1: Fraction, c2: Fraction) -> list[str]:
-    """How the raising ratios c1, c2 at level 0 miss their closed forms."""
-    want = (vvmf.c1_closed_form(rep.m, rep.n_prime), vvmf.c2_closed_form(rep.m, rep.n_prime))
-    return [
-        f"c{i}={c} != closed form {w}"
-        for i, (c, w) in enumerate(zip((c1, c2), want), 1)
-        if c != w
-    ]
+def walk(rep: vvmf.ReprData, order: int, r: int, top: int) -> Walk:
+    """Levels 0..max(r, top) of ``rep``'s chain, ``vvmf.minimal_form(rep,
+    order, r)`` raised by ``vvmf.raise_weight`` up to the first raise that
+    ``VectorForm`` refuses, and the literal ``vvmf.wronskian_check`` on each
+    of levels 0..r; with no form if the minimal form fails to build.
+
+    Each raise uses up the first component's leading term, so it is built
+    at order + r and level r keeps ``order``, as the second component does.
+    """
+    forms, stopped = [], None
+    try:
+        forms.append(vvmf.minimal_form(rep, order, r))
+        while len(forms) <= max(r, top):
+            forms.append(vvmf.raise_weight(forms[-1]))
+    except VerificationError as exc:
+        stopped = failure(exc)
+    wronskians = []
+    for form in forms[: r + 1]:
+        try:
+            wronskians.append(vvmf.wronskian_check(form))
+        except VerificationError as exc:
+            wronskians.append(failure(exc))
+    return Walk(r, forms, wronskians, stopped)
 
 
 def schwarzian_problems(bundle: solver.SolutionBundle) -> list[str]:
@@ -118,17 +185,11 @@ def _solved(m: int, n: int, order: int) -> solver.SolutionBundle:
 
 
 @lru_cache(maxsize=None)
-def _minimal(m: int, n_prime: int) -> vvmf.VectorForm:
-    """The minimal form of a SHAPE_GRID pair as ``vvmf.weight_levels(rep,
-    ORDER, 1)`` builds it, its first component at ORDER + 1 terms so that
-    one raise leaves ORDER; shared by criteria 2-4."""
-    return next(vvmf.weight_levels(vvmf.ReprData(m, n_prime), ORDER, 1))
-
-
-@lru_cache(maxsize=None)
-def _raised(m: int, n_prime: int) -> vvmf.VectorForm:
-    """That form raised once, the chain's level 1, shared by criteria 3 and 4."""
-    return vvmf.raise_weight(_minimal(m, n_prime))
+def _walked(m: int, n_prime: int) -> Walk:
+    """The walk of SHAPE_GRID pair (m, n')'s raised pair (m, m + n') at
+    ORDER to level 1: the first component at ORDER + 1 terms, so that one
+    raise leaves ORDER, and W at levels 0 and 1; shared by criteria 2-4."""
+    return walk(vvmf.ReprData(m, n_prime), ORDER, 1, 1)
 
 
 def _over(grid, problems_of) -> list[str]:
@@ -181,11 +242,11 @@ def check_minimal_form_shape() -> CheckResult:
     """Every SHAPE_GRID pair's minimal form builds: ``vvmf.VectorForm``
     refuses a form whose exponents are not (m +- n')/2m or whose leading
     coefficients are not 1, and ``vvmf.minimal_form`` one off its MLDE, so
-    the problems are the pairs whose construction raised."""
+    the problems are the pairs whose construction failed."""
 
     def problems_of(m: int, n_prime: int) -> list[str]:
-        _minimal(m, n_prime)
-        return []
+        walked = _walked(m, n_prime)
+        return [] if walked.forms else [walked.stopped]
 
     detail = f"{len(SHAPE_GRID)} pairs at order {ORDER}"
     return verdict("minimal-form-shape", detail, _over(SHAPE_GRID, problems_of))
@@ -195,34 +256,24 @@ def check_wronskian_delta_power() -> CheckResult:
     """Wronskian = (n'/m) Delta at level 0, = c' Delta^2 after one raise,
     each W checked through the terms that both components of its level
     hold, which the detail states per level (fewest over the grid)."""
-    through: dict[int, int] = {}
-
-    def problems_of(m: int, n_prime: int) -> list[str]:
-        levels = {}
-        for form in (_minimal(m, n_prime), _raised(m, n_prime)):
-            levels[form.level] = vvmf.wronskian_check(form)
-            terms = min(form.first.order, form.second.order)
-            through[form.level] = min(through.get(form.level, terms), terms)
-        return wronskian_problems(form.rep, levels)
-
-    problems = _over(SHAPE_GRID, problems_of)
+    problems = _over(SHAPE_GRID, lambda m, n: _walked(m, n).wronskian_problems())
+    terms = [
+        (lvl, min(form.first.order, form.second.order))
+        for m, n in SHAPE_GRID
+        for lvl, form, _, _ in _walked(m, n).checked()
+    ]
     detail = f"{len(SHAPE_GRID)} pairs" + "".join(
-        f"; level {level} through {terms} terms"
-        for level, terms in sorted(through.items())
+        f"; level {lvl} through {min(t for k, t in terms if k == lvl)} terms"
+        for lvl in sorted({lvl for lvl, _ in terms})
     )
     return verdict("wronskian-delta-power", detail, problems)
 
 
 def check_raising_constants() -> CheckResult:
     """Both raising ratios match -144(5m+6n')/(m+n') and 12n'/(m+6n') exactly."""
-
-    def problems_of(m: int, n_prime: int) -> list[str]:
-        form = _minimal(m, n_prime)
-        c1, c2 = vvmf.raising_ratios(form, _raised(m, n_prime))
-        return raising_problems(form.rep, c1, c2)
-
+    problems = _over(SHAPE_GRID, lambda m, n: _walked(m, n).raising_problems())
     detail = f"{len(SHAPE_GRID)} pairs at order {ORDER}"
-    return verdict("raising-constants", detail, _over(SHAPE_GRID, problems_of))
+    return verdict("raising-constants", detail, problems)
 
 
 def check_schwarzian_proportionality() -> CheckResult:
@@ -351,7 +402,7 @@ def run_all() -> list[CheckResult]:
     solutions that criteria share within one run are cleared and built
     afresh, so each run checks the code as it is now.
     """
-    for cached in (hypergeometric.base_forms, _solved, _minimal, _raised):
+    for cached in (hypergeometric.base_forms, _solved, _walked):
         cached.cache_clear()
     return [
         check_classical_identities(),

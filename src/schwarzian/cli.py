@@ -5,10 +5,13 @@ Every subcommand emits either human-readable text (default) or JSON
 
     {"command": ..., "params": {...}, "results": {...}, "checks": [...]}
 
-with every exact rational rendered as a fraction string ("-1/98") and every
-complex value as {"re": ..., "im": ...} decimal strings.  Exit status is 0
-when all reported checks pass, 1 when a verification check fails, and 2 for
-unusable input.
+with every exact rational rendered in full as a fraction string ("-1/98"),
+however many digits it has, and every complex value as
+{"re": ..., "im": ...} decimal strings.  Exit status is 0 when all reported
+checks pass, 1 when a verification check fails, and 2 for unusable input.
+
+``verify`` and ``vvmf`` report on the level chain of ``acceptance.walk``,
+which criteria 2-4 of the acceptance battery read too.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import islice
-from typing import Any, NamedTuple
+from typing import Any
 
 from . import acceptance, numeric, solver, vvmf
 from .acceptance import CheckResult, failure, verdict
@@ -86,72 +88,21 @@ def _emit(
     return 0 if all(c.passed for c in checks) else 1
 
 
-class _Walk(NamedTuple):
-    """Levels 0, 1, ... of a pair as far as ``_walk`` built them; for each of
-    levels 0..r among them, the (c, e) of W checked literally or how that
-    check failed; and how a refused raise stopped the walk, if one did."""
-
-    r: int
-    forms: list[vvmf.VectorForm]
-    wronskians: list[tuple[Fraction, int] | str]
-    stopped: str | None
-
-    def checked(self) -> list[tuple[int, vvmf.VectorForm, Fraction, int]]:
-        """(level, form, c, e) of every level whose W check gave (c, e)."""
-        return [
-            (lvl, self.forms[lvl], *w)
-            for lvl, w in enumerate(self.wronskians)
-            if not isinstance(w, str)
-        ]
-
-    def wronskian_verdict(self) -> CheckResult:
-        """wronskian-delta-power, a verdict for each of levels 0..r and each W
-        with the order it was checked through."""
-        checked = {lvl: (c, e) for lvl, _, c, e in self.checked()}
-        problems = [
-            f"level {lvl}: {w}"
-            for lvl, w in enumerate(self.wronskians)
-            if isinstance(w, str)
-        ]
-        if checked:
-            problems += acceptance.wronskian_problems(self.forms[0].rep, checked)
-        if len(self.forms) <= self.r:
-            problems.append(f"level {len(self.forms)}: {self.stopped}")
-        detail = f"levels 0..{self.r}" + "".join(
-            f"; level {lvl}: c={c}, Delta^{e} through "
-            f"{min(form.first.order, form.second.order)} terms"
-            for lvl, form, c, e in self.checked()
-        )
-        return verdict("wronskian-delta-power", detail, problems)
-
-
 def _walk(args: argparse.Namespace, top: int, report) -> int:
-    """``verify`` and ``vvmf``: levels 0..max(r, top) of (m, n) from
-    ``vvmf.weight_levels``, and the literal ``vvmf.wronskian_check`` on each
-    of 0..r, up to the first raise that ``VectorForm`` refuses.  Only a
-    failure of the minimal form is reported as ``construction``; a failed
-    check, or a raise refused, at level k <= r is reported under
-    wronskian-delta-power as ``level k: ...``, and ``report(walk, results)``
-    fails each check that needs a level not built with the refusal's text.
+    """``verify`` and ``vvmf``: ``acceptance.walk`` of (m, n) to level
+    max(r, top).  Only a failure of the minimal form is reported as
+    ``construction``; a failed check, or a raise refused, at level k <= r
+    is reported under wronskian-delta-power as ``level k: ...``, and
+    ``report(walk, results)`` fails each check that needs a level not built
+    with the refusal's text.
     """
     params = {"m": args.m, "n": args.n, "terms": args.terms}
     rep, r = solver._parameters(args.m, args.n, args.terms)
     results: dict[str, Any] = {"n_prime": rep.n_prime, "raises": r}
-    forms, wronskians, stopped = [], [], None
-    try:
-        for form in islice(vvmf.weight_levels(rep, args.terms, r), max(r, top) + 1):
-            forms.append(form)
-            if form.level <= r:
-                try:
-                    wronskians.append(vvmf.wronskian_check(form))
-                except VerificationError as exc:
-                    wronskians.append(failure(exc))
-    except VerificationError as exc:
-        stopped = failure(exc)
-    if not forms:
-        return _emit(args, params, results, [CheckResult("construction", False, stopped)])
-    checks = report(_Walk(r, forms, wronskians, stopped), results)
-    return _emit(args, params, results, checks)
+    walk = acceptance.walk(rep, args.terms, r, top)
+    if not walk.forms:
+        return _emit(args, params, results, [CheckResult("construction", False, walk.stopped)])
+    return _emit(args, params, results, report(walk, results))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -194,7 +145,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return _emit(args, params, results, [check])
 
 
-def _verify_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
+def _verify_checks(walk: acceptance.Walk, results: dict[str, Any]) -> list[CheckResult]:
     """The minimal form's shape, which ``VectorForm`` checked, W at every
     level, and {h} and h y2's ODE residual, computed literally from h by the
     battery's predicates; no MLDE is checked past level 0."""
@@ -232,7 +183,7 @@ def _verify_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
     return checks
 
 
-def _vvmf_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
+def _vvmf_checks(walk: acceptance.Walk, results: dict[str, Any]) -> list[CheckResult]:
     """W at every level and the raising constants from levels 0 and 1,
     against their closed forms; the levels reached go into ``results``."""
     rep = walk.forms[0].rep
@@ -270,7 +221,7 @@ def _vvmf_checks(walk: _Walk, results: dict[str, Any]) -> list[CheckResult]:
             "raising-ratios",
             f"computed {c1}, {c2}; closed forms -144(5m+6n')/(m+n') = {c1_closed}, "
             f"12n'/(m+6n') = {c2_closed}",
-            acceptance.raising_problems(rep, c1, c2),
+            walk.raising_problems(),
         ),
     ]
 
@@ -389,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         argv[i : i + 2] = [f"--tau={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
+    # print rationals in full; the int-to-str limit (Python >= 3.10.7) is back on return
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (InvalidParameters, NotUpperHalfPlane) as exc:
@@ -397,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     except SchwarzianError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

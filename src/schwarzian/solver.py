@@ -176,6 +176,9 @@ class SolutionBundle:
 
     @property
     def wronskians(self) -> tuple[tuple[Fraction, int], ...]:
+        """``vvmf.level_constants(m, n)``, recomputed on every read: about
+        0.4 s at r = 1600, so a caller that reads it more than once keeps
+        the tuple."""
         return vvmf.level_constants(self.m, self.n)
 
     @property

@@ -12,9 +12,9 @@ X = (1 + k/12 pivot) E6 + (k/4 pivot) D E4 from the E4 and E6 of the
 ``BaseForms`` (E2, E2^2, E4 and E6) every form keeps from its minimal form.
 ``VectorForm`` is the one check of that shape, which refuses a zero
 component before it reads the exponents.  Two chains of levels use the
-step: ``weight_levels`` raises whole forms, for the CLI and the acceptance
-battery, and ``raise_second`` the second component alone, for
-``solver.solve``.
+step: ``raise_weight`` raises whole forms, which ``acceptance.walk``
+chains for the CLI's ``verify`` and ``vvmf`` and the acceptance battery,
+and ``raise_second`` the second component alone, for ``solver.solve``.
 
 The Wronskian W(F) = D(f1) f2 - f1 D(f2) of a form with exponents summing to
 the integer e must be a nonzero constant multiple of Delta**e.  As D Delta =
@@ -43,7 +43,6 @@ coefficients and W its indicial polynomial.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -157,6 +156,8 @@ def minimal_form(rep: ReprData, order: int, r: int = 0) -> VectorForm:
     """The weight-5 form with unit leading coefficients for both components,
     the first to order + r terms and the second to ``order``, both solved
     from one ``hypergeometric.base_forms(order + r)``; nothing is composed.
+    ``acceptance.walk`` passes the r raises it will make, each of which
+    uses up one term of the first component; ``solver.solve`` passes 0.
 
     ``VectorForm`` checks the exponents and the unit leading coefficients,
     ``mlde_check`` the level-0 MLDE, each with InternalMismatch at the
@@ -213,21 +214,6 @@ def raise_weight(form: VectorForm) -> VectorForm:
         level=form.level + 1,
         base=form.base,
     )
-
-
-def weight_levels(rep: ReprData, order: int, r: int) -> Iterator[VectorForm]:
-    """Levels 0, 1, 2, ... of ``rep``'s chain, each raised only when asked for.
-
-    Each raise uses up one body coefficient of the first component, whose
-    leading term it cancels, so the minimal form builds it at order + r and
-    level r keeps ``order``; the second, which no raise moves, is built and
-    raised at ``order``.  ``minimal_form`` proves level 0 against its MLDE;
-    the raised levels are the caller's.
-    """
-    form = minimal_form(rep, order, r)
-    while True:
-        yield form
-        form = raise_weight(form)
 
 
 def raise_second(form: VectorForm, r: int) -> PuiseuxSeries:

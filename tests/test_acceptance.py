@@ -14,6 +14,8 @@ its principal branches, and all nine points must agree to 1e-9.
 """
 
 import dataclasses
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +30,7 @@ from schwarzian import (
     vvmf,
 )
 from schwarzian.errors import NotProportional, OdeResidualNonzero, VerificationError
+from test_solver import raise_component_with_de4_coefficient_2
 
 
 def _report(result: acceptance.CheckResult) -> None:
@@ -50,11 +53,11 @@ def test_criterion_2_names_each_pair_that_fails_to_build(monkeypatch):
     pair."""
     bumped = acceptance._bumped(hypergeometric.gauged_2f1, 0, lambda *_: True)
     monkeypatch.setattr(hypergeometric, "gauged_2f1", bumped)
-    acceptance._minimal.cache_clear()
+    acceptance._walked.cache_clear()
     try:
         result = acceptance.check_minimal_form_shape()
     finally:
-        acceptance._minimal.cache_clear()
+        acceptance._walked.cache_clear()
     assert not result.passed
     for m, n in acceptance.SHAPE_GRID:
         assert (
@@ -68,7 +71,7 @@ def test_criterion_3_wronskian_delta_power():
 
 
 def test_criterion_3_checks_both_levels_through_order_terms(monkeypatch):
-    """Levels 0 and 1 come from one chain, ``vvmf.weight_levels(rep, ORDER,
+    """Levels 0 and 1 come from one walk, ``acceptance.walk(rep, ORDER, 1,
     1)``, so the raise that uses up a term of the first component still
     leaves ORDER, and every W is checked through ORDER terms."""
     checked = []
@@ -79,13 +82,11 @@ def test_criterion_3_checks_both_levels_through_order_terms(monkeypatch):
         return original(form)
 
     monkeypatch.setattr(vvmf, "wronskian_check", recorded)
-    acceptance._minimal.cache_clear()
-    acceptance._raised.cache_clear()
+    acceptance._walked.cache_clear()
     try:
         result = acceptance.check_wronskian_delta_power()
     finally:
-        acceptance._minimal.cache_clear()
-        acceptance._raised.cache_clear()
+        acceptance._walked.cache_clear()
     order, pairs = acceptance.ORDER, len(acceptance.SHAPE_GRID)
     assert result.passed, result.detail
     assert checked == [(0, order), (1, order)] * pairs
@@ -107,13 +108,11 @@ def test_mutated_closed_form_constant_fails_criterion_3_and_verify(monkeypatch, 
         return tuple(levels)
 
     monkeypatch.setattr(vvmf, "level_constants", off)
-    acceptance._minimal.cache_clear()
-    acceptance._raised.cache_clear()
+    acceptance._walked.cache_clear()
     try:
         result = acceptance.check_wronskian_delta_power()
     finally:
-        acceptance._minimal.cache_clear()
-        acceptance._raised.cache_clear()
+        acceptance._walked.cache_clear()
     assert not result.passed
     # c = (n_1/m) l1 l2 at level 1, with l1, l2 level 0's raising ratios
     c = vvmf.c1_closed_form(7, 1) * vvmf.c2_closed_form(7, 1) * 8 / 7
@@ -124,6 +123,38 @@ def test_mutated_closed_form_constant_fails_criterion_3_and_verify(monkeypatch, 
     out = capsys.readouterr().out
     assert "level 1 gave c=-162432/133, e=2, expected c=-324864/133, e=2" in out
     assert "level 0 gave" not in out
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["as-is", "mutated-raise"])
+def test_criteria_3_and_4_agree_with_the_vvmf_command(monkeypatch, capsys, mutated):
+    """On every SHAPE_GRID pair (m, n'), criteria 3 and 4 and
+    ``schwarzian vvmf --m m --n m+n' --terms ORDER`` pass or fail together,
+    on the same (c, e) at each level and the same ratios c1, c2: as the
+    code is, and with the D E4 coefficient of the raising step mutated,
+    which fails W at level 1 and c1 on every pair."""
+    if mutated:
+        monkeypatch.setattr(vvmf, "raise_component", raise_component_with_de4_coefficient_2)
+    acceptance._walked.cache_clear()
+    try:
+        criteria = (acceptance.check_wronskian_delta_power(), acceptance.check_raising_constants())
+        walks = {pair: acceptance._walked(*pair) for pair in acceptance.SHAPE_GRID}
+    finally:
+        acceptance._walked.cache_clear()
+    assert [c.passed for c in criteria] == [not mutated] * 2
+    for (m, n_prime), walked in walks.items():
+        argv = ["vvmf", "--m", str(m), "--n", str(m + n_prime), "--terms", str(acceptance.ORDER)]
+        assert cli.main([*argv, "--format", "json"]) == int(mutated)
+        payload = json.loads(capsys.readouterr().out)
+        verdicts = [c["pass"] for c in payload["checks"]]
+        assert verdicts == [f"({m},{n_prime}): " not in c.detail for c in criteria]
+        levels = payload["results"]["levels"]
+        assert [(Fraction(lvl["wronskian_constant"]), lvl["delta_power"]) for lvl in levels] == [
+            (c, e) for _, _, c, e in walked.checked()
+        ]
+        assert len(levels) == (1 if mutated else 2)
+        raising = payload["results"]["raising"]
+        ratios = Fraction(raising["first_ratio"]), Fraction(raising["second_ratio"])
+        assert ratios == vvmf.raising_ratios(*walked.forms[:2])
 
 
 def test_criterion_4_raising_constants():

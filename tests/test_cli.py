@@ -230,24 +230,24 @@ def test_failed_wronskian_below_r_does_not_stop_verify(capsys, monkeypatch):
     ]
 
 
-def test_solver_and_cli_build_levels_through_vvmf_chains():
-    # vvmf.weight_levels builds the chain of whole forms that verify and
-    # vvmf read, and solve raises only the minimal form's second component
-    # through vvmf.raise_second; neither module raises a component itself
-    steps = {
-        "minimal_form", "raise_weight", "raise_component", "weight_levels", "raise_second"
-    }
+def test_only_solver_and_acceptance_build_levels():
+    # acceptance.walk is the one driver of the chain of whole forms that
+    # verify, vvmf and criteria 2-4 read, and solve raises only the minimal
+    # form's second component through vvmf.raise_second; outside vvmf no
+    # other module calls a chain step, and the CLI calls none
+    steps = {"minimal_form", "raise_weight", "raise_component", "raise_second"}
     uses = {}
-    for module in (solver, cli):
+    for path in Path(solver.__file__).parent.glob("*.py"):
         called = {
             getattr(node.func, "attr", getattr(node.func, "id", None))
-            for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call)
         }
-        uses[module.__name__] = called & steps
+        if path.stem != "vvmf" and called & steps:
+            uses[path.stem] = called & steps
     assert uses == {
-        "schwarzian.solver": {"minimal_form", "raise_second"},
-        "schwarzian.cli": {"weight_levels"},
+        "solver": {"minimal_form", "raise_second"},
+        "acceptance": {"minimal_form", "raise_weight"},
     }
 
 
@@ -499,6 +499,32 @@ def test_selftest_construction_failure_keeps_json_payload(capsys, monkeypatch):
         assert "(7,1): InternalMismatch" in check["detail"], check["name"]
     failed = sum(not c["pass"] for c in checks)
     assert payload["results"] == {"passed": 8 - failed, "failed": failed}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_solve_prints_constants_past_the_digit_limit(capsys, fmt):
+    # at r = 825 the last Wronskian constant's numerator has more digits
+    # than the interpreter converts to str by default; main prints it in
+    # full and leaves that limit as it found it
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0  # no earlier in-process run of main left it lifted
+    code, out, err = run_cli(
+        capsys, "solve", "--m", "7", "--n", "5776", "--terms", "3", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    want, e = vvmf.level_constants(7, 5776)[-1]
+    sys.set_int_max_str_digits(0)
+    try:
+        text = f"{want.numerator}/{want.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(text.split("/")[0].lstrip("-")) > limit
+    if fmt == "json":
+        last = json.loads(out)["results"]["wronskians"][-1]
+        assert last == {"level": 825, "constant": text, "delta_power": e}
+    else:
+        assert f"{{'level': 825, 'constant': '{text}', 'delta_power': {e}}}" in out
 
 
 def test_usage_error_is_one_line_exit_2(capsys):

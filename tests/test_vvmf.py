@@ -8,12 +8,11 @@ list arithmetic, before this package existed.
 
 import dataclasses
 import hashlib
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from schwarzian import forms, hypergeometric, vvmf
+from schwarzian import acceptance, forms, hypergeometric, vvmf
 from schwarzian.acceptance import SHAPE_GRID
 from schwarzian import (
     InternalMismatch,
@@ -377,7 +376,7 @@ def _terms(s):
 )
 def test_raise_weight_matches_reference_operator(m, n, order):
     """Every level that solve(m, n, order) raises to, built as
-    ``weight_levels`` builds it, exactly and to the same order as the
+    ``acceptance.walk`` builds it, exactly and to the same order as the
     reference."""
     rep, r = vvmf.split_n(m, n)
     form = minimal_form(rep, order, r)
@@ -433,9 +432,10 @@ def test_raised_components_golden_hash(m, n, order):
     level its first component is the hashed one and its second is the
     hashed one's first ``order`` terms."""
     rep, r = vvmf.split_n(m, n)
-    reference = list(itertools.islice(vvmf.weight_levels(rep, order + r, 0), r + 1))
-    levels = list(itertools.islice(vvmf.weight_levels(rep, order, r), r + 1))
+    reference = acceptance.walk(rep, order + r, 0, r).forms
+    levels = acceptance.walk(rep, order, r, 0).forms
     assert tuple(map(_digests, reference)) == RAISED_SHA256[(m, n, order)]
+    assert len(levels) == r + 1
     for want, form in zip(reference, levels):
         assert _terms(form.first) == _terms(want.first)
         offset, coeffs = _terms(want.second)
@@ -452,8 +452,9 @@ def test_level_constants_match_the_literal_chain(m, n, order):
     """The closed-form (c, e) of every level is what ``wronskian_check``
     reads off the raised chain, here up to r = 100 for (7, 701)."""
     rep, r = vvmf.split_n(m, n)
-    levels = itertools.islice(vvmf.weight_levels(rep, order, r), r + 1)
-    assert vvmf.level_constants(m, n) == tuple(map(wronskian_check, levels))
+    walk = acceptance.walk(rep, order, r, 0)
+    assert len(walk.forms) == r + 1
+    assert vvmf.level_constants(m, n) == tuple(walk.wronskians)
 
 
 
