@@ -1,11 +1,12 @@
 """Time solve(7, 1, N), minimal_form and solve(9, 38, N) at N = 60, 120 and 240,
 solve(7, 1, 480), solve(7, 7r + 1, 10) at r = 100, 200, 400 and 1600,
-``schwarzian verify --m 7 --n 7r+1 --terms 10`` at r = 50, 100 and 200, and
-cold base_forms, solve and acceptance battery calls, across checkouts.
+``schwarzian verify --m 7 --n 7r+1 --terms 10`` at r = 50, 100 and 200,
+cold base_forms, solve and acceptance battery calls, and fresh interpreters
+that import the package or run one CLI solve, across checkouts.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_28.json
+    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_29.json
 
 Each ``--tree NAME=PATH`` names a checkout whose ``src/`` holds the
 package.  Every round runs one fresh process per tree, in turn, so the
@@ -43,6 +44,16 @@ from an empty ``base_forms`` cache (emptied outside the timed call):
 keyed "battery".  A cold ``solve`` costs what the first ``solve`` at its
 order costs in a fresh process, as in every CLI run.
 
+The fresh cells time whole processes from outside, ``--repeats`` of each
+per tree per round, right after that tree's worker and keyed "process":
+``import_cold`` is ``python -c "import schwarzian"`` and
+``cli_solve_cold`` is ``python -m schwarzian solve --m 7 --n 1 --terms 40
+--format json``, its output discarded.  Like the workers they run under
+the caller's environment with ``PYTHONPATH`` set on top, so every tree
+reads or compiles its bytecode alike: with ``PYTHONDONTWRITEBYTECODE``
+set, a tree exported without ``__pycache__`` compiles the package in
+every process, as ``perfbench`` set-up does.
+
 The JSON records, per tree, function and cell, two summaries of the wall
 times in seconds, with the Python version and the platform: ``pooled``,
 the median and quartiles of every call of every process, and
@@ -66,6 +77,7 @@ import contextlib
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -82,6 +94,12 @@ VERIFY_SWEEP = (50, 100, 200)  # raises r of verify --m 7 --n 7r+1 --terms 10
 SWEEP_BUDGET_S = 120.0  # predicted seconds above which a sweep cell is skipped
 COLD_ORDERS = (60, 240)  # base_forms(N) from an empty cache
 COLD_SOLVE = (9, 4, 60)
+FRESH = {  # interpreter arguments of each fresh-process cell
+    "import_cold": ["-c", "import schwarzian"],
+    "cli_solve_cold": [
+        "-m", "schwarzian", "solve", "--m", "7", "--n", "1", "--terms", "40", "--format", "json",
+    ],
+}
 
 
 def measure(repeats: int) -> dict:
@@ -140,6 +158,22 @@ def measure(repeats: int) -> dict:
     return times
 
 
+def fresh(env: dict, repeats: int) -> dict:
+    """Wall times of ``repeats`` fresh interpreters per FRESH cell, each
+    timed from outside, from start to exit."""
+    times = {}
+    for name, argv in FRESH.items():
+        samples = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            subprocess.run(
+                [sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, check=True
+            )
+            samples.append(time.perf_counter() - t0)
+        times[name] = {"process": samples}
+    return times
+
+
 def summary(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "samples": len(samples)}
@@ -164,15 +198,15 @@ def main() -> int:
     runs: dict = {name: [] for name in trees}  # one worker's times per round
     for r in range(args.rounds):
         for name in reversed(trees) if r % 2 else trees:
-            path = trees[name]
+            env = {**os.environ, "PYTHONPATH": str(Path(trees[name]).resolve() / "src")}
             out = subprocess.run(
                 [sys.executable, __file__, "--worker", "--repeats", str(args.repeats)],
-                env={**os.environ, "PYTHONPATH": str(Path(path).resolve() / "src")},
+                env=env,
                 capture_output=True,
                 text=True,
                 check=True,
             ).stdout
-            runs[name].append(json.loads(out))
+            runs[name].append(json.loads(out) | fresh(env, args.repeats))
     results = {
         name: {
             fn: {
@@ -231,6 +265,7 @@ def main() -> int:
             "solve_cold": list(COLD_SOLVE),
             "run_all": "acceptance.run_all()",
         },
+        "fresh": {name: shlex.join(["python", *argv]) for name, argv in FRESH.items()},
         "python": platform.python_version(),
         "platform": platform.platform(),
         "rounds": args.rounds,

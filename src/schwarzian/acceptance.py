@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -54,8 +53,7 @@ PHASE_TOLERANCE = 1e-8
 MAX_BUG_INDEX = 5
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -92,7 +90,8 @@ class Walk(NamedTuple):
     def wronskian_problems(self) -> list[str]:
         """How levels 0..r miss W = c_k Delta**(k + 1): each failed W check,
         each (c, e) off the closed form of ``vvmf.level_constants``, and
-        the refusal that stopped the walk below level r + 1; the refusal
+        the refusal that stopped the walk below level r + 1, as
+        ``vvmf.VectorForm`` words it with the level it refused; the refusal
         alone if no form was built."""
         if not self.forms:
             return [self.stopped]
@@ -108,7 +107,7 @@ class Walk(NamedTuple):
             if (c, e) != want[lvl]
         ]
         if len(self.forms) <= self.r:
-            problems.append(f"level {len(self.forms)}: {self.stopped}")
+            problems.append(self.stopped)
         return problems
 
     def wronskian_verdict(self) -> CheckResult:

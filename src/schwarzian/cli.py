@@ -91,8 +91,9 @@ def _emit(
 def _walk(args: argparse.Namespace, top: int, report) -> int:
     """``verify`` and ``vvmf``: ``acceptance.walk`` of (m, n) to level
     max(r, top).  Only a failure of the minimal form is reported as
-    ``construction``; a failed check, or a raise refused, at level k <= r
-    is reported under wronskian-delta-power as ``level k: ...``, and
+    ``construction``.  Under wronskian-delta-power, a failed check at level
+    k <= r reads ``level k: ...``, and a raise refused there reads as
+    ``vvmf.VectorForm`` refused it, which names level k once.
     ``report(walk, results)`` fails each check that needs a level not built
     with the refusal's text.
     """

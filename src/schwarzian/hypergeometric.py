@@ -47,28 +47,28 @@ coefficients; ``vvmf.mlde_check`` applies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import forms
 from .errors import InvalidC
 from .series import PuiseuxSeries, QSeries, SeriesBuilder, solve_ode
 
 
-@dataclass(frozen=True)
-class HypergeomParams:
-    """Parameters (a, b; c) of a Gauss hypergeometric series."""
+class HypergeomParams(
+    NamedTuple("HypergeomParams", [("a", Fraction), ("b", Fraction), ("c", Fraction)])
+):
+    """Parameters (a, b; c) of a Gauss hypergeometric series, each made a
+    Fraction; InvalidC if c is a nonpositive integer."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.c.denominator == 1 and self.c <= 0:
-            raise InvalidC(f"lower parameter c = {self.c} is a nonpositive integer")
+    def __new__(cls, a, b, c):
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        if c.denominator == 1 and c <= 0:
+            raise InvalidC(f"lower parameter c = {c} is a nonpositive integer")
+        return super().__new__(cls, a, b, c)
 
 
 def hypergeom_coeffs(params: HypergeomParams, n_terms: int) -> QSeries:
@@ -89,8 +89,7 @@ def hypergeom_coeffs(params: HypergeomParams, n_terms: int) -> QSeries:
     return t.series()
 
 
-@dataclass(frozen=True)
-class ComponentRecipe:
+class ComponentRecipe(NamedTuple):
     """Everything needed to assemble one solution component.
 
     ``signed_residue`` is +n' for the first component and -n' for the
@@ -114,8 +113,7 @@ class ComponentRecipe:
         return Fraction(self.m + self.signed_residue, 2 * self.m)
 
 
-@dataclass(frozen=True)
-class BaseForms:
+class BaseForms(NamedTuple):
     """The level-one series that both components of a minimal form read,
     and that ``vvmf`` raises and checks every level of that form against.
 
@@ -144,10 +142,11 @@ def base_forms(order: int) -> BaseForms:
     and 3 D E4 = E2 E4 - E6, so a corrupted E2, E4 or E6 stops here at the
     index it is off.  Every later minimal form, and so every
     ``solver.solve``, at a built order reuses the same ``BaseForms``, which
-    is safe as it is frozen and each ``QSeries`` holds integer tuples; an
-    exception is not cached, so ``base_forms(0)`` raises on every call.  A
-    check that patches ``forms`` needs ``base_forms.cache_clear()`` first,
-    as ``acceptance`` does before its battery and around each seeded bug.
+    is safe as it is an immutable tuple and each ``QSeries`` holds integer
+    tuples; an exception is not cached, so ``base_forms(0)`` raises on
+    every call.  A check that patches ``forms`` needs
+    ``base_forms.cache_clear()`` first, as ``acceptance`` does before its
+    battery and around each seeded bug.
     """
     e2, e4, e6, e2_squared = forms.checked_eisenstein(order)
     return BaseForms(e2=e2, e2_squared=e2_squared, e4=e4, e6=e6)

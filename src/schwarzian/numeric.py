@@ -30,12 +30,11 @@ mpmath with that many bits of working precision.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, copysign, floor, inf, log2
 from sys import float_info
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import forms, solver
 from .errors import (
@@ -362,8 +361,7 @@ def eval_h_hypergeometric(
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Side-by-side evaluation of h by its two independent routes.
 
     It holds only what the evaluation computed; tau and the number of

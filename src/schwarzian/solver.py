@@ -54,8 +54,8 @@ D-convention ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import forms, hypergeometric, vvmf
 from .errors import (
@@ -146,8 +146,7 @@ def verify_ode(y: PuiseuxSeries, s: Fraction) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SolutionBundle:
+class SolutionBundle(NamedTuple):
     """A verified solution h = q**(n/m) (1 + O(q)) of the pair (m, n).
 
     It stores what ``solve`` computed, h.  The rest is fixed by (m, n) and

@@ -43,9 +43,9 @@ coefficients and W its indicial polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import hypergeometric
 from .errors import (
@@ -59,33 +59,31 @@ from .series import PuiseuxSeries, QSeries, apply_ode
 MINIMAL_WEIGHT = Fraction(5)
 
 
-@dataclass(frozen=True)
-class ReprData:
+class ReprData(NamedTuple("ReprData", [("m", int), ("n_prime", int)])):
     """Parameters (m, n') of the two-dimensional representation.
 
     ``recipes`` holds the two components' recipes, at +n' and -n'; their
     leading exponents (m +- n')/2m are distinct as n' > 0 and sum to 1 (so
     their product of multipliers is a sixth root of unity trivially), and
     their difference n'/m is never congruent to 1/6 or 5/6 mod 1 when
-    m >= 7 and gcd = 1.
+    m >= 7 and gcd = 1.  Construction refuses any other (m, n') with
+    InvalidParameters.
     """
 
-    m: int
-    n_prime: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.m) is not int or type(self.n_prime) is not int:
+    def __new__(cls, m, n_prime):
+        if type(m) is not int or type(n_prime) is not int:
             raise InvalidParameters("m and n' must be integers")
-        if self.m < 7:
-            raise InvalidParameters(f"m must be >= 7, got {self.m}")
-        if not 0 < self.n_prime < self.m:
+        if m < 7:
+            raise InvalidParameters(f"m must be >= 7, got {m}")
+        if not 0 < n_prime < m:
             raise InvalidParameters(
-                f"n' must satisfy 0 < n' < m, got n'={self.n_prime}, m={self.m}"
+                f"n' must satisfy 0 < n' < m, got n'={n_prime}, m={m}"
             )
-        if gcd(self.m, self.n_prime) != 1:
-            raise InvalidParameters(
-                f"m={self.m} and n'={self.n_prime} must be coprime"
-            )
+        if gcd(m, n_prime) != 1:
+            raise InvalidParameters(f"m={m} and n'={n_prime} must be coprime")
+        return super().__new__(cls, m, n_prime)
 
     @property
     def recipes(self) -> tuple[ComponentRecipe, ComponentRecipe]:
@@ -109,8 +107,18 @@ def split_n(m: int, n: int) -> tuple[ReprData, int]:
     return ReprData(m, n % m), n // m
 
 
-@dataclass(frozen=True)
-class VectorForm:
+class VectorForm(
+    NamedTuple(
+        "VectorForm",
+        [
+            ("first", PuiseuxSeries),
+            ("second", PuiseuxSeries),
+            ("rep", ReprData),
+            ("level", int),
+            ("base", BaseForms),
+        ],
+    )
+):
     """A two-component form of weight 5 + 6*level, with the level-one series
     ``base`` that its minimal form was built from and every raise keeps.
 
@@ -121,31 +129,28 @@ class VectorForm:
     coefficients are 1.  No other code checks them.
     """
 
-    first: PuiseuxSeries
-    second: PuiseuxSeries
-    rep: ReprData
-    level: int
-    base: BaseForms
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.first.is_zero() or self.second.is_zero():
+    def __new__(cls, first, second, rep, level, base):
+        if first.is_zero() or second.is_zero():
             raise InternalMismatch(
-                f"level {self.level}: a component vanishes to working order", index=0
+                f"level {level}: a component vanishes to working order", index=0
             )
-        first, second = self.rep.recipes
-        want = (first.offset + self.level, second.offset)
-        if (self.first.offset, self.second.offset) != want:
+        plus, minus = rep.recipes  # at +n' and -n'
+        want = (plus.offset + level, minus.offset)
+        if (first.offset, second.offset) != want:
             raise InternalMismatch(
-                f"level {self.level}: exponents {self.first.offset}, "
-                f"{self.second.offset}, expected {want[0]}, {want[1]}",
+                f"level {level}: exponents {first.offset}, "
+                f"{second.offset}, expected {want[0]}, {want[1]}",
                 index=0,
             )
-        if self.level == 0 and (self.first.leading, self.second.leading) != (1, 1):
+        if level == 0 and (first.leading, second.leading) != (1, 1):
             raise InternalMismatch(
-                f"leading coefficients {self.first.leading}, {self.second.leading}, "
+                f"leading coefficients {first.leading}, {second.leading}, "
                 "expected 1, 1",
                 index=0,
             )
+        return super().__new__(cls, first, second, rep, level, base)
 
     @property
     def weight(self) -> Fraction:

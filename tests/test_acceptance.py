@@ -13,7 +13,6 @@ fundamental domain, so the evaluator continues the closed form there with
 its principal branches, and all nine points must agree to 1e-9.
 """
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -173,7 +172,7 @@ def bumped_h(bundle: solver.SolutionBundle, k: int) -> solver.SolutionBundle:
     """``bundle`` with 1 added to the body coefficient of h at q^k."""
     coeffs = list(bundle.h.body.coeffs)
     coeffs[k] += 1
-    return dataclasses.replace(bundle, h=PuiseuxSeries(bundle.h.offset, QSeries(coeffs)))
+    return bundle._replace(h=PuiseuxSeries(bundle.h.offset, QSeries(coeffs)))
 
 
 @pytest.mark.parametrize("k", [1, 4, 17])
@@ -195,7 +194,7 @@ def test_literal_predicates_report_wrong_constants():
     assert acceptance.ode_problems(good) == []
     # the constant computed from another pair's h; the bundle derives the
     # constant it is compared with from (m, n), so it cannot misreport one
-    other_h = dataclasses.replace(good, h=solver.solve(11, 17, 30).h)
+    other_h = good._replace(h=solver.solve(11, 17, 30).h)
     assert acceptance.schwarzian_problems(other_h) == ["computed constant -289/242 != -128/121"]
 
 
