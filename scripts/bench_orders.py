@@ -1,22 +1,29 @@
 """Time solve(7, 1, N), minimal_form and solve(9, 38, N) at N = 60, 120 and 240,
-solve(7, 1, 480), solve(7, 7r + 1, 10) at r = 100, 200, 400 and 1600,
+solve(7, 1, 480), the closed form of (7, 1) at four tau in doubles and at
+200 bits, solve(7, 7r + 1, 10) at r = 100, 200, 400 and 1600,
 ``schwarzian verify --m 7 --n 7r+1 --terms 10`` at r = 50, 100 and 200,
 cold base_forms, solve and acceptance battery calls, and fresh interpreters
 that import the package or run one CLI solve, across checkouts.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_29.json
+    python3 scripts/bench_orders.py --tree before=PATH --tree after=. --out BENCH_30.json
 
 Each ``--tree NAME=PATH`` names a checkout whose ``src/`` holds the
 package.  Every round runs one fresh process per tree, in turn, so the
 trees share the machine's state; every other round runs them in reverse
 order, so no tree always runs first (with a fixed order, swapping two
 trees flipped which one read faster).  Each process warms up with
-``solve(7, 1, 30)``; every call after that, up to the cold cells, is a
-warm call.  It then times ``--repeats`` calls of each function at N = 60,
-120 and 240, and one call of each long cell: ``solve`` at N = 480 and
-``solve_sweep``, solve(7, 7r + 1, 10) with r raises, keyed by r.  A sweep
+``solve(7, 1, 30)`` and one 200-bit ``eval_h_hypergeometric(7, 1, 2i,
+60)``, which imports mpmath; every call after that, up to the cold
+cells, is a warm call.  It then times ``--repeats`` calls of each
+function at N = 60, 120 and 240, and one call of each long cell:
+``solve`` at N = 480 and ``solve_sweep``, solve(7, 7r + 1, 10) with r
+raises, keyed by r.  ``eval_h``, the numeric layer, is ``--repeats``
+calls of ``eval_h_hypergeometric(7, 1, tau, 60, precision=p)`` per cell,
+keyed "tau/p": tau = 1.5i (|z| < 0.95, the summed 2F1 Taylor series),
+-0.3 + 1.1i and 0.3 + 1.2i (the continued 2F1) and 150i (q underflows
+in doubles), each at p = None (complex doubles) and p = 200 bits.  A sweep
 cell is skipped, and so absent from that process's times, when the
 previous cell's time scaled by the cube of the ratio of their raises
 exceeds ``SWEEP_BUDGET_S``: a tree whose raised pairs cost about r^3 would
@@ -92,6 +99,8 @@ LONG_ORDER = 480
 SWEEP = (100, 200, 400, 1600)  # raises r of solve(7, 7r + 1, 10)
 VERIFY_SWEEP = (50, 100, 200)  # raises r of verify --m 7 --n 7r+1 --terms 10
 SWEEP_BUDGET_S = 120.0  # predicted seconds above which a sweep cell is skipped
+EVAL_TAUS = (1.5j, -0.3 + 1.1j, 0.3 + 1.2j, 150j)
+EVAL_PRECISIONS = (None, 200)
 COLD_ORDERS = (60, 240)  # base_forms(N) from an empty cache
 COLD_SOLVE = (9, 4, 60)
 FRESH = {  # interpreter arguments of each fresh-process cell
@@ -104,9 +113,21 @@ FRESH = {  # interpreter arguments of each fresh-process cell
 
 def measure(repeats: int) -> dict:
     """Wall times of the calls of every cell, in this process."""
-    from schwarzian import ReprData, acceptance, cli, hypergeometric, minimal_form, solve
+    from schwarzian import (
+        ReprData,
+        acceptance,
+        cli,
+        eval_h_hypergeometric,
+        hypergeometric,
+        minimal_form,
+        solve,
+    )
+
+    def eval_h(tau: complex, precision: int | None) -> None:
+        eval_h_hypergeometric(*PAIR, tau, 60, precision=precision)
 
     solve(*PAIR, 30)
+    eval_h(2j, 200)
     cells = [
         (name, str(order), partial(call, order), repeats, False)
         for name, call in (
@@ -117,6 +138,11 @@ def measure(repeats: int) -> dict:
         for order in ORDERS
     ]
     cells.append(("solve", str(LONG_ORDER), partial(solve, *PAIR, LONG_ORDER), 1, False))
+    cells += [
+        ("eval_h", f"{tau}/{p}", partial(eval_h, tau, p), repeats, False)
+        for tau in EVAL_TAUS
+        for p in EVAL_PRECISIONS
+    ]
     cold_cells = [
         ("base_forms_cold", str(n), partial(hypergeometric.base_forms, n), repeats, True)
         for n in COLD_ORDERS
@@ -250,6 +276,11 @@ def main() -> int:
         "pair": list(PAIR),
         "raised_pair": list(RAISED_PAIR),
         "long_order": LONG_ORDER,
+        "eval_h": {
+            "call": "eval_h_hypergeometric(7, 1, tau, 60, precision=p)",
+            "taus": [str(tau) for tau in EVAL_TAUS],
+            "precisions": list(EVAL_PRECISIONS),
+        },
         "sweep": {
             "raises": list(SWEEP),
             "call": "solve(7, 7r + 1, 10)",

@@ -69,6 +69,11 @@ def failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def ratio_problems(ratios: list[tuple[Fraction, Fraction]]) -> list[str]:
+    """How the pairs of ``Walk.raising_ratios`` miss their closed forms."""
+    return [f"c{i}={c} != closed form {w}" for i, (c, w) in enumerate(ratios, 1) if c != w]
+
+
 class Walk(NamedTuple):
     """Levels 0, 1, ... of a pair as far as ``walk`` built them; for each of
     levels 0..r among them, the (c, e) of W checked literally or how that
@@ -120,18 +125,15 @@ class Walk(NamedTuple):
         )
         return verdict("wronskian-delta-power", detail, self.wronskian_problems())
 
-    def raising_problems(self) -> list[str]:
-        """How the raising ratios miss -144(5m+6n')/(m+n') and 12n'/(m+6n'),
-        or the refusal that left level 1 unbuilt."""
+    def raising_ratios(self) -> list[tuple[Fraction, Fraction]] | None:
+        """(computed, closed form) of c1 = -144(5m+6n')/(m+n') and
+        c2 = 12n'/(m+6n'), read from levels 0 and 1; None when level 1 is
+        unbuilt."""
         if len(self.forms) < 2:
-            return [self.stopped]
+            return None
         rep = self.forms[0].rep
         want = (vvmf.c1_closed_form(rep.m, rep.n_prime), vvmf.c2_closed_form(rep.m, rep.n_prime))
-        return [
-            f"c{i}={c} != closed form {w}"
-            for i, (c, w) in enumerate(zip(vvmf.raising_ratios(*self.forms[:2]), want), 1)
-            if c != w
-        ]
+        return list(zip(vvmf.raising_ratios(*self.forms[:2]), want))
 
 
 def walk(rep: vvmf.ReprData, order: int, r: int, top: int) -> Walk:
@@ -270,7 +272,13 @@ def check_wronskian_delta_power() -> CheckResult:
 
 def check_raising_constants() -> CheckResult:
     """Both raising ratios match -144(5m+6n')/(m+n') and 12n'/(m+6n') exactly."""
-    problems = _over(SHAPE_GRID, lambda m, n: _walked(m, n).raising_problems())
+
+    def problems_of(m: int, n_prime: int) -> list[str]:
+        walked = _walked(m, n_prime)
+        ratios = walked.raising_ratios()
+        return [walked.stopped] if ratios is None else ratio_problems(ratios)
+
+    problems = _over(SHAPE_GRID, problems_of)
     detail = f"{len(SHAPE_GRID)} pairs at order {ORDER}"
     return verdict("raising-constants", detail, problems)
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Any
 
-from . import acceptance, numeric, solver, vvmf
-from .acceptance import CheckResult, failure, verdict
+from . import acceptance, numeric, solver
+from .acceptance import CheckResult, failure, ratio_problems, verdict
 from .errors import (
     DivergentSeries,
     InvalidParameters,
@@ -187,7 +187,6 @@ def _verify_checks(walk: acceptance.Walk, results: dict[str, Any]) -> list[Check
 def _vvmf_checks(walk: acceptance.Walk, results: dict[str, Any]) -> list[CheckResult]:
     """W at every level and the raising constants from levels 0 and 1,
     against their closed forms; the levels reached go into ``results``."""
-    rep = walk.forms[0].rep
     results.update(
         weight=int(5 + 6 * walk.r),
         levels=[
@@ -204,12 +203,11 @@ def _vvmf_checks(walk: acceptance.Walk, results: dict[str, Any]) -> list[CheckRe
             for level, current, c, e in walk.checked()
         ],
     )
-    if len(walk.forms) < 2:
+    ratios = walk.raising_ratios()
+    if ratios is None:
         missing = CheckResult("raising-ratios", False, walk.stopped)
         return [walk.wronskian_verdict(), missing]
-    c1, c2 = vvmf.raising_ratios(*walk.forms[:2])
-    c1_closed = vvmf.c1_closed_form(rep.m, rep.n_prime)
-    c2_closed = vvmf.c2_closed_form(rep.m, rep.n_prime)
+    (c1, c1_closed), (c2, c2_closed) = ratios
     results["raising"] = {
         "second_ratio": _rat(c2),
         "second_ratio_closed_form": _rat(c2_closed),
@@ -222,7 +220,7 @@ def _vvmf_checks(walk: acceptance.Walk, results: dict[str, Any]) -> list[CheckRe
             "raising-ratios",
             f"computed {c1}, {c2}; closed forms -144(5m+6n')/(m+n') = {c1_closed}, "
             f"12n'/(m+6n') = {c2_closed}",
-            walk.raising_problems(),
+            ratio_problems(ratios),
         ),
     ]
 

@@ -80,7 +80,7 @@ def eta_power(exponent: int, order: int) -> PuiseuxSeries:
     for k in range(-order, order):
         if (g := k * (3 * k - 1) // 2) < order:
             base[g] = -1 if k % 2 else 1
-    body = QSeries(base) ** exponent
+    body = QSeries(base).pow_rational(exponent)
     return PuiseuxSeries(Fraction(exponent, 24), body)
 
 

@@ -33,7 +33,6 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, copysign, floor, inf, log2
-from sys import float_info
 from typing import Any, Callable, NamedTuple
 
 from . import forms, solver
@@ -166,8 +165,13 @@ def _hyp2f1_doubles(params: HypergeomParams, z: complex) -> complex:
 
 
 def _check_precision(precision: int | None) -> None:
-    """InvalidParameters unless doubles (None) or at least 8 bits."""
-    if precision is not None and precision < 8:
+    """InvalidParameters unless doubles (None) or an integer of at least 8
+    bits; a bool is not a precision."""
+    if precision is None:
+        return
+    if isinstance(precision, bool) or not isinstance(precision, int):
+        raise InvalidParameters(f"precision must be an integer, got {precision!r}")
+    if precision < 8:
         raise InvalidParameters("precision must be at least 8 bits")
 
 
@@ -285,22 +289,27 @@ def eval_h_hypergeometric(
     """Closed-form h(tau), normalized to match the unit-leading q-series.
 
     Moves tau by an integer k into |Re tau| <= 1/2 (k = 0 when it already
-    lies there) and refuses the shifted point if |tau| <= 1 (OutsideDisk):
-    on and below the arc the principal branches no longer represent h.
-    With z = 1728/j(tau) it then returns
+    lies there) and refuses the shifted point tau' if |tau'| <= 1
+    (OutsideDisk): on and below the arc the principal branches no longer
+    represent h.  With z = 1728/j(tau') = 1728 q (Delta/q) / E4**3 it then
+    returns
 
-        exp((n/m) (Log z - log 1728)) * F_first(z) / F_second(z)
+        exp((n/m) (2 pi i tau' + Log (Delta/q) - 3 Log E4)) * F_first(z) / F_second(z)
 
-    times exp(2 pi i k n/m).  Log and 2F1 take their principal branches;
-    dividing out 1728**(n/m) matches the series normalization
-    h = q**(n/m) (1 + O(q)).  z = 1728 q (Delta/q) / E4**3 is summed from
-    the integer q-series of E4 and Delta/q, which converge up to the corner
-    rho = exp(2 pi i/3): with 60 terms, doubles at tau = -0.49 + 0.88i
-    agree with mpmath's ``kleinj`` and ``hyp2f1`` to about 1e-15.  Inside
-    F, Im z has the sign of Re tau.  Where the summed z lands across a cut
-    instead (the negative axis of Log on the lines Re tau = +-1/2, or
-    (1, inf) of 2F1 within rounding of the arc), the side that continues
-    from the interior is taken.
+    times exp(2 pi i k n/m), where the exponential is (z/1728)**(n/m) taken
+    from its factors: dividing out 1728**(n/m) matches the series
+    normalization h = q**(n/m) (1 + O(q)).  E4 and Delta/q are summed at
+    tau' from their integer q-series, which converge up to the corner
+    rho = exp(2 pi i/3), and give z as well: with 60 terms, doubles at
+    tau = -0.49 + 0.88i agree with mpmath's ``kleinj`` and ``hyp2f1`` to
+    about 1e-15.  On F, |arg E4| stays below pi/3, which it nears only at
+    the corners, and |arg (Delta/q)| below 0.06, so the principal Logs
+    continue the branch from the cusp, on the lines Re tau = +-1/2 too,
+    and where q underflows in doubles the prefactor is
+    exp((n/m) 2 pi i tau') by itself.  2F1 takes its principal branch.
+    Inside F, Im z has the sign of Re tau; where the summed z lands across
+    the cut (1, inf) of 2F1 instead, within rounding of the arc, the side
+    that continues from the interior is taken.
 
     For |z| < 1 - _MARGIN = 0.95 the 2F1 factors are summed to ``n_terms``
     terms from their exact rational coefficients, with an error that falls
@@ -312,12 +321,8 @@ def eval_h_hypergeometric(
     rounding errors in z are amplified: doubles give about 2e-11 at
     tau = 1.00000001i; closer to i, z rounds onto the cut and the point is
     refused, while 200 bits still give about 2e-52 at tau = 1.0000000001i.
-    Where q = exp(2 pi i tau) leaves the normal double range (Im tau >
-    about 112.7), z = 1728 q (1 + O(q)) has lost its bits, and in doubles
-    the value is taken as exp((n/m) 2 pi i tau), to which the closed form
-    reduces there.  (m, n) and ``n_terms`` are checked as ``solve`` checks
-    them, and only 0 < n < m is meaningful here (InvalidParameters
-    otherwise).
+    (m, n) and ``n_terms`` are checked as ``solve`` checks them, and only
+    0 < n < m is meaningful here (InvalidParameters otherwise).
     """
     first, second = (r.params for r in _closed_form_rep(m, n, n_terms).recipes)
     tau = _check_tau(tau)
@@ -332,30 +337,26 @@ def eval_h_hypergeometric(
     backend = _Backend(precision)
     two_pi_i = backend.number(2j) * backend.pi()
     q = backend.exp(two_pi_i * backend.number(shifted))
-    exponent = backend.number(Fraction(n, m))
-    if precision is None and abs(q) < float_info.min:
-        # the O(q) terms of F_first / F_second and of Log z - log 1728 - 2 pi i
-        # tau lie far below double rounding
-        value = backend.exp(exponent * two_pi_i * shifted)
+    # z = 1728/j(tau') from E4 and Delta/q summed at tau'; inside F, Im z
+    # has the sign of Re tau': take that side of the 2F1 cut
+    e4, delta_over_q = _z_factors(n_terms)
+    e = _horner(e4, q, backend)
+    d = _horner(delta_over_q, q, backend)
+    z = 1728 * q * d / (e * e * e)
+    if z.real > 1 and z.imag * shifted.real < 0:
+        z = z.conjugate()
+    if abs(complex(z)) < 1 - _MARGIN:
+        f1 = _horner(hypergeom_coeffs(first, n_terms), z, backend)
+        f2 = _horner(hypergeom_coeffs(second, n_terms), z, backend)
     else:
-        # z = 1728/j(tau) from E4 and Delta summed at tau; inside F, Im z
-        # has the sign of Re tau: take that side of each cut
-        e4, delta_over_q = _z_factors(n_terms)
-        e = _horner(e4, q, backend)
-        z = 1728 * q * _horner(delta_over_q, q, backend) / (e * e * e)
-        if z.real > 1 and z.imag * shifted.real < 0:
-            z = z.conjugate()
-        if abs(complex(z)) < 1 - _MARGIN:
-            f1 = _horner(hypergeom_coeffs(first, n_terms), z, backend)
-            f2 = _horner(hypergeom_coeffs(second, n_terms), z, backend)
-        else:
-            f1 = backend.hyp2f1(first, z)
-            f2 = backend.hyp2f1(second, z)
-        log_z = backend.log(z)
-        if z.real < 0 and (log_z.imag > 0) != (shifted.real > 0):
-            log_z += two_pi_i if shifted.real > 0 else -two_pi_i
-        prefactor = backend.exp(exponent * (log_z - backend.log(backend.number(1728))))
-        value = prefactor * f1 / f2
+        f1 = backend.hyp2f1(first, z)
+        f2 = backend.hyp2f1(second, z)
+    # (z/1728)**(n/m) from its factors q, Delta/q and E4**-3: on F the
+    # principal Logs of Delta/q and E4 continue the branch from the cusp.
+    # exp((n/m) 2 pi i tau') is rounded as eval_qseries rounds q**(n/m)
+    exponent = backend.number(Fraction(n, m))
+    logs = backend.log(d) - 3 * backend.log(e)
+    value = backend.exp(exponent * two_pi_i * shifted + exponent * logs) * f1 / f2
     if shift:
         value *= backend.exp(two_pi_i * backend.number(Fraction(shift * n % m, m)))
     return value

@@ -41,19 +41,14 @@ q**e (1 + ...) of a linear equation
 whose coefficients P_p are q-series or constants; one recurrence serves
 :func:`solve_ode`, which solves such an equation, and :func:`apply_ode`,
 which applies one to a given series (the checks and weight raising).
-Integer and rational powers w = u**alpha solve u D(w) = alpha D(u) w,
-the power recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7);
-``hypergeometric`` states the equations of the components and ``solver``
-that of the Frobenius solutions.
+Powers w = u**alpha, alpha rational (``pow_rational``), solve
+u D(w) = alpha D(u) w, the power recurrence (J. C. P. Miller; Knuth,
+TAOCP vol. 2, section 4.7); ``hypergeometric`` states the equations of
+the components and ``solver`` that of the Frobenius solutions.
 
-Composition writes the inner series as q**v (g/d) w with w an integer
-series of content 1, convolves the powers of w, and applies the rational
-scalar f_k (g/d)**k once per power: one full product per power, so
-O(order**3) (Brent and Kung, J. ACM 1978, cover fast composition).
-No code in the package composes: the components of a form come from
-recurrences (``hypergeometric``).  ``compose`` stays as the substitution
-the tests check those recurrences against, and because the benchmark's
-tracer, ``perfbench/tracer.py``, wraps it by name.
+``compose`` substitutes by Horner's rule; no code in the package
+composes, and it stays as the reference the tests check the components'
+recurrences against and because ``perfbench/tracer.py`` wraps it by name.
 """
 
 from __future__ import annotations
@@ -251,14 +246,6 @@ class QSeries:
         """The scalar s, padded with exact zeros to ``order`` terms."""
         return cls._make([s.numerator] + [0] * (order - 1), s.denominator)
 
-    @classmethod
-    def zero(cls, order: int) -> QSeries:
-        return cls([0] * order)
-
-    @classmethod
-    def one(cls, order: int) -> QSeries:
-        return cls._constant(Fraction(1), order)
-
     @property
     def order(self) -> int:
         """Exclusive truncation bound: coefficients are known for q**i, i < order."""
@@ -370,20 +357,6 @@ class QSeries:
         num, den = self._nums[v:], other._nums[v:]
         return _divide_unit(num, self._den, den, other._den, min(len(num), len(den)))
 
-    def __pow__(self, n: int) -> QSeries:
-        """self**n (n >= 0) as q**(n v) c**n u**n for self = q**v c u, u(0) = 1,
-        with u**n from the power recurrence of ``pow_rational``."""
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("integer powers must be >= 0; use pow_rational or divide")
-        order, v = len(self._nums), self.valuation()
-        if n == 0 or v is None or v * n >= order:
-            return QSeries.one(order) if n == 0 else QSeries.zero(order)
-        c = Fraction(self._nums[v], self._den)
-        u = QSeries._make(self._nums[v:], self._den) / c
-        return (u.pow_rational(n) * c**n).shift(v * n).truncate(order)
-
     def pow_rational(self, alpha: Scalar) -> QSeries:
         """u**alpha for rational alpha; the base must have constant term 1.
 
@@ -414,25 +387,13 @@ class QSeries:
             # inner is zero to its order: the composition is the constant term
             return QSeries._constant(self[0], inner.order)
         target = min(inner.order, len(self._nums) * v)
-        # inner = q**v * (g/d) * w with w an integer series of content 1, so
-        # inner**k = q**(k v) (g/d)**k w**k and only w**k needs convolving,
-        # to target - k v terms
-        nums = inner._nums[v:target]
-        g = gcd(*nums)
-        w = [x // g for x in nums]
-        powers = [[1]]
-        for k in range(1, (target - 1) // v + 1):
-            powers.append(_iconv(powers[-1], w, target - k * v))
-        ratio = Fraction(g, inner._den)
-        scalars = [self[k] * ratio**k for k in range(len(powers))]
-        den = lcm(*(s.denominator for s in scalars))
-        acc = [0] * target
-        for k, (s, power) in enumerate(zip(scalars, powers)):
-            if s:
-                scale = s.numerator * (den // s.denominator)
-                for i, p in enumerate(power, k * v):
-                    acc[i] += scale * p
-        return QSeries._make(acc, den)
+        # Horner's rule from the last power of inner below q**target
+        inner = inner.truncate(target)
+        top = (target - 1) // v
+        acc = QSeries._constant(self[top], target)
+        for k in range(top - 1, -1, -1):
+            acc = acc * inner + self[k]
+        return acc
 
     def derive(self) -> QSeries:
         """Apply D = q d/dq: multiply each coefficient by its exponent."""

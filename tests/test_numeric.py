@@ -85,6 +85,23 @@ def test_cross_check_refuses_before_solving(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("precision", ["200", float("nan"), 200.5, 8.0, True])
+def test_precision_must_be_an_integer(monkeypatch, precision):
+    def unreachable(*args):
+        raise AssertionError("solved for a precision that is not an integer")
+
+    monkeypatch.setattr(solver, "solve", unreachable)
+    message = f"precision must be an integer, got {precision!r}"
+    for call in (
+        lambda: eval_qseries(QSeries([1, 1]), 2j, precision=precision),
+        lambda: eval_h_hypergeometric(7, 1, 2j, precision=precision),
+        lambda: cross_check(7, 1, 2j, precision=precision),
+    ):
+        with pytest.raises(InvalidParameters) as info:
+            call()
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "tau", [complex("nan+2j"), complex(0, float("inf")), complex(float("inf"), 2)]
 )
@@ -163,6 +180,33 @@ def test_cross_check_outside_the_strip():
         for tau in (0.6 + 2j, -0.7 + 1.5j):
             report = cross_check(m, n, tau, 30)
             assert report.rel_error < 1e-9, (m, n, tau, report.rel_error)
+
+
+def test_principal_logs_of_the_factors_continue_from_the_cusp():
+    # the closed form takes (z/1728)**(n/m) from the principal Logs of E4
+    # and Delta/q, which continue the branch from the cusp only while
+    # neither factor's argument reaches pi on F: pin |arg E4| < pi/2 and
+    # |arg(Delta/q)| < 0.1 at the corners, on the strip edges, just
+    # inside the arc and up the strip
+    e4, delta_over_q = numeric._z_factors(60)
+    doubles = numeric._Backend(None)
+    rho = cmath.exp(2j * cmath.pi / 3)
+    corners = [
+        corner + r * cmath.exp(1j * angle)
+        for corner, angles in ((rho, (0.53, 1.0, 1.5)), (rho + 1, (1.64, 2.1, 2.61)))
+        for r in (1e-9, 1e-6, 1e-3)
+        for angle in angles
+    ]
+    edges = [complex(x, y) for x in (-0.5, 0.5) for y in (0.8661, 0.9, 1.2, 3.0)]
+    arc = [cmath.rect(1 + 1e-9, t) for t in (1.05, 1.2, 1.5708, 1.9, 2.09)]
+    bulk = [complex(x, y) for x in (-0.4, -0.1, 0.0, 0.25, 0.45) for y in (1.1, 1.5, 2.5)]
+    for tau in corners + edges + arc + bulk:
+        assert abs(tau) > 1 and abs(tau.real) <= 0.5, tau
+        q = cmath.exp(2j * cmath.pi * tau)
+        e = numeric._horner(e4, q, doubles)
+        d = numeric._horner(delta_over_q, q, doubles)
+        assert abs(cmath.phase(e)) < cmath.pi / 2, (tau, e)
+        assert abs(cmath.phase(d)) < 0.1, (tau, d)
 
 
 def test_branch_on_the_strip_edges():

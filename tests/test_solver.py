@@ -336,7 +336,7 @@ def test_vanishing_raised_second_component_is_refused(monkeypatch):
     def zeroed(level, rep, base, component):
         raised = original(level, rep, base, component)
         if level == 1:
-            return PuiseuxSeries(raised.offset, QSeries.zero(raised.order))
+            return PuiseuxSeries(raised.offset, QSeries([0] * raised.order))
         return raised
 
     monkeypatch.setattr(vvmf, "raise_component", zeroed)
@@ -358,7 +358,7 @@ def test_verify_ode_on_solved_pair():
 
 def test_verify_ode_rejects_zero():
     with pytest.raises(InvalidParameters):
-        verify_ode(PuiseuxSeries(0, QSeries.zero(3)), F(1))
+        verify_ode(PuiseuxSeries(0, QSeries([0, 0, 0])), F(1))
 
 
 # sha256 of "offset;c0;c1;..." (each rational as str) for solve(m, n, order).h,
